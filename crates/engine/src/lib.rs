@@ -579,8 +579,9 @@ pub struct Engine {
     cfg: EngineConfig,
     /// Memoized fingerprints of matrices seen on the submit path. Lives
     /// outside the engine mutex (it is internally synchronized) so
-    /// concurrent submitters fingerprint without serializing on `inner`.
-    fp: FingerprintCache,
+    /// concurrent submitters fingerprint without serializing on `inner`;
+    /// a [`Service`]'s shards all share the service's memo.
+    fp: Arc<FingerprintCache>,
     inner: Mutex<Inner>,
 }
 
@@ -599,10 +600,22 @@ impl Engine {
     /// Construct an engine, rejecting invalid configs with
     /// [`EngineError::InvalidConfig`] instead of panicking.
     pub fn try_with_config(device: &Device, cfg: EngineConfig) -> Result<Engine, EngineError> {
+        Engine::try_with_fingerprints(device, cfg, Arc::default())
+    }
+
+    /// Like [`Engine::try_with_config`], memoizing fingerprints in `fp`,
+    /// which other engines may share: a [`Service`] hands its memo to
+    /// every shard, so a pattern hashed to route a request is not hashed
+    /// again by the shard that serves it.
+    pub(crate) fn try_with_fingerprints(
+        device: &Device,
+        cfg: EngineConfig,
+        fp: Arc<FingerprintCache>,
+    ) -> Result<Engine, EngineError> {
         cfg.validate()?;
         Ok(Engine {
             device: device.clone(),
-            fp: FingerprintCache::new(),
+            fp,
             inner: Mutex::new(Inner {
                 cache: PlanCache::new(cfg.plan_capacity),
                 pool: WorkspacePool::new(),
@@ -1268,8 +1281,9 @@ impl Engine {
         }
         // Clone-on-shared: if queued requests (or the caller) still hold
         // the old snapshot, they keep its values; a uniquely held
-        // registration mutates in place with no copy.
-        Arc::make_mut(arc).values = values;
+        // registration is not copied. The pattern is unchanged, so a
+        // memoized fingerprint carries over unhashed.
+        self.fp.swap_values(arc, values);
         let snapshot = Arc::clone(arc);
         inner.stats.value_updates += 1;
         Ok(snapshot)
@@ -1308,11 +1322,13 @@ impl Engine {
     ) -> Result<(Arc<CsrMatrix>, DeltaOutcome), EngineError> {
         let limit = (self.cfg.delta_replan_threshold * arc.nnz() as f64).ceil() as usize;
         if delta.len() > limit {
-            let c = apply_delta_reference(arc, delta)?;
-            let pattern_changed = c.pattern_fingerprint() != arc.pattern_fingerprint();
+            // Hash the rebuilt pattern once, into the memo, so the next
+            // submit of it hits.
+            let c = Arc::new(apply_delta_reference(arc, delta)?);
+            let pattern_changed = self.fp.get(&c) != self.fp.get(arc);
             self.inner.lock().stats.delta_fallbacks += 1;
             return Ok((
-                Arc::new(c),
+                c,
                 DeltaOutcome {
                     pattern_changed,
                     fallback: true,
@@ -1332,7 +1348,11 @@ impl Engine {
             pattern_changed: applied.pattern_changed(),
             fallback: false,
         };
-        Ok((Arc::new(applied.c), outcome))
+        let c = Arc::new(applied.c);
+        if !outcome.pattern_changed {
+            self.fp.carry(&c, self.fp.get(arc));
+        }
+        Ok((c, outcome))
     }
 
     /// Count one value update against this engine's stats (the service
@@ -2410,6 +2430,40 @@ mod tests {
         let misses = e.stats().cache_misses;
         e.spmv(&got, &operand(a.num_cols, 1));
         assert_eq!(e.stats().cache_misses, misses);
+    }
+
+    #[test]
+    fn value_swaps_and_value_only_deltas_never_rehash() {
+        let dev = device();
+        let e = Engine::new(&dev);
+        let a = matrix();
+        let h = e.register(&a);
+        let (r0, c0) = (0u32, a.col_idx[a.row_offsets[0]]);
+        drop(a);
+        let check = |snap: &Arc<CsrMatrix>, seed: u64| {
+            let x = operand(snap.num_cols, seed);
+            let t = e.submit_spmv(snap, x.clone(), None).expect("admitted");
+            e.flush();
+            let got = e.take_result(t).expect("completed").into_vector();
+            let want = SpmvPlan::new(&dev, snap, &SpmvConfig::default())
+                .execute(&dev, snap, &x)
+                .y;
+            assert_eq!(bits(&got), bits(&want));
+        };
+        for round in 0..4u64 {
+            let nnz = e.matrix(h).expect("registered").nnz();
+            let snap = e
+                .submit_update(h, operand(nnz, round + 2))
+                .expect("same nnz");
+            check(&snap, round);
+        }
+        assert_eq!(e.fp.hashes(), 1, "one hash for the pattern, none per swap");
+        let mut d = CsrDelta::new();
+        d.upsert(r0, c0, 42.0);
+        assert!(!e.submit_delta(h, &d).expect("in bounds").pattern_changed);
+        check(&e.matrix(h).expect("registered"), 9);
+        assert_eq!(e.fp.hashes(), 1, "a value-only delta carries too");
+        assert_eq!(e.stats().cache_misses, 1);
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //!
 //! * **Shards** — N independent engines, each with its own plan cache,
 //!   workspace pool, batcher, and chaos stream (seeds derived per shard,
-//!   so fault schedules stay replayable). A submission routes to the
-//!   shard owning its matrix's pattern fingerprint, so one pattern's
-//!   plans are built exactly once service-wide and same-pattern requests
-//!   keep coalescing into shared traversals.
+//!   so fault schedules stay replayable), all sharing the service's one
+//!   fingerprint memo. A submission routes to the shard owning its
+//!   matrix's pattern fingerprint, so one pattern's plans are built
+//!   exactly once service-wide and same-pattern requests keep coalescing
+//!   into shared traversals.
 //! * **Thread-safe submission** — `submit_*` methods take `&self` and
 //!   touch only the target shard's injector mutex (fingerprints come from
 //!   the lock-free-read [`FingerprintCache`]), so submitters on different
@@ -253,9 +254,9 @@ struct Shard {
 pub struct Service {
     cfg: ServiceConfig,
     shards: Vec<Shard>,
-    /// Shared fingerprint memo for routing (each shard engine keeps its
-    /// own for plan keying).
-    fp: FingerprintCache,
+    /// The one fingerprint memo of the service: it routes submissions,
+    /// and every shard engine keys plans and queues through it too.
+    fp: Arc<FingerprintCache>,
     /// Tenant-scoped handles to registered matrices, mutable through
     /// [`Service::submit_update`] / [`Service::submit_delta`]. The
     /// registry lives above the shards: value mutation preserves the
@@ -282,6 +283,7 @@ impl Service {
     /// [`EngineError::InvalidConfig`].
     pub fn try_with_config(device: &Device, cfg: ServiceConfig) -> Result<Service, EngineError> {
         cfg.validate()?;
+        let fp = Arc::new(FingerprintCache::new());
         let shards = (0..cfg.shards)
             .map(|i| {
                 // Each shard draws faults from its own SplitMix64 stream:
@@ -294,7 +296,7 @@ impl Service {
                     .seed
                     .wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
                 Ok(Shard {
-                    engine: Engine::try_with_config(device, ec)?,
+                    engine: Engine::try_with_fingerprints(device, ec, Arc::clone(&fp))?,
                     state: Mutex::new(ShardState::new()),
                 })
             })
@@ -302,7 +304,7 @@ impl Service {
         Ok(Service {
             cfg,
             shards,
-            fp: FingerprintCache::new(),
+            fp,
             registry: Mutex::new(HashMap::new()),
             next_handle: AtomicU64::new(0),
             next_seq: AtomicU64::new(0),
@@ -436,10 +438,11 @@ impl Service {
     }
 
     /// Swap the registered matrix's numeric values in place (one value
-    /// per nonzero, CSR order). The pattern fingerprint is preserved, so
-    /// the handle keeps routing to the same shard and every plan cached
-    /// there replays numeric-only — repeat rounds are value-swap + submit
-    /// across all shards with zero rebuilds. Returns the updated
+    /// per nonzero, CSR order). The pattern fingerprint is preserved —
+    /// and carried to the new snapshot without rehashing — so the handle
+    /// keeps routing to the same shard and every plan cached there
+    /// replays numeric-only: repeat rounds are value-swap + submit across
+    /// all shards with zero rebuilds and zero hashes. Returns the updated
     /// snapshot, ready to submit.
     pub fn submit_update(
         &self,
@@ -460,7 +463,7 @@ impl Service {
                 }
                 .into());
             }
-            Arc::make_mut(arc).values = values;
+            self.fp.swap_values(arc, values);
             Arc::clone(arc)
         };
         let fp = self.fp.get(&snapshot);
@@ -652,6 +655,7 @@ impl Service {
     pub fn stats(&self) -> ServiceStats {
         let mut out = ServiceStats {
             flushes: self.flushes.load(Ordering::Relaxed),
+            fingerprint_hashes: self.fp.hashes(),
             ..ServiceStats::default()
         };
         for shard in &self.shards {
@@ -675,6 +679,7 @@ impl Service {
             st.drained = 0;
         }
         self.flushes.store(0, Ordering::Relaxed);
+        self.fp.reset_hashes();
     }
 }
 
@@ -691,6 +696,30 @@ mod tests {
         (0..n)
             .map(|i| ((i as u64).wrapping_mul(seed).wrapping_add(11) % 1000) as f64 / 999.0 - 0.5)
             .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `a · x` through a freshly built plan: the bitwise reference for
+    /// every snapshot the service serves.
+    fn fresh_spmv(a: &CsrMatrix, x: &[f64]) -> Vec<f64> {
+        let dev = device();
+        mps_core::SpmvPlan::new(&dev, a, &mps_core::SpmvConfig::default())
+            .execute(&dev, a, x)
+            .y
+    }
+
+    /// Submit `x` against the handle's current snapshot alone, flush, and
+    /// check the result against a fresh plan.
+    fn serve_and_check(svc: &Service, tn: TenantId, h: MatrixHandle, seed: u64) {
+        let a = svc.matrix(h).expect("registered");
+        let x = operand(a.num_cols, seed);
+        let t = svc.submit_spmv(tn, &a, x.clone(), None).expect("admitted");
+        svc.flush();
+        let got = svc.take_result(t).expect("completed").into_vector();
+        assert_eq!(bits(&got), bits(&fresh_spmv(&a, &x)));
     }
 
     #[test]
@@ -910,7 +939,6 @@ mod tests {
                 (svc.register(tn, &a), a)
             })
             .collect();
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         // Warm-up round builds every plan.
         let mut tickets = Vec::new();
         for (h, a) in &handles {
@@ -924,9 +952,18 @@ mod tests {
         for t in tickets.drain(..) {
             svc.take_result(t).expect("completed");
         }
+        // One hash per pattern, to route it; the shard serving it reads
+        // the same memo.
+        assert_eq!(svc.stats().fingerprint_hashes, 6);
+        assert!(svc
+            .shards
+            .iter()
+            .all(|s| Arc::ptr_eq(&s.engine.fp, &svc.fp)));
         svc.reset_stats();
         // Mutation rounds: swap values, resubmit, check against a fresh
-        // engine planning the mutated matrix from scratch.
+        // engine planning the mutated matrix from scratch. The first
+        // swap clones (`handles` still holds each original), the second
+        // moves the sole registered copy; both carry the fingerprint.
         for round in 2..4u64 {
             let reference = Engine::new(&device());
             let mut expected = Vec::new();
@@ -951,6 +988,12 @@ mod tests {
         assert_eq!(agg.cache_hits, 12);
         assert_eq!(agg.value_updates, 12);
         assert!(s.shards.iter().filter(|s| s.value_updates > 0).count() > 1);
+        assert_eq!(s.fingerprint_hashes, 0, "value swaps carry, never hash");
+        assert!(
+            s.render().contains("0 fingerprint hash(es)"),
+            "{}",
+            s.render()
+        );
     }
 
     #[test]
@@ -980,6 +1023,143 @@ mod tests {
         let mutated = s.shards.iter().filter(|s| s.delta_applies > 0).count()
             + s.shards.iter().filter(|s| s.delta_fallbacks > 0).count();
         assert_eq!(mutated, 1, "the apply is charged to exactly one shard");
+    }
+
+    #[test]
+    fn deltas_hash_only_the_patterns_they_create() {
+        // The default threshold patches through the union; a tiny one
+        // sends every delta to the rebuild fallback.
+        for (threshold, fallback) in [(0.25, false), (f64::MIN_POSITIVE, true)] {
+            let engine = EngineConfig::builder()
+                .delta_replan_threshold(threshold)
+                .build()
+                .expect("valid");
+            let cfg = ServiceConfig::builder()
+                .engine(engine)
+                .build()
+                .expect("valid");
+            let svc = Service::with_config(&device(), cfg);
+            let tn = TenantId(0);
+            let a = Arc::new(gen::random_uniform(120, 120, 5.0, 2.0, 41));
+            let h = svc.register(tn, &a);
+            serve_and_check(&svc, tn, h, 1);
+            assert_eq!(svc.stats().fingerprint_hashes, 1);
+
+            // Edit two existing entries: the pattern is unchanged.
+            let mut d = CsrDelta::new();
+            for k in [0, a.nnz() - 1] {
+                let r = a.row_offsets.partition_point(|&o| o <= k) - 1;
+                d.upsert(r as u32, a.col_idx[k], 42.0);
+            }
+            let out = svc.submit_delta(tn, h, &d).expect("in bounds");
+            assert_eq!((out.pattern_changed, out.fallback), (false, fallback));
+            // The union carries the fingerprint; the fallback hashes its
+            // rebuilt matrix once, into the memo the next submit reads.
+            let hashed = 1 + u64::from(fallback);
+            assert_eq!(svc.stats().fingerprint_hashes, hashed);
+            serve_and_check(&svc, tn, h, 2);
+            let s = svc.stats();
+            assert_eq!(s.fingerprint_hashes, hashed);
+            assert_eq!(s.aggregate().cache_misses, 1, "the plan keeps serving");
+
+            // Insert two entries: a new pattern, hashed exactly once, by
+            // the fallback's apply or else by the first submit.
+            let mut d = CsrDelta::new();
+            for r in [0u32, 119] {
+                let row = &a.col_idx[a.row_offsets[r as usize]..a.row_offsets[r as usize + 1]];
+                let c = (0..120).find(|c| !row.contains(c)).expect("row has a gap");
+                d.upsert(r, c, 1.0);
+            }
+            let out = svc.submit_delta(tn, h, &d).expect("in bounds");
+            assert_eq!((out.pattern_changed, out.fallback), (true, fallback));
+            assert_eq!(svc.stats().fingerprint_hashes, hashed + u64::from(fallback));
+            serve_and_check(&svc, tn, h, 3);
+            assert_eq!(svc.stats().fingerprint_hashes, hashed + 1);
+        }
+    }
+
+    #[test]
+    fn update_under_a_queued_snapshot_keeps_both_memoized() {
+        let svc = Service::new(&device());
+        let tn = TenantId(0);
+        let h = svc.register(tn, &Arc::new(gen::random_uniform(140, 140, 5.0, 2.0, 61)));
+        serve_and_check(&svc, tn, h, 1);
+        svc.reset_stats();
+
+        // A request still queued on `s0` makes the swap clone, not move.
+        let s0 = svc.matrix(h).expect("registered");
+        let x = operand(s0.num_cols, 2);
+        let t0 = svc.submit_spmv(tn, &s0, x.clone(), None).expect("admitted");
+        let s1 = svc
+            .submit_update(tn, h, operand(s0.nnz(), 5))
+            .expect("owner update");
+        assert!(!Arc::ptr_eq(&s0, &s1));
+        let t1 = svc.submit_spmv(tn, &s1, x.clone(), None).expect("admitted");
+        svc.flush();
+        for (t, snap) in [(t0, &s0), (t1, &s1)] {
+            let got = svc.take_result(t).expect("completed").into_vector();
+            assert_eq!(bits(&got), bits(&fresh_spmv(snap, &x)));
+        }
+        assert_eq!(svc.fp.len(), 2, "both snapshots stay memoized");
+        // Either snapshot resubmits without a hash or a plan build.
+        for snap in [&s0, &s1] {
+            let t = svc
+                .submit_spmv(tn, snap, x.clone(), None)
+                .expect("admitted");
+            svc.flush();
+            svc.take_result(t).expect("completed");
+        }
+        let s = svc.stats();
+        assert_eq!(s.fingerprint_hashes, 0);
+        assert_eq!(s.aggregate().cache_misses, 0);
+    }
+
+    /// Value swaps and value-only deltas never miss the memo, so their
+    /// carries must sweep the entries they leave dead. Here every update
+    /// runs while the caller holds the previous snapshot, and every
+    /// union delta while a queued request holds the one it replaces.
+    #[test]
+    fn value_only_mutation_runs_keep_the_memo_bounded() {
+        let svc = Service::new(&device());
+        let tn = TenantId(0);
+        let handles: Vec<(MatrixHandle, u32, u32)> = (0..3)
+            .map(|s| {
+                let a = Arc::new(gen::random_uniform(60, 60, 4.0, 1.0, 70 + s));
+                let r = a.row_offsets.partition_point(|&o| o == 0) - 1;
+                (svc.register(tn, &a), r as u32, a.col_idx[0])
+            })
+            .collect();
+        for &(h, _, _) in &handles {
+            serve_and_check(&svc, tn, h, 1);
+        }
+        svc.reset_stats();
+        for round in 0..200u64 {
+            for &(h, r, c) in &handles {
+                let held = svc.matrix(h).expect("registered");
+                let s = svc
+                    .submit_update(tn, h, operand(held.nnz(), round))
+                    .expect("owner update");
+                drop(held);
+                let x = operand(s.num_cols, round);
+                let t = svc.submit_spmv(tn, &s, x.clone(), None).expect("admitted");
+                let mut d = CsrDelta::new();
+                d.upsert(r, c, round as f64);
+                let out = svc.submit_delta(tn, h, &d).expect("in bounds");
+                assert!(!out.pattern_changed && !out.fallback);
+                svc.flush();
+                let got = svc.take_result(t).expect("completed").into_vector();
+                assert_eq!(bits(&got), bits(&fresh_spmv(&s, &x)));
+            }
+            let held = svc.fp.held();
+            assert!(
+                held <= crate::fingerprint::MIN_SWEEP_AT,
+                "round {round}: {held} entries"
+            );
+        }
+        let s = svc.stats();
+        assert_eq!(s.fingerprint_hashes, 0);
+        assert_eq!(s.aggregate().cache_misses, 0);
+        assert_eq!(svc.fp.len(), 3, "one live snapshot per handle");
     }
 
     #[test]

@@ -19,6 +19,11 @@ pub struct ServiceStats {
     pub drained: u64,
     /// [`super::Service::flush`] calls.
     pub flushes: u64,
+    /// Pattern fingerprints hashed by the service's shared memo: one per
+    /// matrix allocation it first sees, none for value swaps or
+    /// value-only deltas, which carry theirs. A rising count in steady
+    /// state means submissions keep arriving as new allocations.
+    pub fingerprint_hashes: u64,
 }
 
 impl ServiceStats {
@@ -46,12 +51,13 @@ impl ServiceStats {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "service: {} shard(s) · {} flush(es) · {} injected · {} drained · {} quota rejection(s)",
+            "service: {} shard(s) · {} flush(es) · {} injected · {} drained · {} quota rejection(s) · {} fingerprint hash(es)",
             self.shards.len(),
             self.flushes,
             self.injected,
             self.drained,
             self.quota_rejections(),
+            self.fingerprint_hashes,
         );
         for (i, s) in self.shards.iter().enumerate() {
             let _ = writeln!(
@@ -92,6 +98,7 @@ mod tests {
         };
         st.service_tenants.record_overload(TenantId(1));
         st.injected = 9;
+        st.fingerprint_hashes = 5;
         let agg = st.aggregate();
         assert_eq!(agg.requests, 7);
         assert_eq!((agg.cache_hits, agg.cache_misses), (2, 1));
@@ -100,6 +107,7 @@ mod tests {
         assert_eq!(st.quota_rejections(), 1);
         let r = st.render();
         assert!(r.contains("2 shard(s)"), "{r}");
+        assert!(r.contains("5 fingerprint hash(es)"), "{r}");
         assert!(r.contains("aggregate:"), "{r}");
     }
 }

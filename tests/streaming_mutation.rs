@@ -120,7 +120,8 @@ proptest! {
     }
 
     /// The same contract through a sharded service: tenant-scoped
-    /// handles, value swaps on every shard, zero steady-state misses.
+    /// handles, value swaps on every shard, zero steady-state misses and
+    /// zero fingerprint hashes.
     #[test]
     fn sharded_service_value_updates_stay_numeric_only(
         shards in 1usize..5,
@@ -171,7 +172,9 @@ proptest! {
                 prop_assert_eq!(bits(&got), bits(&reference.spmv(&snapshot, &x)));
             }
         }
-        let agg = svc.stats().aggregate();
+        let stats = svc.stats();
+        prop_assert_eq!(stats.fingerprint_hashes, 0, "value swaps must not rehash the pattern");
+        let agg = stats.aggregate();
         prop_assert_eq!(agg.cache_misses, 0, "steady state must replan nothing");
         prop_assert_eq!(agg.value_updates, (rounds * patterns) as u64);
     }
