@@ -1,13 +1,8 @@
 //! Criterion bench for the downstream solver layer: CG iteration cost and
-//! AMG setup (the SpGEMM-heavy pipeline the paper's lineage comes from),
-//! plus the plan-vs-per-call host-time comparison. Emits
-//! `BENCH_solvers.json` at the repository root so the host-time trajectory
-//! is tracked across PRs.
-
-use std::path::Path;
+//! AMG setup (the SpGEMM-heavy pipeline the paper's lineage comes from).
+//! `mps bench solvers` writes the host-time artifact, `BENCH_solvers.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mps_bench::solver_exp;
 use mps_simt::Device;
 use mps_solvers::amg::{AmgHierarchy, AmgOptions};
 use mps_solvers::krylov::{cg, SolverOptions};
@@ -36,31 +31,6 @@ fn bench_solvers(c: &mut Criterion) {
         });
     }
     group.finish();
-
-    // Host wall-clock report: per-solver rows plus plan-vs-per-call, as
-    // JSON at the repository root.
-    let rows = solver_exp::run(&device, 48);
-    let pcg_cmp = solver_exp::plan_comparison(&device, 48, 25);
-    let spmv_cmp = solver_exp::spmv_plan_comparison(&device, &gen::stencil_5pt(96, 96), 25);
-    println!("\n{}", solver_exp::render(&rows));
-    println!(
-        "pcg host ms/iter: per-call {:.4}, planned {:.4} ({:.2}x)",
-        pcg_cmp.per_call_host_ms_per_iter,
-        pcg_cmp.planned_host_ms_per_iter,
-        pcg_cmp.speedup()
-    );
-    println!(
-        "spmv host ms/iter: per-call {:.4}, planned {:.4} ({:.2}x)",
-        spmv_cmp.per_call_host_ms_per_iter,
-        spmv_cmp.planned_host_ms_per_iter,
-        spmv_cmp.speedup()
-    );
-    let json = solver_exp::to_json(&rows, &pcg_cmp, &spmv_cmp);
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_solvers.json");
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("wrote {}", out.display()),
-        Err(e) => eprintln!("could not write {}: {e}", out.display()),
-    }
 }
 
 criterion_group!(benches, bench_solvers);

@@ -10,10 +10,12 @@
 //! mps reorder a.mtx -o rcm.mtx        # RCM bandwidth reduction
 //! mps trace a.mtx                      # phase-attributed kernel breakdown
 //! mps conformance [--tiny]             # differential sweep, all implementations
-//! mps host [--tiny]                    # host runtime: launch overhead, pool dispatch
-//! mps stream [--tiny] [-o out.json]    # value-mutation plan reuse + PageRank stream
-//! mps formats [--tiny] [-o out.json]   # format zoo: advised vs always-merge sweep
+//! mps bench formats [--tiny] [-o out.json]  # run an experiment, write its report
+//! mps gate BENCH_*.json                # check artifacts against their gates
 //! ```
+//!
+//! A full `mps bench <name>` without `-o` writes `BENCH_<name>.json` at
+//! the repository root; a `--tiny` run writes only where `-o` says.
 //!
 //! Simulated device timings and correlations print to stdout; matrices
 //! read/write Matrix Market coordinate format.
@@ -22,7 +24,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use mps_baselines::{cusp, cusparse_like};
-use mps_bench::{conformance, trace_exp};
+use mps_bench::{conformance, trace_exp, Report};
 use mps_core::{merge_spadd, merge_spmv, SpAddConfig, SpgemmConfig, SpgemmPlan, SpmvConfig};
 use mps_simt::Device;
 use mps_sparse::io::{load_matrix_market, write_matrix_market, MmError};
@@ -33,7 +35,7 @@ use mps_sparse::CsrMatrix;
 use mps_testkit::adversarial::Scale;
 
 fn usage() -> &'static str {
-    "usage:\n  mps info <matrix.mtx>\n  mps generate <suite-name> [--scale X] -o <out.mtx>\n  mps spmv <a.mtx>\n  mps spadd <a.mtx> <b.mtx> [-o <out.mtx>]\n  mps spgemm <a.mtx> <b.mtx> | <suite-name> [--scale X] [-o <out.mtx>]\n  mps reorder <a.mtx> -o <out.mtx>\n  mps trace <a.mtx | suite-name> [--scale X]\n  mps conformance [--tiny]\n  mps host [--tiny]\n  mps load [--tiny] [-o <out.json>]\n  mps stream [--tiny] [-o <out.json>]\n  mps formats [--tiny] [-o <out.json>]\n\nsuite names: dense protein spheres cantilever wind harbor qcd ship\n             economics epidemiology accelerator circuit webbase lp"
+    "usage:\n  mps info <matrix.mtx>\n  mps generate <suite-name> [--scale X] -o <out.mtx>\n  mps spmv <a.mtx>\n  mps spadd <a.mtx> <b.mtx> [-o <out.mtx>]\n  mps spgemm <a.mtx> <b.mtx> | <suite-name> [--scale X] [-o <out.mtx>]\n  mps reorder <a.mtx> -o <out.mtx>\n  mps trace <a.mtx | suite-name> [--scale X]\n  mps conformance [--tiny]\n  mps bench <experiment> [--tiny] [-o <out.json>]\n  mps gate <BENCH_name.json>...\n\nsuite names: dense protein spheres cantilever wind harbor qcd ship\n             economics epidemiology accelerator circuit webbase lp\nexperiments: phases spgemm load stream formats host serve solvers spmm"
 }
 
 // Every argument failure renders through the facade's unified error, so
@@ -261,63 +263,40 @@ fn run() -> Result<(), String> {
                 ));
             }
         }
-        "host" => {
-            if std::env::var_os("RAYON_NUM_THREADS").is_none() {
-                let _ = rayon::set_num_threads(4);
-            }
-            let report = if p.tiny {
-                mps_bench::host_exp::run(&device, 300, 6.0, 2)
-            } else {
-                mps_bench::host_exp::run(&device, 2000, 12.0, 8)
-            };
-            print!("{}", mps_bench::host_exp::render(&report));
-        }
-        "load" => {
-            if std::env::var_os("RAYON_NUM_THREADS").is_none() {
-                let _ = rayon::set_num_threads(4);
-            }
-            let opts = if p.tiny {
-                mps_bench::load_exp::LoadOptions::tiny()
-            } else {
-                mps_bench::load_exp::LoadOptions::full()
-            };
-            let report = mps_bench::load_exp::run(&device, &opts);
-            print!("{}", mps_bench::load_exp::render(&report));
-            if let Some(out) = p.out {
-                std::fs::write(&out, mps_bench::load_exp::to_json(&report))
+        "bench" => {
+            let exp = p
+                .positional
+                .first()
+                .and_then(|name| mps_bench::experiment(name))
+                .ok_or(usage())?;
+            let report = (exp.report)(p.tiny);
+            let repo_root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+            let out = p
+                .out
+                .or_else(|| (!p.tiny).then(|| repo_root.join(format!("BENCH_{}.json", exp.name))));
+            if let Some(out) = out {
+                std::fs::write(&out, report.to_json())
                     .map_err(|e| format!("could not write {}: {e}", out.display()))?;
                 println!("wrote {}", out.display());
             }
         }
-        "stream" => {
-            if std::env::var_os("RAYON_NUM_THREADS").is_none() {
-                let _ = rayon::set_num_threads(4);
+        "gate" => {
+            if p.positional.is_empty() {
+                return Err(usage().to_string());
             }
-            let opts = if p.tiny {
-                mps_bench::stream_exp::StreamOptions::tiny()
-            } else {
-                mps_bench::stream_exp::StreamOptions::full()
-            };
-            let report = mps_bench::stream_exp::run(&device, &opts);
-            print!("{}", mps_bench::stream_exp::render(&report));
-            if let Some(out) = p.out {
-                std::fs::write(&out, mps_bench::stream_exp::to_json(&report))
-                    .map_err(|e| format!("could not write {}: {e}", out.display()))?;
-                println!("wrote {}", out.display());
+            let mut failed = 0;
+            for path in &p.positional {
+                let failures = gate(path);
+                if failures.is_empty() {
+                    println!("{path}: ok");
+                }
+                for f in &failures {
+                    println!("{path}: FAILED {f}");
+                }
+                failed += failures.len();
             }
-        }
-        "formats" => {
-            let opts = if p.tiny {
-                mps_bench::format_exp::FormatOptions::tiny()
-            } else {
-                mps_bench::format_exp::FormatOptions::full()
-            };
-            let report = mps_bench::format_exp::run(&device, &opts);
-            print!("{}", mps_bench::format_exp::render(&report));
-            if let Some(out) = p.out {
-                std::fs::write(&out, mps_bench::format_exp::to_json(&report))
-                    .map_err(|e| format!("could not write {}: {e}", out.display()))?;
-                println!("wrote {}", out.display());
+            if failed > 0 {
+                return Err(format!("{failed} gate(s) failed"));
             }
         }
         "reorder" => {
@@ -333,6 +312,20 @@ fn run() -> Result<(), String> {
         _ => return Err(usage().to_string()),
     }
     Ok(())
+}
+
+/// The gates `path` fails; an unreadable or malformed artifact fails as a
+/// whole.
+fn gate(path: &str) -> Vec<String> {
+    let report = std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| Report::from_json(&text).map_err(|e| e.to_string()));
+    match report {
+        Err(e) => vec![format!("unreadable report: {e}")],
+        Ok(r) => mps_bench::experiment(&r.experiment)
+            .and_then(|e| e.gates)
+            .map_or_else(Vec::new, |gates| gates(&r)),
+    }
 }
 
 fn main() -> ExitCode {

@@ -1,5 +1,5 @@
-//! Format-zoo sweep over the Table II suite — reported into
-//! `BENCH_formats.json`.
+//! Format-zoo sweep over the Table II suite — [`report`] is the
+//! `formats` experiment of `mps bench` (`BENCH_formats.json`).
 //!
 //! For every suite matrix the harness runs three things:
 //!
@@ -32,6 +32,8 @@ use mps_sparse::cmrs::CmrsMatrix;
 use mps_sparse::sell::SellCSigmaMatrix;
 use mps_sparse::suite::SuiteMatrix;
 use mps_sparse::CsrMatrix;
+
+use crate::report::{Gates, Report};
 
 /// Relative tolerance across summation-order families (matches the
 /// conformance oracle's policy).
@@ -88,7 +90,7 @@ pub struct FormatRow {
     pub divergences: usize,
 }
 
-/// The full `BENCH_formats.json` payload.
+/// The sweep's rows and totals.
 #[derive(Debug, Clone)]
 pub struct FormatBenchReport {
     pub mode: String,
@@ -216,52 +218,101 @@ pub fn run(device: &Device, opts: &FormatOptions) -> FormatBenchReport {
 
 // ---- reporting ----------------------------------------------------------
 
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
+/// Run the sweep, print its table, and return the report.
+pub fn report(tiny: bool) -> Report {
+    let opts = if tiny {
+        FormatOptions::tiny()
     } else {
-        "null".to_string()
-    }
+        FormatOptions::full()
+    };
+    let r = run(&Device::titan(), &opts);
+    print!("{}", render(&r));
+    to_report(&r, tiny)
 }
 
-/// Hand-rolled JSON for `BENCH_formats.json` (no serde in the tree).
-pub fn to_json(r: &FormatBenchReport) -> String {
-    let mut out = String::from("{\n  \"formats\": {\n");
-    out.push_str(&format!("    \"mode\": \"{}\",\n", r.mode));
-    out.push_str("    \"suite\": [\n");
-    for (i, s) in r.suite.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"name\": \"{}\", \"rows\": {}, \"nnz\": {}, \"choice\": \"{}\", \
-             \"merge_sim_ms\": {}, \"advised_sim_ms\": {}, \"speedup\": {}, \
-             \"round_trips\": {}, \"divergences\": {}}}{}\n",
-            s.name,
-            s.rows,
-            s.nnz,
-            s.choice,
-            json_f(s.merge_sim_ms),
-            json_f(s.advised_sim_ms),
-            json_f(s.speedup),
-            s.round_trips,
-            s.divergences,
-            if i + 1 < r.suite.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("    ],\n");
-    out.push_str(&format!(
-        "    \"totals\": {{\"advisor_wins\": {}, \"round_trips\": {}, \"divergences\": {}, \
-         \"advice\": {{\"merge\": {}, \"cmrs\": {}, \"sell\": {}}}, \
-         \"steady_readvisals\": {}, \"steady_hit_rate\": {}}}\n",
-        r.advisor_wins,
-        r.total_round_trips,
-        r.total_divergences,
-        r.advice_merge,
-        r.advice_cmrs,
-        r.advice_sell,
-        r.steady_readvisals,
-        json_f(r.steady_hit_rate)
-    ));
-    out.push_str("  }\n}\n");
-    out
+fn to_report(f: &FormatBenchReport, tiny: bool) -> Report {
+    Report::new("formats", tiny)
+        .with_table(
+            "suite",
+            &f.suite,
+            &[
+                ("name", "", |s| s.name.into()),
+                ("rows", "count", |s| s.rows.into()),
+                ("nnz", "count", |s| s.nnz.into()),
+                ("choice", "", |s| s.choice.as_str().into()),
+                ("merge_sim_ms", "ms", |s| s.merge_sim_ms.into()),
+                ("advised_sim_ms", "ms", |s| s.advised_sim_ms.into()),
+                ("speedup", "x", |s| s.speedup.into()),
+                ("round_trips", "count", |s| s.round_trips.into()),
+                ("divergences", "count", |s| s.divergences.into()),
+            ],
+        )
+        .with_table(
+            "totals",
+            std::slice::from_ref(f),
+            &[
+                ("advisor_wins", "count", |f| f.advisor_wins.into()),
+                ("round_trips", "count", |f| f.total_round_trips.into()),
+                ("divergences", "count", |f| f.total_divergences.into()),
+                ("advice_merge", "count", |f| f.advice_merge.into()),
+                ("advice_cmrs", "count", |f| f.advice_cmrs.into()),
+                ("advice_sell", "count", |f| f.advice_sell.into()),
+                ("steady_readvisals", "count", |f| f.steady_readvisals.into()),
+                ("steady_hit_rate", "ratio", |f| f.steady_hit_rate.into()),
+            ],
+        )
+}
+
+/// Every Table II matrix round trips losslessly and without divergence,
+/// the advisor never loses to always-merge and strictly wins somewhere,
+/// and the steady state re-advises nothing.
+pub fn gates(r: &Report) -> Vec<String> {
+    let mut g = Gates::default();
+    let suite = r.rows("suite");
+    let n = suite.len() as f64;
+    g.check(
+        suite.len() == SuiteMatrix::ALL.len(),
+        "suite has the 14 Table II rows",
+    );
+    g.each(
+        &suite,
+        "name",
+        &[
+            ("advised_sim_ms <= merge_sim_ms + 1e-12", |s| {
+                s.num("advised_sim_ms") <= s.num("merge_sim_ms") + 1e-12
+            }),
+            // Merge choices share the identical plan, so exactly 1.0.
+            ("merge-csr speedup == 1", |s| {
+                s.text("choice") != "merge-csr" || s.num("speedup") == 1.0
+            }),
+            ("non-merge speedup > 1", |s| {
+                s.text("choice") == "merge-csr" || s.num("speedup") > 1.0
+            }),
+            ("round_trips == 2", |s| s.num("round_trips") == 2.0),
+            ("divergences == 0", |s| s.num("divergences") == 0.0),
+        ],
+    );
+    let t = r.row("totals");
+    g.check(
+        t.num("round_trips") == 2.0 * n,
+        "totals round_trips == 2 x rows",
+    );
+    g.each(
+        &[t],
+        "",
+        &[
+            ("totals divergences == 0", |t| t.num("divergences") == 0.0),
+            ("steady_readvisals == 0", |t| {
+                t.num("steady_readvisals") == 0.0
+            }),
+            ("steady_hit_rate == 1", |t| t.num("steady_hit_rate") == 1.0),
+        ],
+    );
+    let advised = t.num("advice_merge") + t.num("advice_cmrs") + t.num("advice_sell");
+    g.check(advised == n, "advice merge + cmrs + sell == rows");
+    let wins = suite.iter().any(|s| s.num("speedup") > 1.0);
+    g.check(wins, "advisor leaves merge on some matrix");
+    g.failures()
 }
 
 /// Render the human-readable summary table.
@@ -331,48 +382,10 @@ mod tests {
     }
 
     #[test]
-    fn sweep_is_lossless_divergence_free_and_never_loses() {
-        let r = run(&dev(), &micro());
-        assert_eq!(r.suite.len(), SuiteMatrix::ALL.len());
-        assert_eq!(
-            r.total_round_trips,
-            2 * SuiteMatrix::ALL.len(),
-            "every matrix must round trip through both formats exactly"
-        );
-        assert_eq!(r.total_divergences, 0);
-        for s in &r.suite {
-            assert!(
-                s.speedup >= 1.0,
-                "{}: advised {} must not lose to merge ({:.4} vs {:.4} ms)",
-                s.name,
-                s.choice,
-                s.advised_sim_ms,
-                s.merge_sim_ms
-            );
-        }
-        assert_eq!(
-            r.advice_merge + r.advice_cmrs + r.advice_sell,
-            SuiteMatrix::ALL.len() as u64
-        );
-    }
-
-    #[test]
-    fn steady_state_re_advises_nothing() {
-        let r = run(&dev(), &micro());
-        assert_eq!(r.steady_readvisals, 0, "advice must be cached per pattern");
-        assert_eq!(r.steady_hit_rate, 1.0);
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let r = run(&dev(), &micro());
-        let j = to_json(&r);
-        assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
-        assert!(j.contains("\"suite\""));
-        assert!(j.contains("\"steady_readvisals\""));
-        assert!(j.contains("\"advice\""));
-        assert!(!j.contains("NaN") && !j.contains("inf"));
-        let t = render(&r);
-        assert!(t.contains("format zoo sweep"), "{t}");
+    fn gates_name_a_steady_state_readvisal() {
+        let mut r = to_report(&run(&dev(), &micro()), true);
+        assert_eq!(gates(&r), Vec::<String>::new());
+        *r.cell_mut("totals", 0, "steady_readvisals").expect("cell") = 1u64.into();
+        assert_eq!(gates(&r), ["steady_readvisals == 0"]);
     }
 }

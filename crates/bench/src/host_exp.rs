@@ -18,7 +18,8 @@
 //!   `SpmvPlan`/`SpmmPlan` replays next to the simulated device
 //!   milliseconds the cost model charges for the same launches.
 //!
-//! Results serialize to `BENCH_host.json`.
+//! [`report`] is the `host` experiment of `mps bench`
+//! (`BENCH_host.json`).
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -27,6 +28,8 @@ use mps_core::{SpmmConfig, SpmmPlan, SpmvConfig, SpmvPlan, Workspace};
 use mps_simt::grid::{launch_map_into, LaunchBuffers, LaunchConfig, LaunchStats};
 use mps_simt::Device;
 use mps_sparse::{gen, CsrMatrix, DenseBlock};
+
+use crate::report::{Gates, Report};
 
 /// One warm-replay measurement (a kernel plan or the raw launch floor).
 #[derive(Debug, Clone)]
@@ -87,7 +90,6 @@ impl PoolRow {
 /// The full host-runtime report.
 #[derive(Debug, Clone)]
 pub struct HostReport {
-    pub threads: usize,
     pub launches: Vec<LaunchRow>,
     pub pool: PoolRow,
 }
@@ -258,57 +260,88 @@ pub fn run(device: &Device, n: usize, avg_nnz_per_row: f64, reps: usize) -> Host
     ];
     launches.extend(measure_kernels(device, &a, reps));
     let pool = measure_pool(1 << 16, (reps * 8).max(16));
-    HostReport {
-        threads: rayon::current_num_threads(),
-        launches,
-        pool,
-    }
+    HostReport { launches, pool }
 }
 
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
+/// `(n, avg_nnz_per_row, reps)` of the smoke run.
+const TINY: (usize, f64, usize) = (300, 6.0, 2);
+/// `(n, avg_nnz_per_row, reps)` of the committed artifact.
+const FULL: (usize, f64, usize) = (4000, 16.0, 10);
+
+/// Run the experiment on a pool of [`crate::default_pool_threads`] (the
+/// pool-vs-spawn comparison needs a multi-threaded runtime), print the
+/// launch table, and return the report.
+pub fn report(tiny: bool) -> Report {
+    crate::default_pool_threads();
+    let (n, avg_nnz_per_row, reps) = if tiny { TINY } else { FULL };
+    let r = run(&Device::titan(), n, avg_nnz_per_row, reps);
+    println!("{}", render(&r));
+    to_report(&r, tiny)
 }
 
-/// Hand-rolled JSON for `BENCH_host.json` (no serde in the tree).
-pub fn to_json(r: &HostReport) -> String {
-    let mut out = String::from("{\n  \"host_runtime\": {\n");
-    out.push_str(&format!("    \"threads\": {},\n", r.threads));
-    out.push_str("    \"launches\": [\n");
-    for (i, l) in r.launches.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"kernel\": \"{}\", \"n\": {}, \"nnz\": {}, \
-             \"host_ns_per_exec\": {}, \"host_ms\": {}, \"sim_ms\": {}, \
-             \"host_sim_gap\": {}}}{}\n",
-            l.kernel,
-            l.n,
-            l.nnz,
-            json_f(l.host_ns_per_exec),
-            json_f(l.host_ms()),
-            json_f(l.sim_ms),
-            json_f(l.host_sim_gap()),
-            if i + 1 < r.launches.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("    ],\n");
-    let p = &r.pool;
-    out.push_str(&format!(
-        "    \"pool\": {{\"len\": {}, \"jobs\": {}, \"threads\": {}, \
-         \"pool_ns_per_job\": {}, \"spawn_ns_per_job\": {}, \
-         \"pool_vs_spawn_speedup\": {}, \"steady_state_spawns\": {}}}\n",
-        p.len,
-        p.jobs,
-        p.threads,
-        json_f(p.pool_ns_per_job),
-        json_f(p.spawn_ns_per_job),
-        json_f(p.pool_vs_spawn_speedup()),
-        p.steady_state_spawns,
-    ));
-    out.push_str("  }\n}\n");
-    out
+fn to_report(h: &HostReport, tiny: bool) -> Report {
+    Report::new("host", tiny)
+        .with_table(
+            "launches",
+            &h.launches,
+            &[
+                ("kernel", "", |l| l.kernel.as_str().into()),
+                ("n", "rows", |l| l.n.into()),
+                ("nnz", "count", |l| l.nnz.into()),
+                ("host_ns_per_exec", "ns", |l| l.host_ns_per_exec.into()),
+                ("host_ms", "ms", |l| l.host_ms().into()),
+                ("sim_ms", "ms", |l| l.sim_ms.into()),
+                ("host_sim_gap", "ratio", |l| l.host_sim_gap().into()),
+            ],
+        )
+        .with_table(
+            "pool",
+            std::slice::from_ref(&h.pool),
+            &[
+                ("len", "items", |p| p.len.into()),
+                ("jobs", "count", |p| p.jobs.into()),
+                ("threads", "count", |p| p.threads.into()),
+                ("pool_ns_per_job", "ns", |p| p.pool_ns_per_job.into()),
+                ("spawn_ns_per_job", "ns", |p| p.spawn_ns_per_job.into()),
+                ("pool_vs_spawn_speedup", "x", |p| {
+                    p.pool_vs_spawn_speedup().into()
+                }),
+                ("steady_state_spawns", "count", |p| {
+                    p.steady_state_spawns.into()
+                }),
+            ],
+        )
+}
+
+/// SpMV and SpMM launches are measured, every measurement advanced the
+/// wall clock, and a warm pool spawns no threads.
+pub fn gates(r: &Report) -> Vec<String> {
+    let mut g = Gates::default();
+    let launches = r.rows("launches");
+    g.check(!launches.is_empty(), "launches: at least one row");
+    let measured = |k: &str| launches.iter().any(|l| l.text("kernel") == k);
+    g.check(
+        measured("spmv") && measured("spmm_k16"),
+        "launches include spmv and spmm_k16",
+    );
+    g.each(
+        &launches,
+        "kernel",
+        &[("host_ns_per_exec > 0", |l| l.num("host_ns_per_exec") > 0.0)],
+    );
+    g.each(
+        &[r.row("pool")],
+        "",
+        &[
+            ("pool_ns_per_job > 0 and spawn_ns_per_job > 0", |p| {
+                p.num("pool_ns_per_job") > 0.0 && p.num("spawn_ns_per_job") > 0.0
+            }),
+            ("steady_state_spawns == 0", |p| {
+                p.num("steady_state_spawns") == 0.0
+            }),
+        ],
+    );
+    g.failures()
 }
 
 /// Render the launch table plus the pool comparison line.
@@ -355,14 +388,25 @@ pub fn render(r: &HostReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
 
     fn dev() -> Device {
         Device::titan()
     }
 
+    /// Every test here measures the pool window, and the spawn
+    /// comparator moves the process-global thread-spawn counter: run
+    /// them one at a time on a 4-lane pool.
+    fn serial_pool() -> MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        let guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let _ = rayon::set_num_threads(4);
+        guard
+    }
+
     #[test]
     fn report_measures_all_sections() {
-        let _ = rayon::set_num_threads(4);
+        let _serial = serial_pool();
         let r = run(&dev(), 300, 6.0, 2);
         assert_eq!(r.launches.len(), 4);
         for l in &r.launches {
@@ -379,25 +423,11 @@ mod tests {
     }
 
     #[test]
-    fn warm_pool_creates_no_threads() {
-        let _ = rayon::set_num_threads(4);
-        let p = measure_pool(1 << 14, 8);
-        assert_eq!(
-            p.steady_state_spawns, 0,
-            "a warm pool must not create threads per job"
-        );
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let _ = rayon::set_num_threads(4);
-        let r = run(&dev(), 200, 5.0, 1);
-        let j = to_json(&r);
-        assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
-        assert!(j.contains("\"pool_vs_spawn_speedup\""));
-        assert!(j.contains("\"host_sim_gap\""));
-        assert!(!j.contains("NaN") && !j.contains("inf"));
-        let t = render(&r);
-        assert!(t.contains("pool dispatch"));
+    fn gates_name_a_warm_pool_spawn() {
+        let _serial = serial_pool();
+        let mut r = to_report(&run(&dev(), 200, 5.0, 1), true);
+        assert_eq!(gates(&r), Vec::<String>::new());
+        *r.cell_mut("pool", 0, "steady_state_spawns").expect("cell") = 1u64.into();
+        assert_eq!(gates(&r), ["steady_state_spawns == 0"]);
     }
 }

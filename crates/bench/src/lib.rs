@@ -24,6 +24,10 @@
 //!
 //! All experiments are deterministic: simulated device time is a pure
 //! function of the generated workloads.
+//!
+//! The nine experiments in [`EXPERIMENTS`] write their results as one
+//! [`Report`] schema; `mps bench <name>` runs one and `mps gate` checks
+//! an artifact against its experiment's gates.
 
 pub mod conformance;
 pub mod fig2;
@@ -31,6 +35,7 @@ pub mod fig4;
 pub mod format_exp;
 pub mod host_exp;
 pub mod load_exp;
+pub mod report;
 pub mod sensitivity;
 pub mod serve_exp;
 pub mod solver_exp;
@@ -42,6 +47,57 @@ pub mod stats;
 pub mod stream_exp;
 pub mod tables;
 pub mod trace_exp;
+
+pub use report::Report;
+
+/// One `mps bench` experiment.
+pub struct Experiment {
+    /// `mps bench <name>` writes `BENCH_<name>.json`.
+    pub name: &'static str,
+    /// Run at tiny or full size, print the text tables, return the report.
+    pub report: fn(tiny: bool) -> Report,
+    /// The gates `mps gate` applies (`None`: not gated); each returned
+    /// string names a gate the report fails.
+    pub gates: Option<fn(&Report) -> Vec<String>>,
+}
+
+const fn exp(
+    name: &'static str,
+    report: fn(bool) -> Report,
+    gates: Option<fn(&Report) -> Vec<String>>,
+) -> Experiment {
+    Experiment {
+        name,
+        report,
+        gates,
+    }
+}
+
+/// Every experiment that writes an artifact.
+pub static EXPERIMENTS: [Experiment; 9] = [
+    exp("phases", trace_exp::report, Some(trace_exp::gates)),
+    exp("spgemm", spgemm_exp::report, Some(spgemm_exp::gates)),
+    exp("load", load_exp::report, Some(load_exp::gates)),
+    exp("stream", stream_exp::report, Some(stream_exp::gates)),
+    exp("formats", format_exp::report, Some(format_exp::gates)),
+    exp("host", host_exp::report, Some(host_exp::gates)),
+    exp("serve", serve_exp::report, None),
+    exp("solvers", solver_exp::report, None),
+    exp("spmm", spmm_exp::report, None),
+];
+
+pub fn experiment(name: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.name == name)
+}
+
+/// Give the worker pool four lanes unless `RAYON_NUM_THREADS` pins it:
+/// the multi-threaded experiments need a parallel runtime even on a
+/// single-core machine.
+pub fn default_pool_threads() {
+    if std::env::var_os("RAYON_NUM_THREADS").is_none() {
+        let _ = rayon::set_num_threads(4);
+    }
+}
 
 /// Default generation scale for SpMV/SpAdd experiments (fraction of the
 /// paper's matrix dimensions).

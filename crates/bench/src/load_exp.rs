@@ -1,7 +1,8 @@
 //! Closed-loop load harness for the sharded serving [`Service`].
 //!
 //! Three scenarios, all deterministic in their workloads, reported
-//! together into `BENCH_load.json`:
+//! together by [`report`], the `load` experiment of `mps bench`
+//! (`BENCH_load.json`):
 //!
 //! * **Closed loop** — W worker threads, one tenant each, drive the
 //!   service as hard as it will go: every worker submits a request
@@ -38,6 +39,8 @@ use mps_engine::{
 };
 use mps_simt::Device;
 use mps_sparse::{gen, CsrMatrix, DenseBlock};
+
+use crate::report::{Gates, Report};
 
 /// Distinct operand vectors cycled per matrix.
 const SLOTS: usize = 4;
@@ -178,7 +181,7 @@ pub struct ScalingRow {
     pub gain: f64,
 }
 
-/// The full `BENCH_load.json` payload.
+/// All three scenarios' results.
 #[derive(Debug, Clone)]
 pub struct LoadReport {
     pub mode: String,
@@ -621,107 +624,156 @@ pub fn run(device: &Device, opts: &LoadOptions) -> LoadReport {
 
 // ---- reporting ----------------------------------------------------------
 
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
+/// Run all three scenarios on a pool of [`crate::default_pool_threads`],
+/// print the summary tables, and return the report.
+pub fn report(tiny: bool) -> Report {
+    crate::default_pool_threads();
+    let opts = if tiny {
+        LoadOptions::tiny()
     } else {
-        "null".to_string()
-    }
+        LoadOptions::full()
+    };
+    let r = run(&Device::titan(), &opts);
+    print!("{}", render(&r));
+    to_report(&r, tiny)
 }
 
-/// Hand-rolled JSON for `BENCH_load.json` (no serde in the tree).
-pub fn to_json(r: &LoadReport) -> String {
-    let mut out = String::from("{\n  \"load\": {\n");
-    out.push_str(&format!("    \"mode\": \"{}\",\n", r.mode));
+fn to_report(l: &LoadReport, tiny: bool) -> Report {
+    Report::new("load", tiny)
+        .with_table(
+            "closed_loop",
+            std::slice::from_ref(&l.closed),
+            &[
+                ("requests", "count", |c| c.requests.into()),
+                ("workers", "count", |c| c.workers.into()),
+                ("shards", "count", |c| c.shards.into()),
+                ("tenants", "count", |c| c.tenants.into()),
+                ("elapsed_ms", "ms", |c| c.elapsed_ms.into()),
+                ("throughput_rps", "req/s", |c| c.throughput_rps.into()),
+                ("p50_us", "us", |c| c.p50_us.into()),
+                ("p99_us", "us", |c| c.p99_us.into()),
+                ("p999_us", "us", |c| c.p999_us.into()),
+                ("bitwise_checked", "count", |c| c.bitwise_checked.into()),
+                ("bitwise_mismatches", "count", |c| {
+                    c.bitwise_mismatches.into()
+                }),
+                ("repeat_tenant_hit_rate", "ratio", |c| {
+                    c.repeat_tenant_hit_rate.into()
+                }),
+                ("cache_hit_rate", "ratio", |c| c.cache_hit_rate.into()),
+            ],
+        )
+        .with_table(
+            "closed_loop_tenants",
+            &l.closed.per_tenant,
+            &[
+                ("tenant", "id", |t| t.tenant.into()),
+                ("requests", "count", |t| t.requests.into()),
+                ("hits", "count", |t| t.hits.into()),
+                ("overloads", "count", |t| t.overloads.into()),
+                ("deadline_misses", "count", |t| t.deadline_misses.into()),
+                ("hit_rate", "ratio", |t| t.hit_rate.into()),
+            ],
+        )
+        .with_table(
+            "fairness",
+            std::slice::from_ref(&l.fairness),
+            &[
+                ("drain_budget", "count", |f| f.drain_budget.into()),
+                ("rounds", "count", |f| f.rounds.into()),
+                ("completed_total", "count", |f| f.completed_total.into()),
+                ("max_deviation", "ratio", |f| f.max_deviation.into()),
+                ("quota_overloads", "count", |f| f.quota_overloads.into()),
+                ("overload_attribution_ok", "bool", |f| {
+                    f.overload_attribution_ok.into()
+                }),
+                ("storm_deadline_misses", "count", |f| {
+                    f.storm_deadline_misses.into()
+                }),
+                ("storm_attribution_ok", "bool", |f| {
+                    f.storm_attribution_ok.into()
+                }),
+            ],
+        )
+        .with_table(
+            "fairness_tenants",
+            &l.fairness.per_tenant,
+            &[
+                ("tenant", "id", |t| t.tenant.into()),
+                ("weight", "count", |t| t.weight.into()),
+                ("completed", "count", |t| t.completed.into()),
+                ("share", "fraction", |t| t.share.into()),
+                ("expected_share", "fraction", |t| t.expected_share.into()),
+                ("deviation", "ratio", |t| t.deviation.into()),
+            ],
+        )
+        .with_table(
+            "scaling",
+            &l.scaling,
+            &[
+                ("shards", "count", |s| s.shards.into()),
+                ("makespan_sim_ms", "ms", |s| s.makespan_sim_ms.into()),
+                ("total_sim_ms", "ms", |s| s.total_sim_ms.into()),
+                ("gain", "x", |s| s.gain.into()),
+            ],
+        )
+}
 
-    let c = &r.closed;
-    out.push_str("    \"closed_loop\": {\n");
-    out.push_str(&format!(
-        "      \"requests\": {}, \"workers\": {}, \"shards\": {}, \"tenants\": {},\n",
-        c.requests, c.workers, c.shards, c.tenants
-    ));
-    out.push_str(&format!(
-        "      \"elapsed_ms\": {}, \"throughput_rps\": {},\n",
-        json_f(c.elapsed_ms),
-        json_f(c.throughput_rps)
-    ));
-    out.push_str(&format!(
-        "      \"p50_us\": {}, \"p99_us\": {}, \"p999_us\": {},\n",
-        json_f(c.p50_us),
-        json_f(c.p99_us),
-        json_f(c.p999_us)
-    ));
-    out.push_str(&format!(
-        "      \"bitwise_checked\": {}, \"bitwise_mismatches\": {},\n",
-        c.bitwise_checked, c.bitwise_mismatches
-    ));
-    out.push_str(&format!(
-        "      \"repeat_tenant_hit_rate\": {}, \"cache_hit_rate\": {},\n",
-        json_f(c.repeat_tenant_hit_rate),
-        json_f(c.cache_hit_rate)
-    ));
-    out.push_str("      \"per_tenant\": [\n");
-    for (i, t) in c.per_tenant.iter().enumerate() {
-        out.push_str(&format!(
-            "        {{\"tenant\": {}, \"requests\": {}, \"hits\": {}, \"overloads\": {}, \
-             \"deadline_misses\": {}, \"hit_rate\": {}}}{}\n",
-            t.tenant,
-            t.requests,
-            t.hits,
-            t.overloads,
-            t.deadline_misses,
-            json_f(t.hit_rate),
-            if i + 1 < c.per_tenant.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("      ]\n    },\n");
-
-    let f = &r.fairness;
-    out.push_str("    \"fairness\": {\n");
-    out.push_str(&format!(
-        "      \"drain_budget\": {}, \"rounds\": {}, \"completed_total\": {},\n",
-        f.drain_budget, f.rounds, f.completed_total
-    ));
-    out.push_str("      \"per_tenant\": [\n");
-    for (i, t) in f.per_tenant.iter().enumerate() {
-        out.push_str(&format!(
-            "        {{\"tenant\": {}, \"weight\": {}, \"completed\": {}, \"share\": {}, \
-             \"expected_share\": {}, \"deviation\": {}}}{}\n",
-            t.tenant,
-            t.weight,
-            t.completed,
-            json_f(t.share),
-            json_f(t.expected_share),
-            json_f(t.deviation),
-            if i + 1 < f.per_tenant.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("      ],\n");
-    out.push_str(&format!(
-        "      \"max_deviation\": {}, \"quota_overloads\": {}, \"overload_attribution_ok\": {},\n",
-        json_f(f.max_deviation),
-        f.quota_overloads,
-        f.overload_attribution_ok
-    ));
-    out.push_str(&format!(
-        "      \"storm_deadline_misses\": {}, \"storm_attribution_ok\": {}\n",
-        f.storm_deadline_misses, f.storm_attribution_ok
-    ));
-    out.push_str("    },\n");
-
-    out.push_str("    \"scaling\": [\n");
-    for (i, s) in r.scaling.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"shards\": {}, \"makespan_sim_ms\": {}, \"total_sim_ms\": {}, \"gain\": {}}}{}\n",
-            s.shards,
-            json_f(s.makespan_sim_ms),
-            json_f(s.total_sim_ms),
-            json_f(s.gain),
-            if i + 1 < r.scaling.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("    ]\n  }\n}\n");
-    out
+/// The closed loop is bitwise clean and all hits with ordered tails;
+/// overload drains track weights and attribute every error; sharding
+/// gains more than 1.5x from four shards up.
+pub fn gates(r: &Report) -> Vec<String> {
+    let mut g = Gates::default();
+    g.each(
+        &[r.row("closed_loop")],
+        "",
+        &[
+            ("requests > 0 and throughput_rps > 0", |c| {
+                c.num("requests") > 0.0 && c.num("throughput_rps") > 0.0
+            }),
+            ("p50_us <= p99_us <= p999_us", |c| {
+                c.num("p50_us") <= c.num("p99_us") && c.num("p99_us") <= c.num("p999_us")
+            }),
+            ("bitwise_mismatches == 0", |c| {
+                c.num("bitwise_mismatches") == 0.0
+            }),
+            ("bitwise_checked == requests", |c| {
+                c.num("bitwise_checked") == c.num("requests")
+            }),
+            ("repeat_tenant_hit_rate == 1", |c| {
+                c.num("repeat_tenant_hit_rate") == 1.0
+            }),
+        ],
+    );
+    g.each(
+        &[r.row("fairness")],
+        "",
+        &[
+            ("completed_total > 0", |f| f.num("completed_total") > 0.0),
+            ("max_deviation < 1.5", |f| f.num("max_deviation") < 1.5),
+            ("quota_overloads > 0 and overload_attribution_ok", |f| {
+                f.num("quota_overloads") > 0.0 && f.flag("overload_attribution_ok")
+            }),
+            ("storm_deadline_misses > 0 and storm_attribution_ok", |f| {
+                f.num("storm_deadline_misses") > 0.0 && f.flag("storm_attribution_ok")
+            }),
+        ],
+    );
+    let scaling = r.rows("scaling");
+    g.check(
+        scaling
+            .first()
+            .is_some_and(|s| s.num("shards") == 1.0 && (s.num("gain") - 1.0).abs() < 1e-9),
+        "scaling starts at shards == 1 with |gain - 1| < 1e-9",
+    );
+    g.each(
+        &scaling,
+        "",
+        &[("gain > 1.5 from 4 shards up", |s| {
+            s.num("shards") < 4.0 || s.num("gain") > 1.5
+        })],
+    );
+    g.failures()
 }
 
 /// Render the human-readable summary tables.
@@ -884,15 +936,10 @@ mod tests {
     }
 
     #[test]
-    fn json_is_well_formed_enough() {
-        let r = run(&dev(), &micro());
-        let j = to_json(&r);
-        assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
-        assert!(j.contains("\"closed_loop\""));
-        assert!(j.contains("\"fairness\""));
-        assert!(j.contains("\"scaling\""));
-        assert!(!j.contains("NaN") && !j.contains("inf"));
-        let t = render(&r);
-        assert!(t.contains("shard scaling"), "{t}");
+    fn gates_name_a_fairness_deviation_of_1_5() {
+        let mut r = to_report(&run(&dev(), &micro()), true);
+        assert_eq!(gates(&r), Vec::<String>::new());
+        *r.cell_mut("fairness", 0, "max_deviation").expect("cell") = 1.5.into();
+        assert_eq!(gates(&r), ["max_deviation < 1.5"]);
     }
 }

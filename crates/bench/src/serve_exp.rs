@@ -13,8 +13,8 @@
 //! pooled), then stats are reset so the measured phase reports
 //! steady-state serving: simulated device time, measured host wall-clock
 //! per wave, plan-cache hit rate, pool reuse, mean batch size, and the
-//! wide-access DRAM bytes only the batched path generates. Results
-//! serialize to `BENCH_serve.json`.
+//! wide-access DRAM bytes only the batched path generates. [`report`] is
+//! the `serve` experiment of `mps bench` (`BENCH_serve.json`).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -22,6 +22,8 @@ use std::time::Instant;
 use mps_engine::{Engine, EngineStats};
 use mps_simt::Device;
 use mps_sparse::{gen, CsrMatrix};
+
+use crate::report::Report;
 
 /// One concurrency-level measurement.
 #[derive(Debug, Clone)]
@@ -152,43 +154,36 @@ pub fn run(device: &Device, n: usize, avg_nnz_per_row: f64, rounds: usize) -> Ve
         .collect()
 }
 
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
+/// `(n, avg_nnz_per_row, rounds)` of the smoke run.
+const TINY: (usize, f64, usize) = (300, 6.0, 2);
+/// `(n, avg_nnz_per_row, rounds)` of the committed artifact.
+const FULL: (usize, f64, usize) = (4000, 16.0, 10);
 
-/// Hand-rolled JSON for `BENCH_serve.json` (no serde in the tree).
-pub fn to_json(rows: &[ServeRow]) -> String {
-    let mut out = String::from("{\n  \"batched_vs_unbatched_serving\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"concurrency\": {}, \"n\": {}, \"nnz\": {}, \"rounds\": {}, \
-             \"batched_sim_ms\": {}, \"unbatched_sim_ms\": {}, \"sim_speedup\": {}, \
-             \"batched_host_ms\": {}, \"unbatched_host_ms\": {}, \"host_speedup\": {}, \
-             \"cache_hit_rate\": {}, \"pool_reuse_rate\": {}, \"mean_batch\": {}, \
-             \"dram_wide_bytes\": {}}}{}\n",
-            r.concurrency,
-            r.n,
-            r.nnz,
-            r.rounds,
-            json_f(r.batched_sim_ms),
-            json_f(r.unbatched_sim_ms),
-            json_f(r.sim_speedup()),
-            json_f(r.batched_host_ms),
-            json_f(r.unbatched_host_ms),
-            json_f(r.host_speedup()),
-            json_f(r.cache_hit_rate),
-            json_f(r.pool_reuse_rate),
-            json_f(r.mean_batch),
-            r.dram_wide_bytes,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// Run the concurrency sweep, print its table, and return the report.
+pub fn report(tiny: bool) -> Report {
+    let (n, avg_nnz_per_row, rounds) = if tiny { TINY } else { FULL };
+    let rows = run(&Device::titan(), n, avg_nnz_per_row, rounds);
+    println!("{}", render(&rows));
+    Report::new("serve", tiny).with_table(
+        "batched_vs_unbatched_serving",
+        &rows,
+        &[
+            ("concurrency", "requests", |r| r.concurrency.into()),
+            ("n", "rows", |r| r.n.into()),
+            ("nnz", "count", |r| r.nnz.into()),
+            ("rounds", "count", |r| r.rounds.into()),
+            ("batched_sim_ms", "ms", |r| r.batched_sim_ms.into()),
+            ("unbatched_sim_ms", "ms", |r| r.unbatched_sim_ms.into()),
+            ("sim_speedup", "x", |r| r.sim_speedup().into()),
+            ("batched_host_ms", "ms", |r| r.batched_host_ms.into()),
+            ("unbatched_host_ms", "ms", |r| r.unbatched_host_ms.into()),
+            ("host_speedup", "x", |r| r.host_speedup().into()),
+            ("cache_hit_rate", "ratio", |r| r.cache_hit_rate.into()),
+            ("pool_reuse_rate", "ratio", |r| r.pool_reuse_rate.into()),
+            ("mean_batch", "requests", |r| r.mean_batch.into()),
+            ("dram_wide_bytes", "bytes", |r| r.dram_wide_bytes.into()),
+        ],
+    )
 }
 
 /// Render the sweep table.
@@ -254,16 +249,5 @@ mod tests {
                 assert!(r.dram_wide_bytes > 0, "batched path is column-tiled");
             }
         }
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let rows = run(&dev(), 150, 5.0, 1);
-        let j = to_json(&rows);
-        assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
-        assert_eq!(j.matches("\"concurrency\":").count(), rows.len());
-        assert!(!j.contains("NaN") && !j.contains("inf"));
-        let t = render(&rows);
-        assert_eq!(t.lines().count(), rows.len() + 2);
     }
 }

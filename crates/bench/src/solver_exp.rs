@@ -5,8 +5,9 @@
 //! every call or replays a plan, but the host work is not. This experiment
 //! measures both: per-solver rows report `sim_ms` next to measured
 //! `host_ms` per iteration, and a planned-vs-per-call PCG comparison
-//! quantifies what plan reuse buys. Results serialize to
-//! `BENCH_solvers.json` so the trajectory is tracked across PRs.
+//! quantifies what plan reuse buys. [`report`] is the `solvers`
+//! experiment of `mps bench` (`BENCH_solvers.json`), so the trajectory is
+//! tracked across PRs.
 
 use std::time::Instant;
 
@@ -16,6 +17,8 @@ use mps_solvers::blas1;
 use mps_solvers::pcg::JacobiPreconditioner;
 use mps_solvers::{cg, pcg, AmgHierarchy, AmgOptions, SolverOptions};
 use mps_sparse::{gen, CsrMatrix};
+
+use crate::report::Report;
 
 /// One solver measurement.
 #[derive(Debug, Clone)]
@@ -213,56 +216,62 @@ pub fn run(device: &Device, grid: usize) -> Vec<SolverRow> {
     rows
 }
 
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
+/// `(grid, iterations, spmv_grid)` of the smoke run.
+const TINY: (usize, usize, usize) = (16, 5, 24);
+/// `(grid, iterations, spmv_grid)` of the committed artifact.
+const FULL: (usize, usize, usize) = (48, 25, 96);
 
-/// Hand-rolled JSON for `BENCH_solvers.json` (no serde in the tree).
-pub fn to_json(rows: &[SolverRow], pcg_cmp: &PlanComparison, spmv_cmp: &PlanComparison) -> String {
-    let mut out = String::from("{\n  \"solvers\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"solver\": \"{}\", \"n\": {}, \"nnz\": {}, \"iterations\": {}, \
-             \"sim_ms\": {}, \"host_ms\": {}, \"host_ms_per_iter\": {}}}{}\n",
-            r.solver,
-            r.n,
-            r.nnz,
-            r.iterations,
-            json_f(r.sim_ms),
-            json_f(r.host_ms),
-            json_f(r.host_ms_per_iter()),
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
+/// Run the solver rows and both plan comparisons, print them, and return
+/// the report.
+pub fn report(tiny: bool) -> Report {
+    let device = Device::titan();
+    let (grid, iters, spmv_grid) = if tiny { TINY } else { FULL };
+    let rows = run(&device, grid);
+    let spmv_op = gen::stencil_5pt(spmv_grid, spmv_grid);
+    let comparisons = [
+        ("pcg", plan_comparison(&device, grid, iters)),
+        ("spmv", spmv_plan_comparison(&device, &spmv_op, iters)),
+    ];
+    println!("{}", render(&rows));
+    for (kind, c) in &comparisons {
+        println!(
+            "{kind} host ms/iter: per-call {:.4}, planned {:.4} ({:.2}x)",
+            c.per_call_host_ms_per_iter,
+            c.planned_host_ms_per_iter,
+            c.speedup()
+        );
     }
-    out.push_str("  ],\n");
-    for (key, c) in [
-        ("pcg_plan_comparison", pcg_cmp),
-        ("spmv_plan_comparison", spmv_cmp),
-    ] {
-        out.push_str(&format!(
-            "  \"{}\": {{\"n\": {}, \"nnz\": {}, \"iterations\": {}, \
-             \"per_call_host_ms_per_iter\": {}, \"planned_host_ms_per_iter\": {}, \
-             \"speedup\": {}}}{}\n",
-            key,
-            c.n,
-            c.nnz,
-            c.iterations,
-            json_f(c.per_call_host_ms_per_iter),
-            json_f(c.planned_host_ms_per_iter),
-            json_f(c.speedup()),
-            if key == "pcg_plan_comparison" {
-                ","
-            } else {
-                ""
-            },
-        ));
-    }
-    out.push_str("}\n");
-    out
+    Report::new("solvers", tiny)
+        .with_table(
+            "solvers",
+            &rows,
+            &[
+                ("solver", "", |r| r.solver.into()),
+                ("n", "rows", |r| r.n.into()),
+                ("nnz", "count", |r| r.nnz.into()),
+                ("iterations", "count", |r| r.iterations.into()),
+                ("sim_ms", "ms", |r| r.sim_ms.into()),
+                ("host_ms", "ms", |r| r.host_ms.into()),
+                ("host_ms_per_iter", "ms", |r| r.host_ms_per_iter().into()),
+            ],
+        )
+        .with_table(
+            "plan_comparisons",
+            &comparisons,
+            &[
+                ("comparison", "", |(kind, _)| (*kind).into()),
+                ("n", "rows", |(_, c)| c.n.into()),
+                ("nnz", "count", |(_, c)| c.nnz.into()),
+                ("iterations", "count", |(_, c)| c.iterations.into()),
+                ("per_call_host_ms_per_iter", "ms", |(_, c)| {
+                    c.per_call_host_ms_per_iter.into()
+                }),
+                ("planned_host_ms_per_iter", "ms", |(_, c)| {
+                    c.planned_host_ms_per_iter.into()
+                }),
+                ("speedup", "x", |(_, c)| c.speedup().into()),
+            ],
+        )
 }
 
 /// Render the solver table.
@@ -331,17 +340,5 @@ mod tests {
             cmp.planned_host_ms_per_iter,
             cmp.per_call_host_ms_per_iter
         );
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let rows = run(&dev(), 8);
-        let cmp = spmv_plan_comparison(&dev(), &gen::stencil_5pt(8, 8), 3);
-        let j = to_json(&rows, &cmp, &cmp);
-        assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
-        assert_eq!(j.matches("\"solver\"").count(), rows.len());
-        assert!(j.contains("\"pcg_plan_comparison\""));
-        assert!(j.contains("\"spmv_plan_comparison\""));
-        assert!(!j.contains("NaN") && !j.contains("inf"));
     }
 }

@@ -13,8 +13,8 @@
 //! the per-bin row/product fractions; and an AMG-style repeated-pattern
 //! loop where only the values change between multiplies — numeric-only
 //! replay vs rebuilding the whole pipeline every round, plus the same
-//! loop served through the engine's symbolic plan cache. Results
-//! serialize to `BENCH_spgemm.json`.
+//! loop served through the engine's symbolic plan cache. [`report`] is
+//! the `spgemm` experiment of `mps bench` (`BENCH_spgemm.json`).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -28,6 +28,7 @@ use mps_sparse::ops::spgemm_products;
 use mps_sparse::suite::SuiteMatrix;
 use mps_sparse::CsrMatrix;
 
+use crate::report::{Gates, Report};
 use crate::stats::pearson;
 
 /// One suite row of the SpGEMM experiment.
@@ -409,64 +410,142 @@ pub fn render_repeated(rows: &[RepeatRow]) -> String {
     )
 }
 
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
+/// Matrices of the repeated-pattern loop.
+const REPEAT_SUITE: [SuiteMatrix; 4] = [
+    SuiteMatrix::Qcd,
+    SuiteMatrix::Economics,
+    SuiteMatrix::Epidemiology,
+    SuiteMatrix::Webbase,
+];
+/// `(scale, rounds)` of the smoke run.
+const TINY: (f64, usize) = (0.01, 3);
+/// `(scale, rounds)` of the committed artifact.
+const FULL: (f64, usize) = (0.03, 20);
+
+/// Run the split and the repeated-pattern loop, print their tables, and
+/// return the report.
+pub fn report(tiny: bool) -> Report {
+    let device = Device::titan();
+    let (scale, rounds) = if tiny { TINY } else { FULL };
+    let split = run_split(&device, scale, false);
+    let repeat = run_repeated(&device, &REPEAT_SUITE, scale, rounds);
+    println!("== symbolic/numeric split ==");
+    println!("{}", render_split(&split));
+    println!("== repeated-pattern loop ==");
+    println!("{}", render_repeated(&repeat));
+    to_report(&split, &repeat, tiny)
 }
 
-/// Hand-rolled JSON for `BENCH_spgemm.json` (no serde in the tree). The
-/// repeated-loop rows name their host totals `numeric_ms` /
-/// `full_rebuild_ms` — the pair CI validates.
-pub fn to_split_json(split: &[SplitRow], repeat: &[RepeatRow]) -> String {
-    let mut out = String::from("{\n  \"symbolic_numeric_split\": [\n");
-    for (i, r) in split.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"matrix\": \"{}\", \"products\": {}, \"out_nnz\": {}, \
-             \"symbolic_sim_ms\": {}, \"numeric_sim_ms\": {}, \"numeric_symbolic_ratio\": {}, \
-             \"tiny_row_frac\": {}, \"mid_row_frac\": {}, \"heavy_row_frac\": {}, \
-             \"tiny_product_frac\": {}, \"mid_product_frac\": {}, \"heavy_product_frac\": {}}}{}\n",
-            r.name,
-            r.products,
-            r.out_nnz,
-            json_f(r.symbolic_sim_ms),
-            json_f(r.numeric_sim_ms),
-            json_f(r.numeric_symbolic_ratio()),
-            json_f(r.row_fractions[0].1),
-            json_f(r.row_fractions[1].1),
-            json_f(r.row_fractions[2].1),
-            json_f(r.product_fractions[0].1),
-            json_f(r.product_fractions[1].1),
-            json_f(r.product_fractions[2].1),
-            if i + 1 < split.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n  \"repeated_pattern_loop\": [\n");
-    for (i, r) in repeat.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"matrix\": \"{}\", \"rounds\": {}, \
-             \"numeric_ms\": {}, \"full_rebuild_ms\": {}, \"host_speedup\": {}, \
-             \"numeric_sim_ms\": {}, \"full_rebuild_sim_ms\": {}, \"sim_speedup\": {}, \
-             \"engine_hit_rate\": {}, \"engine_symbolic_builds\": {}, \
-             \"engine_numeric_execs\": {}}}{}\n",
-            r.name,
-            r.rounds,
-            json_f(r.numeric_host_ms),
-            json_f(r.full_rebuild_host_ms),
-            json_f(r.host_speedup()),
-            json_f(r.numeric_sim_ms),
-            json_f(r.full_rebuild_sim_ms),
-            json_f(r.sim_speedup()),
-            json_f(r.engine_hit_rate),
-            r.engine_symbolic_builds,
-            r.engine_numeric_execs,
-            if i + 1 < repeat.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+fn to_report(split: &[SplitRow], repeat: &[RepeatRow], tiny: bool) -> Report {
+    Report::new("spgemm", tiny)
+        .with_table(
+            "symbolic_numeric_split",
+            split,
+            &[
+                ("matrix", "", |s| s.name.into()),
+                ("products", "count", |s| s.products.into()),
+                ("out_nnz", "count", |s| s.out_nnz.into()),
+                ("symbolic_sim_ms", "ms", |s| s.symbolic_sim_ms.into()),
+                ("numeric_sim_ms", "ms", |s| s.numeric_sim_ms.into()),
+                ("numeric_symbolic_ratio", "ratio", |s| {
+                    s.numeric_symbolic_ratio().into()
+                }),
+                ("tiny_row_frac", "fraction", |s| s.row_fractions[0].1.into()),
+                ("mid_row_frac", "fraction", |s| s.row_fractions[1].1.into()),
+                ("heavy_row_frac", "fraction", |s| {
+                    s.row_fractions[2].1.into()
+                }),
+                ("tiny_product_frac", "fraction", |s| {
+                    s.product_fractions[0].1.into()
+                }),
+                ("mid_product_frac", "fraction", |s| {
+                    s.product_fractions[1].1.into()
+                }),
+                ("heavy_product_frac", "fraction", |s| {
+                    s.product_fractions[2].1.into()
+                }),
+            ],
+        )
+        .with_table(
+            "repeated_pattern_loop",
+            repeat,
+            &[
+                ("matrix", "", |l| l.name.into()),
+                ("rounds", "count", |l| l.rounds.into()),
+                ("numeric_host_ms", "ms", |l| l.numeric_host_ms.into()),
+                ("full_rebuild_host_ms", "ms", |l| {
+                    l.full_rebuild_host_ms.into()
+                }),
+                ("host_speedup", "x", |l| l.host_speedup().into()),
+                ("numeric_sim_ms", "ms", |l| l.numeric_sim_ms.into()),
+                ("full_rebuild_sim_ms", "ms", |l| {
+                    l.full_rebuild_sim_ms.into()
+                }),
+                ("sim_speedup", "x", |l| l.sim_speedup().into()),
+                ("engine_hit_rate", "ratio", |l| l.engine_hit_rate.into()),
+                ("engine_symbolic_builds", "count", |l| {
+                    l.engine_symbolic_builds.into()
+                }),
+                ("engine_numeric_execs", "count", |l| {
+                    l.engine_numeric_execs.into()
+                }),
+            ],
+        )
+}
+
+/// Bin fractions sum to one and both halves cost time; numeric replay
+/// never loses to a rebuild, the engine never rebuilds a cached pattern,
+/// and the best replay is at least 3x faster on the host.
+pub fn gates(r: &Report) -> Vec<String> {
+    let mut g = Gates::default();
+    let split = r.rows("symbolic_numeric_split");
+    g.check(
+        !split.is_empty(),
+        "symbolic_numeric_split: at least one row",
+    );
+    g.each(
+        &split,
+        "matrix",
+        &[
+            ("|sum(row fractions) - 1| < 1e-5", |s| {
+                let sum = s.num("tiny_row_frac") + s.num("mid_row_frac") + s.num("heavy_row_frac");
+                (sum - 1.0).abs() < 1e-5
+            }),
+            ("|sum(product fractions) - 1| < 1e-5", |s| {
+                let sum = s.num("tiny_product_frac")
+                    + s.num("mid_product_frac")
+                    + s.num("heavy_product_frac");
+                (sum - 1.0).abs() < 1e-5
+            }),
+            ("symbolic_sim_ms > 0 and numeric_sim_ms > 0", |s| {
+                s.num("symbolic_sim_ms") > 0.0 && s.num("numeric_sim_ms") > 0.0
+            }),
+        ],
+    );
+    let repeat = r.rows("repeated_pattern_loop");
+    g.check(
+        !repeat.is_empty(),
+        "repeated_pattern_loop: at least one row",
+    );
+    g.each(
+        &repeat,
+        "matrix",
+        &[
+            ("numeric_host_ms <= full_rebuild_host_ms", |l| {
+                l.num("numeric_host_ms") <= l.num("full_rebuild_host_ms")
+            }),
+            ("engine_hit_rate == 1", |l| l.num("engine_hit_rate") == 1.0),
+            ("engine_symbolic_builds == 0", |l| {
+                l.num("engine_symbolic_builds") == 0.0
+            }),
+        ],
+    );
+    let best = repeat.iter().map(|l| l.num("host_speedup"));
+    g.check(
+        best.fold(f64::NEG_INFINITY, f64::max) >= 3.0,
+        "best host_speedup >= 3",
+    );
+    g.failures()
 }
 
 #[cfg(test)]
@@ -571,17 +650,20 @@ mod tests {
     }
 
     #[test]
-    fn split_json_is_well_formed_enough() {
+    fn gates_name_a_symbolic_rebuild_in_the_engine_loop() {
         let split = run_split(&Device::titan(), 0.005, false);
         let repeat = run_repeated(&Device::titan(), &[SuiteMatrix::Qcd], 0.005, 2);
-        let j = to_split_json(&split, &repeat);
-        assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
-        assert_eq!(j.matches("\"matrix\":").count(), split.len() + repeat.len());
-        assert!(j.contains("\"numeric_ms\":") && j.contains("\"full_rebuild_ms\":"));
-        assert!(!j.contains("NaN") && !j.contains("inf"));
-        let t = render_split(&split);
-        assert_eq!(t.lines().count(), split.len() + 2);
-        let t = render_repeated(&repeat);
-        assert_eq!(t.lines().count(), repeat.len() + 2);
+        let mut r = to_report(&split, &repeat, true);
+        let before = gates(&r);
+        assert!(
+            before.iter().all(|f| f.starts_with("best host_speedup")),
+            "{before:?}"
+        );
+        *r.cell_mut("repeated_pattern_loop", 0, "engine_symbolic_builds")
+            .expect("cell") = 1u64.into();
+        let failed = gates(&r);
+        assert_eq!(failed.len(), before.len() + 1, "{failed:?}");
+        let gate = format!("engine_symbolic_builds == 0 ({})", SuiteMatrix::Qcd.name());
+        assert!(failed.contains(&gate), "{failed:?}");
     }
 }

@@ -12,7 +12,7 @@
 //! and the wide gathers coalescing) and measured host wall-clock (both
 //! paths are allocation-free plan replays; the tiled loop touches A once
 //! per tile) are reported, with the row-per-warp baseline alongside.
-//! Results serialize to `BENCH_spmm.json`.
+//! [`report`] is the `spmm` experiment of `mps bench` (`BENCH_spmm.json`).
 
 use std::time::Instant;
 
@@ -20,6 +20,8 @@ use mps_baselines::spmm::spmm_row_warp;
 use mps_core::{SpmmConfig, SpmmPlan, SpmvConfig, SpmvPlan, Workspace};
 use mps_simt::Device;
 use mps_sparse::{gen, CsrMatrix, DenseBlock};
+
+use crate::report::Report;
 
 /// One block-width measurement.
 #[derive(Debug, Clone)]
@@ -137,37 +139,36 @@ pub fn run(device: &Device, n: usize, avg_nnz_per_row: f64, reps: usize) -> Vec<
         .collect()
 }
 
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
+/// `(n, avg_nnz_per_row, reps)` of the smoke run.
+const TINY: (usize, f64, usize) = (300, 6.0, 2);
+/// `(n, avg_nnz_per_row, reps)` of the committed artifact.
+const FULL: (usize, f64, usize) = (4000, 16.0, 24);
 
-/// Hand-rolled JSON for `BENCH_spmm.json` (no serde in the tree).
-pub fn to_json(rows: &[SpmmRow]) -> String {
-    let mut out = String::from("{\n  \"spmm_vs_repeated_spmv\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"k\": {}, \"n\": {}, \"nnz\": {}, \"spmm_sim_ms\": {}, \
-             \"repeated_spmv_sim_ms\": {}, \"row_warp_sim_ms\": {}, \"sim_speedup\": {}, \
-             \"spmm_host_ms\": {}, \"repeated_spmv_host_ms\": {}, \"host_speedup\": {}}}{}\n",
-            r.k,
-            r.n,
-            r.nnz,
-            json_f(r.spmm_sim_ms),
-            json_f(r.repeated_spmv_sim_ms),
-            json_f(r.row_warp_sim_ms),
-            json_f(r.sim_speedup()),
-            json_f(r.spmm_host_ms),
-            json_f(r.repeated_spmv_host_ms),
-            json_f(r.host_speedup()),
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// Run the block-width sweep, print its table, and return the report.
+pub fn report(tiny: bool) -> Report {
+    let (n, avg_nnz_per_row, reps) = if tiny { TINY } else { FULL };
+    let rows = run(&Device::titan(), n, avg_nnz_per_row, reps);
+    println!("{}", render(&rows));
+    Report::new("spmm", tiny).with_table(
+        "spmm_vs_repeated_spmv",
+        &rows,
+        &[
+            ("k", "columns", |r| r.k.into()),
+            ("n", "rows", |r| r.n.into()),
+            ("nnz", "count", |r| r.nnz.into()),
+            ("spmm_sim_ms", "ms", |r| r.spmm_sim_ms.into()),
+            ("repeated_spmv_sim_ms", "ms", |r| {
+                r.repeated_spmv_sim_ms.into()
+            }),
+            ("row_warp_sim_ms", "ms", |r| r.row_warp_sim_ms.into()),
+            ("sim_speedup", "x", |r| r.sim_speedup().into()),
+            ("spmm_host_ms", "ms", |r| r.spmm_host_ms.into()),
+            ("repeated_spmv_host_ms", "ms", |r| {
+                r.repeated_spmv_host_ms.into()
+            }),
+            ("host_speedup", "x", |r| r.host_speedup().into()),
+        ],
+    )
 }
 
 /// Render the sweep table.
@@ -226,16 +227,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let rows = run(&dev(), 200, 6.0, 1);
-        let j = to_json(&rows);
-        assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
-        assert_eq!(j.matches("\"k\":").count(), rows.len());
-        assert!(!j.contains("NaN") && !j.contains("inf"));
-        let t = render(&rows);
-        assert!(t.lines().count() == rows.len() + 2);
     }
 }

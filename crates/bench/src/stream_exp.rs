@@ -1,5 +1,6 @@
 //! Plan reuse under value mutation vs full rebuild, plus the streaming
-//! sliding-window PageRank scenario — reported into `BENCH_stream.json`.
+//! sliding-window PageRank scenario — [`report`] is the `stream`
+//! experiment of `mps bench` (`BENCH_stream.json`).
 //!
 //! Two scenarios:
 //!
@@ -31,6 +32,8 @@ use mps_graph::{edge_stream, sliding_pagerank, StreamConfig};
 use mps_simt::Device;
 use mps_sparse::suite::SuiteMatrix;
 use mps_sparse::CsrMatrix;
+
+use crate::report::{Gates, Report};
 
 /// Harness sizing. [`StreamOptions::full`] is the acceptance run;
 /// [`StreamOptions::tiny`] the CI smoke with identical structure.
@@ -118,7 +121,7 @@ pub struct PageRankStreamReport {
     pub steady_hit_rate: f64,
 }
 
-/// The full `BENCH_stream.json` payload.
+/// Both scenarios' results.
 #[derive(Debug, Clone)]
 pub struct StreamBenchReport {
     pub mode: String,
@@ -265,62 +268,103 @@ pub fn run(device: &Device, opts: &StreamOptions) -> StreamBenchReport {
 
 // ---- reporting ----------------------------------------------------------
 
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
+/// Run both scenarios on a pool of [`crate::default_pool_threads`],
+/// print the summary tables, and return the report.
+pub fn report(tiny: bool) -> Report {
+    crate::default_pool_threads();
+    let opts = if tiny {
+        StreamOptions::tiny()
     } else {
-        "null".to_string()
-    }
+        StreamOptions::full()
+    };
+    let r = run(&Device::titan(), &opts);
+    print!("{}", render(&r));
+    to_report(&r, tiny)
 }
 
-/// Hand-rolled JSON for `BENCH_stream.json` (no serde in the tree).
-pub fn to_json(r: &StreamBenchReport) -> String {
-    let mut out = String::from("{\n  \"stream\": {\n");
-    out.push_str(&format!("    \"mode\": \"{}\",\n", r.mode));
-    out.push_str("    \"suite\": [\n");
-    for (i, s) in r.suite.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"name\": \"{}\", \"rows\": {}, \"nnz\": {}, \"rounds\": {}, \
-             \"update_host_ms\": {}, \"rebuild_host_ms\": {}, \"speedup\": {}, \
-             \"divergences\": {}}}{}\n",
-            s.name,
-            s.rows,
-            s.nnz,
-            s.rounds,
-            json_f(s.update_host_ms),
-            json_f(s.rebuild_host_ms),
-            json_f(s.speedup),
-            s.divergences,
-            if i + 1 < r.suite.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("    ],\n");
-    out.push_str(&format!(
-        "    \"total\": {{\"update_host_ms\": {}, \"rebuild_host_ms\": {}, \"speedup\": {}, \
-         \"divergences\": {}}},\n",
-        json_f(r.total_update_host_ms),
-        json_f(r.total_rebuild_host_ms),
-        json_f(r.total_speedup),
-        r.total_divergences
-    ));
-    let p = &r.pagerank;
-    out.push_str("    \"pagerank\": {\n");
-    out.push_str(&format!(
-        "      \"nodes\": {}, \"window\": {}, \"stride\": {}, \"rounds\": {}, \
-         \"converged_rounds\": {},\n",
-        p.nodes, p.window, p.stride, p.rounds, p.converged_rounds
-    ));
-    out.push_str(&format!(
-        "      \"delta_applies\": {}, \"delta_fallbacks\": {}, \"cache_hits\": {}, \
-         \"cache_misses\": {}, \"steady_hit_rate\": {}\n",
-        p.delta_applies,
-        p.delta_fallbacks,
-        p.cache_hits,
-        p.cache_misses,
-        json_f(p.steady_hit_rate)
-    ));
-    out.push_str("    }\n  }\n}\n");
-    out
+fn to_report(s: &StreamBenchReport, tiny: bool) -> Report {
+    Report::new("stream", tiny)
+        .with_table(
+            "suite",
+            &s.suite,
+            &[
+                ("name", "", |m| m.name.into()),
+                ("rows", "count", |m| m.rows.into()),
+                ("nnz", "count", |m| m.nnz.into()),
+                ("rounds", "count", |m| m.rounds.into()),
+                ("update_host_ms", "ms", |m| m.update_host_ms.into()),
+                ("rebuild_host_ms", "ms", |m| m.rebuild_host_ms.into()),
+                ("speedup", "x", |m| m.speedup.into()),
+                ("divergences", "count", |m| m.divergences.into()),
+            ],
+        )
+        .with_table(
+            "total",
+            std::slice::from_ref(s),
+            &[
+                ("update_host_ms", "ms", |s| s.total_update_host_ms.into()),
+                ("rebuild_host_ms", "ms", |s| s.total_rebuild_host_ms.into()),
+                ("speedup", "x", |s| s.total_speedup.into()),
+                ("divergences", "count", |s| s.total_divergences.into()),
+            ],
+        )
+        .with_table(
+            "pagerank",
+            std::slice::from_ref(&s.pagerank),
+            &[
+                ("nodes", "count", |p| p.nodes.into()),
+                ("window", "edges", |p| p.window.into()),
+                ("stride", "edges", |p| p.stride.into()),
+                ("rounds", "count", |p| p.rounds.into()),
+                ("converged_rounds", "count", |p| p.converged_rounds.into()),
+                ("delta_applies", "count", |p| p.delta_applies.into()),
+                ("delta_fallbacks", "count", |p| p.delta_fallbacks.into()),
+                ("cache_hits", "count", |p| p.cache_hits.into()),
+                ("cache_misses", "count", |p| p.cache_misses.into()),
+                ("steady_hit_rate", "ratio", |p| p.steady_hit_rate.into()),
+            ],
+        )
+}
+
+/// Value updates beat rebuilds 3x with zero divergences; the PageRank
+/// stream's steady phase is all hits, converges every round, and
+/// exercises deltas.
+pub fn gates(r: &Report) -> Vec<String> {
+    let mut g = Gates::default();
+    let suite = r.rows("suite");
+    g.check(!suite.is_empty(), "suite: at least one row");
+    g.each(
+        &[r.row("total")],
+        "",
+        &[
+            ("total speedup >= 3", |t| t.num("speedup") >= 3.0),
+            ("total divergences == 0", |t| t.num("divergences") == 0.0),
+        ],
+    );
+    g.each(
+        &suite,
+        "name",
+        &[("divergences == 0", |m| m.num("divergences") == 0.0)],
+    );
+    g.each(
+        &[r.row("pagerank")],
+        "",
+        &[
+            ("pagerank cache_misses == 0", |p| {
+                p.num("cache_misses") == 0.0
+            }),
+            ("pagerank steady_hit_rate == 1", |p| {
+                p.num("steady_hit_rate") == 1.0
+            }),
+            ("pagerank converged_rounds == rounds", |p| {
+                p.num("converged_rounds") == p.num("rounds")
+            }),
+            ("pagerank delta_applies + delta_fallbacks > 0", |p| {
+                p.num("delta_applies") + p.num("delta_fallbacks") > 0.0
+            }),
+        ],
+    );
+    g.failures()
 }
 
 /// Render the human-readable summary tables.
@@ -413,24 +457,10 @@ mod tests {
     }
 
     #[test]
-    fn pagerank_stream_is_all_hits_after_warmup() {
-        let p = run_pagerank_stream(&dev(), &micro());
-        assert_eq!(p.cache_misses, 0, "steady phase must replan nothing");
-        assert_eq!(p.steady_hit_rate, 1.0);
-        assert!(p.delta_applies + p.delta_fallbacks > 0);
-        assert_eq!(p.converged_rounds, p.rounds);
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let r = run(&dev(), &micro());
-        let j = to_json(&r);
-        assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
-        assert!(j.contains("\"suite\""));
-        assert!(j.contains("\"pagerank\""));
-        assert!(j.contains("\"steady_hit_rate\""));
-        assert!(!j.contains("NaN") && !j.contains("inf"));
-        let t = render(&r);
-        assert!(t.contains("sliding-window PageRank"), "{t}");
+    fn gates_name_a_pagerank_cache_miss() {
+        let mut r = to_report(&run(&dev(), &micro()), true);
+        assert_eq!(gates(&r), Vec::<String>::new());
+        *r.cell_mut("pagerank", 0, "cache_misses").expect("cell") = 1u64.into();
+        assert_eq!(gates(&r), ["pagerank cache_misses == 0"]);
     }
 }

@@ -18,14 +18,20 @@
 //!   Mid Hash for small/medium rows, the paper's Product Compute /
 //!   Product Reduce two-pass for heavy rows.
 //!
-//! Results serialize to `BENCH_phases.json`.
+//! [`report`] is the `phases` experiment of `mps bench`
+//! (`BENCH_phases.json`).
+
+use std::collections::BTreeSet;
 
 use mps_core::{
     merge_spadd, merge_spgemm, merge_spmm, merge_spmv, SpAddConfig, SpgemmConfig, SpmmConfig,
     SpmvConfig,
 };
-use mps_simt::{Device, Phase, PhaseReport};
+use mps_simt::{Device, Phase, PhaseEntry, PhaseReport};
 use mps_sparse::{suite::SuiteMatrix, CsrMatrix, DenseBlock};
+
+use crate::report::{Gates, Report};
+use crate::{DEFAULT_SCALE, DEFAULT_SPGEMM_SCALE};
 
 /// The four traced kernels, in report order.
 pub const KERNELS: [&str; 4] = ["spmv", "spmm", "spadd", "spgemm"];
@@ -111,47 +117,71 @@ pub fn run(scale: f64, spgemm_scale: f64, k: usize) -> Vec<TraceRow> {
     rows
 }
 
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.9}")
-    } else {
-        "null".to_string()
-    }
+/// `(scale, spgemm_scale, spmm_k)` of the smoke run.
+const TINY: (f64, f64, usize) = (0.01, 0.005, 4);
+/// `(scale, spgemm_scale, spmm_k)` of the committed artifact.
+const FULL: (f64, f64, usize) = (DEFAULT_SCALE, DEFAULT_SPGEMM_SCALE, 8);
+
+/// Trace the suite, print the fraction tables, and return the report.
+pub fn report(tiny: bool) -> Report {
+    let (scale, spgemm_scale, k) = if tiny { TINY } else { FULL };
+    let rows = run(scale, spgemm_scale, k);
+    print!("{}", render(&rows));
+    to_report(&rows, tiny)
 }
 
-/// Hand-rolled JSON for `BENCH_phases.json` (no serde in the tree).
-pub fn to_json(rows: &[TraceRow]) -> String {
-    let mut out = String::from("{\n  \"phase_breakdown\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let phases: Vec<String> = r
-            .report
-            .entries()
+fn to_report(rows: &[TraceRow], tiny: bool) -> Report {
+    let phases: Vec<(&TraceRow, PhaseEntry)> = rows
+        .iter()
+        .flat_map(|r| r.report.entries().into_iter().map(move |e| (r, e)))
+        .collect();
+    Report::new("phases", tiny)
+        .with_table(
+            "runs",
+            rows,
+            &[
+                ("matrix", "", |r| r.matrix.into()),
+                ("kernel", "", |r| r.kernel.into()),
+                ("n", "rows", |r| r.n.into()),
+                ("nnz", "count", |r| r.nnz.into()),
+                ("total_ms", "ms", |r| r.total_ms().into()),
+            ],
+        )
+        .with_table(
+            "phases",
+            &phases,
+            &[
+                ("matrix", "", |(r, _)| r.matrix.into()),
+                ("kernel", "", |(r, _)| r.kernel.into()),
+                ("phase", "", |(_, e)| e.phase.as_str().into()),
+                ("launches", "count", |(_, e)| e.launches.into()),
+                ("sim_ms", "ms", |(_, e)| e.sim_ms.into()),
+                ("fraction", "fraction", |(_, e)| e.fraction.into()),
+                ("dram_gb", "GB", |(_, e)| e.dram_gb.into()),
+            ],
+        )
+}
+
+/// Every kernel is traced, and each run's phase fractions sum to one.
+pub fn gates(r: &Report) -> Vec<String> {
+    let mut g = Gates::default();
+    let runs = r.rows("runs");
+    g.check(!runs.is_empty(), "runs: at least one row");
+    let kernels: BTreeSet<&str> = runs.iter().map(|run| run.text("kernel")).collect();
+    let all = BTreeSet::from(KERNELS);
+    g.check(kernels == all, "kernels == {spmv, spmm, spadd, spgemm}");
+    let phases = r.rows("phases");
+    for run in &runs {
+        let (matrix, kernel) = (run.text("matrix"), run.text("kernel"));
+        let total: f64 = phases
             .iter()
-            .map(|e| {
-                format!(
-                    "\"{}\": {{\"launches\": {}, \"sim_ms\": {}, \"fraction\": {}, \"dram_gb\": {}}}",
-                    e.phase.as_str(),
-                    e.launches,
-                    json_f(e.sim_ms),
-                    json_f(e.fraction),
-                    json_f(e.dram_gb),
-                )
-            })
-            .collect();
-        out.push_str(&format!(
-            "    {{\"matrix\": \"{}\", \"kernel\": \"{}\", \"n\": {}, \"nnz\": {}, \
-             \"total_ms\": {}, \"phases\": {{{}}}}}{}\n",
-            r.matrix,
-            r.kernel,
-            r.n,
-            r.nnz,
-            json_f(r.total_ms()),
-            phases.join(", "),
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
+            .filter(|p| p.text("matrix") == matrix && p.text("kernel") == kernel)
+            .map(|p| p.num("fraction"))
+            .sum();
+        let gate = format!("|sum(fraction) - 1| < 1e-6 ({matrix} {kernel})");
+        g.check((total - 1.0).abs() < 1e-6, gate);
     }
-    out.push_str("  ]\n}\n");
-    out
+    g.failures()
 }
 
 /// Render one kernel's suite-wide fraction table: one row per matrix, one
@@ -202,6 +232,7 @@ pub fn render(rows: &[TraceRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Cell;
 
     const SCALE: f64 = 0.01;
     const GEMM_SCALE: f64 = 0.005;
@@ -220,20 +251,6 @@ mod tests {
             assert!(
                 r.total_ms() > 0.0,
                 "{} {} traced no time",
-                r.matrix,
-                r.kernel
-            );
-        }
-    }
-
-    #[test]
-    fn fractions_sum_to_one_per_kernel_run() {
-        let rows = run(SCALE, GEMM_SCALE, 4);
-        for r in &rows {
-            let sum: f64 = r.fractions().iter().map(|(_, f)| f).sum();
-            assert!(
-                (sum - 1.0).abs() < 1e-6,
-                "{} {}: fractions sum to {sum}",
                 r.matrix,
                 r.kernel
             );
@@ -298,15 +315,15 @@ mod tests {
     }
 
     #[test]
-    fn json_is_well_formed_enough() {
-        let rows = run(0.005, 0.003, 2);
-        let j = to_json(&rows);
-        assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
-        assert_eq!(j.matches("\"kernel\":").count(), rows.len());
-        assert!(!j.contains("NaN") && !j.contains("inf"));
-        let t = render(&rows);
-        for kernel in KERNELS {
-            assert!(t.contains(&format!("== {kernel} phase fractions ==")));
-        }
+    fn gates_name_a_fraction_sum_off_by_more_than_1e6() {
+        let mut r = to_report(&run(SCALE, GEMM_SCALE, 4), true);
+        assert_eq!(gates(&r), Vec::<String>::new());
+        let Some(Cell::Float(f)) = r.cell_mut("phases", 0, "fraction") else {
+            panic!("fraction cell")
+        };
+        *f += 2e-6;
+        let failed = gates(&r);
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        assert!(failed[0].starts_with("|sum(fraction) - 1| < 1e-6"));
     }
 }

@@ -4,6 +4,8 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use mps_bench::report::{Cell, Report};
+
 fn mps(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_mps"))
         .args(args)
@@ -189,6 +191,10 @@ fn bad_usage_exits_nonzero() {
         .status
         .success());
     assert!(!mps(&["frobnicate"]).status.success());
+    let out = mps(&["bench", "nope"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("mps bench <experiment>"), "{err}");
 }
 
 #[test]
@@ -231,7 +237,13 @@ fn argument_errors_are_unified_and_name_the_argument() {
 #[test]
 fn stream_tiny_writes_the_bench_json() {
     let json_path = tmp("stream.json");
-    let out = mps(&["stream", "--tiny", "-o", json_path.to_str().unwrap()]);
+    let out = mps(&[
+        "bench",
+        "stream",
+        "--tiny",
+        "-o",
+        json_path.to_str().unwrap(),
+    ]);
     assert!(
         out.status.success(),
         "{}",
@@ -239,7 +251,46 @@ fn stream_tiny_writes_the_bench_json() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("sliding-window PageRank"), "{text}");
+    let gate = mps(&["gate", json_path.to_str().unwrap()]);
+    assert!(
+        gate.status.success(),
+        "{}",
+        String::from_utf8_lossy(&gate.stdout)
+    );
+
+    // One diverged round fails the gate, which names it.
     let json = std::fs::read_to_string(&json_path).expect("json written");
-    assert!(json.contains("\"steady_hit_rate\""), "{json}");
-    assert!(json.contains("\"divergences\""), "{json}");
+    let mut report = Report::from_json(&json).expect("a report");
+    *report.cell_mut("suite", 0, "divergences").expect("cell") = Cell::Int(1);
+    let bad_path = tmp("stream_diverged.json");
+    std::fs::write(&bad_path, report.to_json()).expect("write copy");
+    let gate = mps(&["gate", bad_path.to_str().unwrap()]);
+    assert_eq!(gate.status.code(), Some(2));
+    let text = String::from_utf8_lossy(&gate.stdout);
+    assert!(text.contains("FAILED divergences == 0"), "{text}");
+}
+
+#[test]
+fn tiny_bench_without_output_writes_nothing() {
+    let dir = std::env::temp_dir().join(format!("mps-cli-empty-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_phases.json");
+    let before = std::fs::read(committed).ok();
+    let out = Command::new(env!("CARGO_BIN_EXE_mps"))
+        .args(["bench", "phases", "--tiny"])
+        .current_dir(&dir)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let left: Vec<_> = std::fs::read_dir(&dir).expect("dir").collect();
+    assert!(left.is_empty(), "{left:?}");
+    std::fs::remove_dir(&dir).expect("empty dir");
+    assert!(
+        std::fs::read(committed).ok() == before,
+        "a smoke run must not overwrite the committed artifact"
+    );
 }

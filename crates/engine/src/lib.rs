@@ -170,11 +170,11 @@ impl EngineOutput {
     }
 }
 
-/// Per-submission options for the unified `submit_*` surface: tenant
-/// attribution, a relative deadline, and a priority slot reserved for
-/// priority-aware draining. Build one with the chained setters, or lean
-/// on the `From` conversions that keep the historical call shapes
-/// compiling unchanged:
+/// Per-submission options for `submit_spmv`, `submit_spmm` and
+/// `submit_spgemm`, the one way to submit work: tenant attribution and a
+/// relative deadline. Build one with the chained setters, or lean on the
+/// `From` conversions that keep the historical call shapes compiling
+/// unchanged:
 ///
 /// ```
 /// use std::time::Duration;
@@ -197,10 +197,6 @@ pub struct SubmitOptions {
     /// Relative deadline: a request still queued this long after
     /// submission resolves to [`EngineError::DeadlineExceeded`].
     pub deadline: Option<Duration>,
-    /// Reserved: recorded but not yet consulted by the batcher. Present
-    /// so the builder surface is stable when priority-aware draining
-    /// lands (higher is more urgent).
-    pub priority: u8,
 }
 
 impl SubmitOptions {
@@ -217,12 +213,6 @@ impl SubmitOptions {
     /// Give the request a relative deadline ([`SubmitOptions::deadline`]).
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Set the reserved priority slot ([`SubmitOptions::priority`]).
-    pub fn priority(mut self, priority: u8) -> Self {
-        self.priority = priority;
         self
     }
 }
@@ -845,24 +835,6 @@ impl Engine {
         self.submit_payload(a, RequestPayload::Vector(x), opts.deadline, opts.tenant)
     }
 
-    /// Superseded spelling of tenant attribution; the tenant now rides
-    /// in [`SubmitOptions`].
-    #[deprecated(note = "use `submit_spmv` with `SubmitOptions::new().tenant(..)`")]
-    pub fn submit_spmv_for(
-        &self,
-        tenant: Option<TenantId>,
-        a: &Arc<CsrMatrix>,
-        x: Vec<f64>,
-        deadline: Option<Duration>,
-    ) -> Result<Ticket, EngineError> {
-        let opts = SubmitOptions {
-            tenant,
-            deadline,
-            ..SubmitOptions::default()
-        };
-        self.submit_spmv(a, x, opts)
-    }
-
     /// Queue an SpMM request (dense multi-vector operand) on `a` for the
     /// next [`Engine::flush`]. The block's columns coalesce into the same
     /// column-tiled traversal as any vector submissions on `a` queued
@@ -884,24 +856,6 @@ impl Engine {
         assert_eq!(x.rows, a.num_cols, "operand row-count mismatch");
         assert!(x.cols >= 1, "operand block must have at least one column");
         self.submit_payload(a, RequestPayload::Block(x), opts.deadline, opts.tenant)
-    }
-
-    /// Superseded spelling of tenant attribution; the tenant now rides
-    /// in [`SubmitOptions`].
-    #[deprecated(note = "use `submit_spmm` with `SubmitOptions::new().tenant(..)`")]
-    pub fn submit_spmm_for(
-        &self,
-        tenant: Option<TenantId>,
-        a: &Arc<CsrMatrix>,
-        x: DenseBlock,
-        deadline: Option<Duration>,
-    ) -> Result<Ticket, EngineError> {
-        let opts = SubmitOptions {
-            tenant,
-            deadline,
-            ..SubmitOptions::default()
-        };
-        self.submit_spmm(a, x, opts)
     }
 
     fn submit_payload(
@@ -1004,24 +958,6 @@ impl Engine {
                 Err(e)
             }
         }
-    }
-
-    /// Superseded spelling of tenant attribution; the tenant now rides
-    /// in [`SubmitOptions`].
-    #[deprecated(note = "use `submit_spgemm` with `SubmitOptions::new().tenant(..)`")]
-    pub fn submit_spgemm_for(
-        &self,
-        tenant: Option<TenantId>,
-        a: &Arc<CsrMatrix>,
-        b: &Arc<CsrMatrix>,
-        deadline: Option<Duration>,
-    ) -> Result<Ticket, EngineError> {
-        let opts = SubmitOptions {
-            tenant,
-            deadline,
-            ..SubmitOptions::default()
-        };
-        self.submit_spgemm(a, b, opts)
     }
 
     /// Memoized pattern fingerprint of `a` (thread-safe; see
@@ -2464,20 +2400,6 @@ mod tests {
         check(&e.matrix(h).expect("registered"), 9);
         assert_eq!(e.fp.hashes(), 1, "a value-only delta carries too");
         assert_eq!(e.stats().cache_misses, 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_for_variants_delegate_to_the_unified_surface() {
-        let e = Engine::new(&device());
-        let a = matrix();
-        let tn = TenantId(7);
-        let t = e
-            .submit_spmv_for(Some(tn), &a, operand(a.num_cols, 1), None)
-            .expect("admitted");
-        e.flush();
-        e.take_result(t).expect("completed");
-        assert_eq!(e.stats().tenants.get(tn).requests, 1);
     }
 
     #[test]

@@ -595,7 +595,6 @@ impl Service {
                             let opts = SubmitOptions {
                                 tenant: Some(tn),
                                 deadline: req.deadline.map(|d| d.saturating_duration_since(now)),
-                                ..SubmitOptions::default()
                             };
                             let admitted = match req.op {
                                 ServiceOp::Spmv { a, x } => shard.engine.submit_spmv(&a, x, opts),

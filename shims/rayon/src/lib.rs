@@ -248,8 +248,10 @@ impl Pool {
         }
         st.job = None;
         drop(st);
-        drop(_submit);
 
+        // Take this job's panic payload while still holding the submit
+        // lock: released first, the next submitter's job could run and
+        // this thread would re-raise (or swallow) the wrong job's panic.
         // Bind the payload to a local before unwinding: `resume_unwind`
         // inside the `if let` would fire while the guard temporary is
         // still alive and poison the mutex for every later job.
@@ -258,6 +260,7 @@ impl Pool {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .take();
+        drop(_submit);
         if let Some(payload) = payload {
             panic::resume_unwind(payload);
         }
@@ -592,6 +595,14 @@ mod tests {
         let _ = set_num_threads(4);
     }
 
+    /// Held by the tests that read or move the process-global
+    /// [`threads_spawned`] counter, so one cannot move it between the
+    /// other's two reads.
+    fn spawn_counter() -> std::sync::MutexGuard<'static, ()> {
+        static COUNTER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        COUNTER.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Big enough (with the work hint) to always take the pool path.
     fn par_big(n: usize) -> ParRange {
         force_pool();
@@ -696,6 +707,7 @@ mod tests {
     #[test]
     fn pool_path_spawns_threads_once() {
         force_pool();
+        let _counter = spawn_counter();
         let _: Vec<usize> = par_big(50_000).map(|i| i ^ 1).collect();
         let after_warm = threads_spawned();
         assert!(after_warm > 0, "pool must have spawned workers");
@@ -802,6 +814,46 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_submitters_see_only_their_own_panics() {
+        force_pool();
+        let handles: Vec<_> = (0..4usize)
+            .map(|t| {
+                std::thread::spawn(move || {
+                    for round in 0..32usize {
+                        let panics = (t + round) % 2 == 0;
+                        let caught = std::panic::catch_unwind(|| {
+                            par_big(20_000)
+                                .map(|i| {
+                                    if panics && i == 19_999 {
+                                        panic!("submitter {t} round {round}");
+                                    }
+                                    i * (t + 1)
+                                })
+                                .collect::<Vec<usize>>()
+                        });
+                        match caught {
+                            Ok(out) => {
+                                assert!(!panics, "submitter {t} round {round}: panic lost");
+                                assert_eq!(out[3], 3 * (t + 1));
+                            }
+                            Err(payload) => {
+                                let msg = payload
+                                    .downcast_ref::<String>()
+                                    .cloned()
+                                    .unwrap_or_default();
+                                assert_eq!(msg, format!("submitter {t} round {round}"));
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+    }
+
+    #[test]
     fn nested_parallelism_from_worker_runs_inline() {
         force_pool();
         // A parallel job inside a pool chunk must not deadlock the single
@@ -818,6 +870,7 @@ mod tests {
     #[test]
     fn spawn_chunked_matches_pool_results() {
         force_pool();
+        let _counter = spawn_counter();
         let n = 10_000usize;
         let mut spawned = vec![0usize; n];
         {
