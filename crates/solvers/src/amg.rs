@@ -5,7 +5,8 @@
 //! hierarchy setup is dominated by sparse matrix-matrix products — the
 //! prolongator smoothing `P = (I − ω D⁻¹ A) T` and the Galerkin triple
 //! product `A_c = Pᵀ A P` — all of which run through the merge-path
-//! kernels here, with simulated setup cost reported per level.
+//! kernels here, with simulated setup cost reported per level. The
+//! coarsest level is factored once at setup (see [`crate::coarse`]).
 
 use std::time::Instant;
 
@@ -15,8 +16,9 @@ use mps_core::{
 use mps_simt::Device;
 use mps_sparse::{CooMatrix, CsrMatrix};
 
-use crate::eigen::power_method;
-use crate::krylov::{cg, SolverOptions};
+use crate::coarse::CoarseSolve;
+use crate::eigen::power_method_planned;
+use crate::krylov::SolverOptions;
 use crate::smoothers::{inverse_diagonal, jacobi_sweep_planned};
 use crate::SimClock;
 
@@ -68,7 +70,11 @@ pub struct AmgLevel {
 pub struct AmgHierarchy {
     pub levels: Vec<AmgLevel>,
     pub options: AmgOptions,
-    /// Simulated device time spent in setup (SpGEMM/SpAdd chains), ms.
+    /// How every V-cycle solves the last level; chosen by `build` alone,
+    /// because a factor fits only the operator it was built from.
+    coarse: CoarseSolve,
+    /// Simulated device time spent in setup (SpGEMM/SpAdd chains, plan
+    /// builds, the coarsest-level factorization), ms.
     pub setup_sim_ms: f64,
 }
 
@@ -137,12 +143,15 @@ impl AmgHierarchy {
                 break; // aggregation stalled; stop coarsening
             }
             let t = tentative_prolongator(&agg, n_coarse);
+            // One plan per pattern: D⁻¹A below shares A's.
+            let a_plan = SpmvPlan::new(device, &current, &spmv_cfg);
+            clock.add(&a_plan.partition);
 
             // Standard smoothed-aggregation weight: ω = 4 / (3 ρ(D⁻¹A)),
             // with the spectral radius estimated by a short power iteration
             // on the diagonally scaled operator.
             let dinv_a = scaled_by_inv_diag(&current, &inv_diag, 1.0);
-            let rho = power_method(device, &dinv_a, 8);
+            let rho = power_method_planned(device, &a_plan, &dinv_a, 8);
             clock.add_ms(rho.sim_ms);
             let omega = if rho.eigenvalue > 0.0 {
                 4.0 / (3.0 * rho.eigenvalue)
@@ -165,8 +174,6 @@ impl AmgHierarchy {
             let ac = merge_spgemm(device, &pt, &ap.c, &gemm_cfg);
             clock.add_ms(ac.sim_ms());
 
-            let a_plan = SpmvPlan::new(device, &current, &spmv_cfg);
-            clock.add(&a_plan.partition);
             let p_plan = SpmvPlan::new(device, &p, &spmv_cfg);
             clock.add(&p_plan.partition);
             let pt_plan = SpmvPlan::new(device, &pt, &spmv_cfg);
@@ -185,6 +192,8 @@ impl AmgHierarchy {
         let inv_diag = inverse_diagonal(&current);
         let a_plan = SpmvPlan::new(device, &current, &spmv_cfg);
         clock.add(&a_plan.partition);
+        let (coarse, factor_ms) = CoarseSolve::new(device, &current);
+        clock.add_ms(factor_ms);
         levels.push(AmgLevel {
             a: current,
             p: None,
@@ -197,19 +206,30 @@ impl AmgHierarchy {
         AmgHierarchy {
             levels,
             options,
+            coarse,
             setup_sim_ms: clock.ms,
         }
     }
 
+    /// How every V-cycle solves the coarsest level.
+    pub fn coarse(&self) -> &CoarseSolve {
+        &self.coarse
+    }
+
     /// One V-cycle applied to `b` from `x`, returning simulated ms.
     pub fn v_cycle(&self, device: &Device, b: &[f64], x: &mut Vec<f64>) -> f64 {
-        let mut ws = Workspace::new();
-        self.cycle(device, 0, b, x, &mut ws)
+        self.v_cycle_with(device, b, x, &mut Workspace::new())
     }
 
     /// [`Self::v_cycle`] against a caller-owned [`Workspace`]: repeated
-    /// cycles reuse every scratch vector, so steady-state applications do
-    /// no heap allocation above the coarsest-level direct solve.
+    /// cycles reuse every scratch vector of the level products. Every
+    /// product runs through a plan built at setup, so a cycle builds no
+    /// plan. The coarsest level is one forward and back substitution
+    /// through the factor built at setup, or, when [`Self::coarse`] is
+    /// [`CoarseSolve::Cg`], a CG solve through that level's plan. Host
+    /// allocation remains: each simulated launch (the BLAS-1 passes of the
+    /// smoother, the substitution) collects its per-CTA results, and the
+    /// CG fallback allocates its vectors.
     pub fn v_cycle_with(
         &self,
         device: &Device,
@@ -231,14 +251,7 @@ impl AmgHierarchy {
         let lvl = &self.levels[level];
         let mut ms = 0.0;
         if lvl.p.is_none() {
-            // Coarsest level: tight CG solve.
-            let opts = SolverOptions {
-                max_iterations: 4 * lvl.a.num_rows.max(8),
-                rel_tolerance: 1e-12,
-            };
-            let report = cg(device, &lvl.a, b, &opts);
-            *x = report.x;
-            return report.sim_ms;
+            return self.coarse.solve(device, lvl, b, x, ws);
         }
         let mut ax = ws.take_f64();
         for _ in 0..self.options.pre_sweeps {
@@ -421,6 +434,112 @@ mod tests {
             res_mg < 0.5 * res_j,
             "two V-cycles ({res_mg}) should beat four Jacobi sweeps ({res_j})"
         );
+    }
+
+    /// The 5-point Laplacian with zero row sums (pure Neumann): singular,
+    /// with the constants as its null space.
+    fn neumann_5pt(n: usize) -> CsrMatrix {
+        let mut a = gen::stencil_5pt(n, n);
+        for r in 0..a.num_rows {
+            let (lo, hi) = (a.row_offsets[r], a.row_offsets[r + 1]);
+            let off: f64 = (lo..hi)
+                .filter(|&i| a.col_idx[i] as usize != r)
+                .map(|i| a.values[i])
+                .sum();
+            for i in lo..hi {
+                if a.col_idx[i] as usize == r {
+                    a.values[i] = -off;
+                }
+            }
+        }
+        a
+    }
+
+    #[test]
+    fn direct_coarse_solve_matches_the_cg_coarse_solve() {
+        let a = gen::stencil_5pt(48, 48);
+        let h = AmgHierarchy::build(&dev(), a.clone(), AmgOptions::default());
+        assert!(matches!(h.coarse(), CoarseSolve::Direct(_)));
+        let mut cg_h = h.clone();
+        cg_h.coarse = CoarseSolve::Cg;
+        let b: Vec<f64> = (0..a.num_rows).map(|i| (0.37 * i as f64).sin()).collect();
+        let (mut direct, mut iterative) = (vec![0.0; a.num_rows], vec![0.0; a.num_rows]);
+        h.v_cycle(&dev(), &b, &mut direct);
+        cg_h.v_cycle(&dev(), &b, &mut iterative);
+        let diff: f64 = direct
+            .iter()
+            .zip(&iterative)
+            .map(|(p, q)| (p - q) * (p - q))
+            .sum::<f64>()
+            .sqrt();
+        let norm: f64 = iterative.iter().map(|q| q * q).sum::<f64>().sqrt();
+        assert!(diff <= 1e-10 * norm, "relative difference {}", diff / norm);
+    }
+
+    #[test]
+    fn setup_plans_each_pattern_once_and_a_cycle_plans_nothing() {
+        let dev = Device::titan().with_tracing();
+        let tracer = dev.tracer.clone().expect("tracing");
+        let a = gen::stencil_5pt(48, 48);
+        let h = AmgHierarchy::build(&dev, a.clone(), AmgOptions::default());
+        // A, P and Pᵀ on every interior level, A on the coarsest; the power
+        // iteration on D⁻¹A borrows A's plan.
+        assert_eq!(
+            crate::launches(&tracer, "spmv_partition"),
+            3 * (h.levels.len() - 1) + 1
+        );
+        assert_eq!(crate::launches(&tracer, "coarse_lu_factor"), 1);
+
+        tracer.clear();
+        let mut x = vec![0.0; a.num_rows];
+        h.v_cycle(&dev, &vec![1.0; a.num_rows], &mut x);
+        assert_eq!(crate::launches(&tracer, "coarse_lu_solve"), 1);
+        assert_eq!(crate::launches(&tracer, "spmv_partition"), 0);
+        assert_eq!(crate::launches(&tracer, "coarse_lu_factor"), 0);
+    }
+
+    #[test]
+    fn coarsest_level_above_the_size_bound_keeps_cg() {
+        let dev = Device::titan().with_tracing();
+        let tracer = dev.tracer.clone().expect("tracing");
+        let a = gen::stencil_5pt(48, 48);
+        let options = AmgOptions {
+            max_levels: 2,
+            ..AmgOptions::default()
+        };
+        let h = AmgHierarchy::build(&dev, a.clone(), options);
+        let coarsest = h.levels.last().expect("non-empty").a.num_rows;
+        assert_eq!(coarsest, 1152);
+        assert!(coarsest > crate::coarse::DIRECT_MAX_UNKNOWNS);
+        assert!(matches!(h.coarse(), CoarseSolve::Cg));
+
+        tracer.clear();
+        let mut b = vec![0.0; a.num_rows];
+        b[a.num_rows / 2] = 1.0;
+        let opts = SolverOptions {
+            max_iterations: 100,
+            rel_tolerance: 1e-8,
+        };
+        let report = crate::pcg::pcg(&dev, &a, &b, &h, &opts);
+        assert!(report.converged && report.relative_residual <= 1e-8);
+        // The CG coarse solve runs through the level's own plan.
+        assert_eq!(crate::launches(&tracer, "spmv_partition"), 0);
+    }
+
+    #[test]
+    fn singular_coarsest_level_keeps_cg() {
+        let a = neumann_5pt(16);
+        let h = AmgHierarchy::build(&dev(), a.clone(), AmgOptions::default());
+        let coarsest = h.levels.last().expect("non-empty").a.num_rows;
+        assert!(h.levels.len() >= 2 && coarsest <= crate::coarse::DIRECT_MAX_UNKNOWNS);
+        assert!(matches!(h.coarse(), CoarseSolve::Cg));
+        // A consistent right-hand side keeps every restricted residual in
+        // the range of the coarse operator, where CG is well defined.
+        let want: Vec<f64> = (0..a.num_rows).map(|i| (i % 7) as f64 - 3.0).collect();
+        let b = mps_sparse::ops::spmv_ref(&a, &want);
+        let mut x = vec![0.0; a.num_rows];
+        h.v_cycle(&dev(), &b, &mut x);
+        assert!(x.iter().all(|v| v.is_finite()));
     }
 
     #[test]

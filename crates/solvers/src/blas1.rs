@@ -10,7 +10,14 @@ use mps_sparse::DenseBlock;
 
 const NV: usize = 4096;
 
-fn streaming_launch(device: &Device, n: usize, streams_read: usize, writes: bool) -> LaunchStats {
+/// Price one streaming pass over `n` elements: `streams_read` vectors
+/// read, one written if `writes`.
+pub(crate) fn streaming_launch(
+    device: &Device,
+    n: usize,
+    streams_read: usize,
+    writes: bool,
+) -> LaunchStats {
     let cfg = LaunchConfig::new(n.div_ceil(NV).max(1), 128);
     let (_, stats) = launch_map_phased(device, "blas1_stream", Phase::Blas1, cfg, |cta| {
         let lo = cta.cta_id * NV;

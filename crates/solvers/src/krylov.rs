@@ -6,7 +6,7 @@
 
 use std::time::Instant;
 
-use mps_core::{merge_spmv, SpmvConfig, SpmvPlan, Workspace};
+use mps_core::{SpmvConfig, SpmvPlan, Workspace};
 use mps_simt::Device;
 use mps_sparse::CsrMatrix;
 
@@ -48,9 +48,20 @@ pub struct SolveReport {
     pub host_ms: f64,
 }
 
-fn true_residual(device: &Device, a: &CsrMatrix, b: &[f64], x: &[f64], cfg: &SpmvConfig) -> f64 {
-    let ax = merge_spmv(device, a, x, cfg);
-    let r: Vec<f64> = b.iter().zip(&ax.y).map(|(bi, yi)| bi - yi).collect();
+/// Final true relative residual `|b - A x| / |b|`, through the solve's own
+/// plan: one more numeric execute, no second partition.
+fn true_residual(
+    device: &Device,
+    plan: &SpmvPlan,
+    a: &CsrMatrix,
+    b: &[f64],
+    x: &[f64],
+    ws: &mut Workspace,
+) -> f64 {
+    let mut ax = ws.take_f64();
+    plan.execute_into(a, x, &mut ax, ws);
+    let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, yi)| bi - yi).collect();
+    ws.put_f64(ax);
     let (rn, _) = blas1::norm2(device, &r);
     let (bn, _) = blas1::norm2(device, b);
     if bn == 0.0 {
@@ -68,14 +79,30 @@ pub fn cg(device: &Device, a: &CsrMatrix, b: &[f64], opts: &SolverOptions) -> So
     assert_eq!(a.num_rows, a.num_cols, "CG needs a square system");
     assert_eq!(b.len(), a.num_rows, "right-hand side length mismatch");
     let host_start = Instant::now();
-    let cfg = SpmvConfig::default();
-    let mut clock = SimClock::default();
     // The operator is fixed across iterations: plan once. Every per-
     // iteration product is a pure numeric execute into a reused buffer.
-    let plan = SpmvPlan::new(device, a, &cfg);
+    let plan = SpmvPlan::new(device, a, &SpmvConfig::default());
+    let mut clock = SimClock::default();
     clock.add(&plan.partition);
-    let mut ws = Workspace::new();
-    let mut ap: Vec<f64> = Vec::new();
+    let mut report = cg_planned(device, &plan, a, b, opts, &mut Workspace::new(), clock);
+    report.host_ms = host_start.elapsed().as_secs_f64() * 1e3;
+    report
+}
+
+/// [`cg`] through a caller's plan for `a`'s pattern and scratch, adding
+/// to `clock` (which holds the plan build when the caller paid for it).
+/// The report's `host_ms` covers only this call.
+pub(crate) fn cg_planned(
+    device: &Device,
+    plan: &SpmvPlan,
+    a: &CsrMatrix,
+    b: &[f64],
+    opts: &SolverOptions,
+    ws: &mut Workspace,
+    mut clock: SimClock,
+) -> SolveReport {
+    let host_start = Instant::now();
+    let mut ap = ws.take_f64();
 
     let mut x = vec![0.0; a.num_rows];
     let mut r = b.to_vec();
@@ -89,7 +116,7 @@ pub fn cg(device: &Device, a: &CsrMatrix, b: &[f64], opts: &SolverOptions) -> So
     let mut iterations = 0;
     let mut converged = rr.sqrt() <= target;
     while !converged && iterations < opts.max_iterations {
-        clock.add_ms(plan.execute_into(a, &p, &mut ap, &mut ws));
+        clock.add_ms(plan.execute_into(a, &p, &mut ap, ws));
         let (pap, s) = blas1::dot(device, &p, &ap);
         clock.add(&s);
         if pap <= 0.0 {
@@ -108,8 +135,9 @@ pub fn cg(device: &Device, a: &CsrMatrix, b: &[f64], opts: &SolverOptions) -> So
         }
         rr = rr_next;
     }
+    ws.put_f64(ap);
 
-    let relative_residual = true_residual(device, a, b, &x, &cfg);
+    let relative_residual = true_residual(device, plan, a, b, &x, ws);
     SolveReport {
         x,
         iterations,
@@ -198,7 +226,7 @@ pub fn bicgstab(device: &Device, a: &CsrMatrix, b: &[f64], opts: &SolverOptions)
         rho = rho_next;
     }
 
-    let relative_residual = true_residual(device, a, b, &x, &cfg);
+    let relative_residual = true_residual(device, &plan, a, b, &x, &mut ws);
     SolveReport {
         x,
         iterations,
@@ -287,6 +315,22 @@ mod tests {
         let rb = bicgstab(&dev(), &a, &b, &SolverOptions::default());
         for (x, y) in rc.x.iter().zip(&rb.x) {
             assert!((x - y).abs() < 1e-6, "{x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn each_solve_plans_its_operator_once() {
+        // The final true residual executes the solve's plan; it does not
+        // partition the operator a second time.
+        let dev = Device::titan().with_tracing();
+        let tracer = dev.tracer.clone().expect("tracing");
+        let a = gen::stencil_5pt(12, 12);
+        let b = point_source(a.num_rows);
+        for solve in [cg, bicgstab] {
+            tracer.clear();
+            let report = solve(&dev, &a, &b, &SolverOptions::default());
+            assert!(report.converged);
+            assert_eq!(crate::launches(&tracer, "spmv_partition"), 1);
         }
     }
 

@@ -15,11 +15,14 @@
 //! * [`eigen`] — power iteration for spectral-radius estimates;
 //! * [`amg`] — smoothed-aggregation algebraic multigrid: hierarchy setup
 //!   via SpGEMM Galerkin products, V-cycle solve;
+//! * [`coarse`] — the coarsest AMG level's solve: a dense LU factored once
+//!   at setup, CG for oversized or singular levels;
 //! * [`pcg`](mod@pcg) — preconditioned CG (Jacobi or AMG-V-cycle preconditioners).
 
 pub mod amg;
 pub mod blas1;
 pub mod block_cg;
+pub mod coarse;
 pub mod eigen;
 pub mod krylov;
 pub mod pcg;
@@ -44,4 +47,10 @@ impl SimClock {
     pub fn add_ms(&mut self, ms: f64) {
         self.ms += ms;
     }
+}
+
+/// Launches named `name` in a tracer's log.
+#[cfg(test)]
+pub(crate) fn launches(tracer: &mps_simt::trace::Tracer, name: &str) -> usize {
+    tracer.records().iter().filter(|r| r.name == name).count()
 }

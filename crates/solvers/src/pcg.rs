@@ -19,8 +19,20 @@ use crate::SimClock;
 
 /// Application of an approximate inverse `z ≈ A⁻¹ r`.
 pub trait Preconditioner {
-    /// Apply to a residual, returning `z` and the simulated time spent.
-    fn apply(&self, device: &Device, r: &[f64]) -> (Vec<f64>, f64);
+    /// Write `z ≈ A⁻¹ r` into the caller's buffer, resized to `r.len()`,
+    /// drawing scratch from `ws`. Returns the simulated ms spent.
+    fn apply(&self, device: &Device, r: &[f64], z: &mut Vec<f64>, ws: &mut Workspace) -> f64;
+
+    /// An SpMV plan this preconditioner already holds for `a`'s sparsity
+    /// pattern, which a solver can execute instead of building its own.
+    /// Plans depend only on the pattern, so borrowing one changes no bit
+    /// of the solution. A plan charges each execute at the price of the
+    /// device it was built on, so a solve on another device pays the
+    /// owner's SpMV cost, as the products inside an AMG V-cycle already
+    /// do.
+    fn plan_for(&self, _a: &CsrMatrix) -> Option<&SpmvPlan> {
+        None
+    }
 }
 
 /// Diagonal (Jacobi) preconditioner.
@@ -40,25 +52,32 @@ impl JacobiPreconditioner {
 }
 
 impl Preconditioner for JacobiPreconditioner {
-    fn apply(&self, device: &Device, r: &[f64]) -> (Vec<f64>, f64) {
-        // One streaming pass.
-        let z: Vec<f64> = r
-            .iter()
-            .zip(&self.inv_diag)
-            .map(|(ri, di)| ri * di)
-            .collect();
-        let stats = blas1::axpy(device, 0.0, r, &mut z.clone());
-        (z, stats.sim_ms)
+    fn apply(&self, device: &Device, r: &[f64], z: &mut Vec<f64>, _ws: &mut Workspace) -> f64 {
+        z.clear();
+        z.extend(r.iter().zip(&self.inv_diag).map(|(ri, di)| ri * di));
+        // One streaming pass: read r and the diagonal, write z.
+        blas1::streaming_launch(device, r.len(), 2, true).sim_ms
     }
 }
 
 /// One multigrid V-cycle from a zero initial guess — the standard AMG
 /// preconditioner.
 impl Preconditioner for AmgHierarchy {
-    fn apply(&self, device: &Device, r: &[f64]) -> (Vec<f64>, f64) {
-        let mut z = vec![0.0; r.len()];
-        let ms = self.v_cycle(device, r, &mut z);
-        (z, ms)
+    fn apply(&self, device: &Device, r: &[f64], z: &mut Vec<f64>, ws: &mut Workspace) -> f64 {
+        z.clear();
+        z.resize(r.len(), 0.0);
+        self.v_cycle_with(device, r, z, ws)
+    }
+
+    /// The finest level's plan, when `a` has that level's pattern (an
+    /// O(nnz) comparison). It is priced on the device the hierarchy was
+    /// built on.
+    fn plan_for(&self, a: &CsrMatrix) -> Option<&SpmvPlan> {
+        let fine = &self.levels[0];
+        let same_pattern = fine.a.num_cols == a.num_cols
+            && fine.a.row_offsets == a.row_offsets
+            && fine.a.col_idx == a.col_idx;
+        same_pattern.then_some(&fine.a_plan)
     }
 }
 
@@ -76,12 +95,20 @@ pub fn pcg(
     assert_eq!(a.num_rows, a.num_cols, "PCG needs a square system");
     assert_eq!(b.len(), a.num_rows, "right-hand side length mismatch");
     let host_start = Instant::now();
-    let cfg = SpmvConfig::default();
     let mut clock = SimClock::default();
     // Plan once: the operator is fixed for the whole solve, so each
     // iteration's product is a pure numeric execute into a warm buffer.
-    let plan = SpmvPlan::new(device, a, &cfg);
-    clock.add(&plan.partition);
+    // A preconditioner that holds a plan for the pattern lends it; its
+    // build was charged to the preconditioner's setup.
+    let own_plan;
+    let plan = match preconditioner.plan_for(a) {
+        Some(plan) => plan,
+        None => {
+            own_plan = SpmvPlan::new(device, a, &SpmvConfig::default());
+            clock.add(&own_plan.partition);
+            &own_plan
+        }
+    };
     let mut ws = Workspace::new();
     let mut ap: Vec<f64> = Vec::new();
 
@@ -91,8 +118,8 @@ pub fn pcg(
     clock.add(&s);
     let target = (opts.rel_tolerance * bn).max(f64::MIN_POSITIVE);
 
-    let (mut z, pre_ms) = preconditioner.apply(device, &r);
-    clock.add_ms(pre_ms);
+    let mut z: Vec<f64> = Vec::new();
+    clock.add_ms(preconditioner.apply(device, &r, &mut z, &mut ws));
     let mut p = z.clone();
     let (mut rz, s) = blas1::dot(device, &r, &z);
     clock.add(&s);
@@ -118,9 +145,7 @@ pub fn pcg(
             converged = true;
             break;
         }
-        let (z_next, pre_ms) = preconditioner.apply(device, &r);
-        clock.add_ms(pre_ms);
-        z = z_next;
+        clock.add_ms(preconditioner.apply(device, &r, &mut z, &mut ws));
         let (rz_next, s) = blas1::dot(device, &r, &z);
         clock.add(&s);
         clock.add(&blas1::xpby(device, &z, rz_next / rz, &mut p));
@@ -189,6 +214,75 @@ mod tests {
         for (p, q) in amg.x.iter().zip(&plain.x) {
             assert!((p - q).abs() < 1e-6);
         }
+    }
+
+    /// Delegates every V-cycle to the hierarchy but lends no plan.
+    struct Withholding<'a>(&'a AmgHierarchy);
+
+    impl Preconditioner for Withholding<'_> {
+        fn apply(&self, device: &Device, r: &[f64], z: &mut Vec<f64>, ws: &mut Workspace) -> f64 {
+            self.0.apply(device, r, z, ws)
+        }
+    }
+
+    #[test]
+    fn amg_pcg_borrows_the_hierarchy_plan_bitwise() {
+        let dev = Device::titan().with_tracing();
+        let tracer = dev.tracer.clone().expect("tracing");
+        let (a, b) = system(24);
+        let h = AmgHierarchy::build(&dev, a.clone(), AmgOptions::default());
+        tracer.clear();
+        let lent = pcg(&dev, &a, &b, &h, &SolverOptions::default());
+        assert_eq!(
+            crate::launches(&tracer, "spmv_partition"),
+            0,
+            "the hierarchy's plan serves A"
+        );
+        tracer.clear();
+        let own = pcg(&dev, &a, &b, &Withholding(&h), &SolverOptions::default());
+        assert_eq!(crate::launches(&tracer, "spmv_partition"), 1);
+
+        assert!(lent.converged);
+        assert_eq!(lent.iterations, own.iterations);
+        assert_eq!(
+            lent.relative_residual.to_bits(),
+            own.relative_residual.to_bits()
+        );
+        for (p, q) in lent.x.iter().zip(&own.x) {
+            assert_eq!(p.to_bits(), q.to_bits());
+        }
+        // The borrowed plan's build was charged to the hierarchy's setup.
+        assert!(lent.sim_ms < own.sim_ms);
+    }
+
+    #[test]
+    fn an_operator_with_another_pattern_gets_its_own_plan() {
+        let dev = Device::titan().with_tracing();
+        let tracer = dev.tracer.clone().expect("tracing");
+        let (a, b) = system(16);
+        let h = AmgHierarchy::build(&dev, a.clone(), AmgOptions::default());
+        let mut rescaled = a.clone();
+        for v in &mut rescaled.values {
+            *v *= 2.0;
+        }
+        assert!(h.plan_for(&rescaled).is_some(), "values do not matter");
+        // Poisson plus a symmetric coupling between rows 0 and 2: still
+        // diagonally dominant, so still SPD.
+        let mut coo = mps_sparse::CooMatrix::new(a.num_rows, a.num_cols);
+        for r in 0..a.num_rows {
+            for (&c, &v) in a.row_cols(r).iter().zip(a.row_vals(r)) {
+                coo.push(r as u32, c, v);
+            }
+        }
+        coo.push(0, 2, -0.5);
+        coo.push(2, 0, -0.5);
+        let other = coo.to_csr();
+        assert!(h.plan_for(&other).is_none());
+
+        tracer.clear();
+        let report = pcg(&dev, &other, &b, &h, &SolverOptions::default());
+        assert_eq!(crate::launches(&tracer, "spmv_partition"), 1);
+        assert!(report.converged, "residual {}", report.relative_residual);
     }
 
     #[test]
