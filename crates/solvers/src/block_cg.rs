@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use mps_core::{SpmmConfig, SpmmPlan};
 use mps_engine::Engine;
-use mps_simt::Device;
+use mps_simt::{Device, Phase};
 use mps_sparse::{CsrMatrix, DenseBlock};
 
 use crate::blas1;
@@ -95,7 +95,7 @@ fn block_cg_impl(
         Some(e) => e.spmm_plan(a, k),
         None => {
             let plan = SpmmPlan::new(device, a, k, &SpmmConfig::default());
-            clock.add(&plan.partition);
+            clock.charge(Phase::Partition, &plan.partition);
             Arc::new(plan)
         }
     };
@@ -109,9 +109,9 @@ fn block_cg_impl(
     let mut r = b.clone();
     let mut p = r.clone();
     let (mut rr, s) = blas1::block_dots(device, &r, &r);
-    clock.add(&s);
+    clock.add_blas1(&s);
     let (bb, s) = blas1::block_dots(device, b, b);
-    clock.add(&s);
+    clock.add_blas1(&s);
     let targets: Vec<f64> = bb
         .iter()
         .map(|&d| (opts.rel_tolerance * d.sqrt()).max(f64::MIN_POSITIVE))
@@ -130,7 +130,7 @@ fn block_cg_impl(
     while active.iter().any(|&a| a) && iterations < opts.max_iterations {
         clock.add_ms(plan.execute_into(a, &p, &mut ap, &mut ws));
         let (pap, s) = blas1::block_dots(device, &p, &ap);
-        clock.add(&s);
+        clock.add_blas1(&s);
         for c in 0..k {
             if !active[c] {
                 alphas[c] = 0.0;
@@ -145,11 +145,11 @@ fn block_cg_impl(
                 alphas[c] = rr[c] / pap[c];
             }
         }
-        clock.add(&blas1::block_axpy(device, &alphas, &active, &p, &mut x));
+        clock.add_blas1(&blas1::block_axpy(device, &alphas, &active, &p, &mut x));
         let neg: Vec<f64> = alphas.iter().map(|&a| -a).collect();
-        clock.add(&blas1::block_axpy(device, &neg, &active, &ap, &mut r));
+        clock.add_blas1(&blas1::block_axpy(device, &neg, &active, &ap, &mut r));
         let (rr_next, s) = blas1::block_dots(device, &r, &r);
-        clock.add(&s);
+        clock.add_blas1(&s);
         iterations += 1;
         for c in 0..k {
             if !active[c] {
@@ -164,7 +164,7 @@ fn block_cg_impl(
                 betas[c] = rr_next[c] / rr[c];
             }
         }
-        clock.add(&blas1::block_xpby(device, &r, &betas, &active, &mut p));
+        clock.add_blas1(&blas1::block_xpby(device, &r, &betas, &active, &mut p));
         rr = rr_next;
     }
 

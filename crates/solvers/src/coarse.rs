@@ -69,8 +69,8 @@ impl CoarseSolve {
         (solve, factor_launch(device, n).sim_ms)
     }
 
-    /// Solve `level.a · x = b` into `x`, returning simulated ms. Any
-    /// starting value in `x` is ignored.
+    /// Solve `level.a · x = b` into `x`, charging `clock`. Any starting
+    /// value in `x` is ignored.
     pub(crate) fn solve(
         &self,
         device: &Device,
@@ -78,9 +78,10 @@ impl CoarseSolve {
         b: &[f64],
         x: &mut Vec<f64>,
         ws: &mut Workspace,
-    ) -> f64 {
+        clock: &mut SimClock,
+    ) {
         match self {
-            CoarseSolve::Direct(lu) => lu.solve_into(device, b, x),
+            CoarseSolve::Direct(lu) => clock.add_blas1(&lu.solve_into(device, b, x)),
             CoarseSolve::Cg => {
                 let opts = SolverOptions {
                     max_iterations: 4 * level.a.num_rows.max(8),
@@ -96,7 +97,8 @@ impl CoarseSolve {
                     SimClock::default(),
                 );
                 *x = report.x;
-                report.sim_ms
+                clock.ms += report.sim_ms;
+                clock.ledger.merge(&report.ledger);
             }
         }
     }
@@ -157,11 +159,11 @@ impl DenseLu {
     }
 
     /// Solve `A·x = b` into `x` by forward and back substitution,
-    /// returning the simulated ms of the one launch that does it.
+    /// returning the cost of the one launch that does it.
     ///
     /// # Panics
     /// Panics if `b` does not have one entry per unknown.
-    pub(crate) fn solve_into(&self, device: &Device, b: &[f64], x: &mut Vec<f64>) -> f64 {
+    pub(crate) fn solve_into(&self, device: &Device, b: &[f64], x: &mut Vec<f64>) -> LaunchStats {
         let n = self.n;
         assert_eq!(b.len(), n, "right-hand side length mismatch");
         // L·y = P·b.
@@ -192,7 +194,6 @@ impl DenseLu {
             2 * (n * n) as u64,
             2 * n,
         )
-        .sim_ms
     }
 }
 
@@ -256,7 +257,7 @@ mod tests {
         let b = spmv_ref(&a, &want);
         let lu = DenseLu::factor(&a).expect("nonsingular");
         let mut x = vec![7.0; 5]; // stale contents and length are ignored
-        assert!(lu.solve_into(&dev(), &b, &mut x) > 0.0);
+        assert!(lu.solve_into(&dev(), &b, &mut x).sim_ms > 0.0);
         for (got, want) in x.iter().zip(want) {
             assert!((got - want).abs() < 1e-12, "{x:?}");
         }
@@ -295,9 +296,11 @@ mod tests {
             let n = level.a.num_rows;
             let b: Vec<f64> = (0..n).map(|i| (0.37 * i as f64).sin()).collect();
             let (mut x, mut ws) = (Vec::new(), Workspace::new());
-            let cg_ms = CoarseSolve::Cg.solve(&dev(), level, &b, &mut x, &mut ws);
+            let mut clock = SimClock::default();
+            CoarseSolve::Cg.solve(&dev(), level, &b, &mut x, &mut ws, &mut clock);
+            let cg_ms = clock.ms;
             let lu = DenseLu::factor(&level.a).expect("nonsingular");
-            let direct_ms = lu.solve_into(&dev(), &b, &mut x);
+            let direct_ms = lu.solve_into(&dev(), &b, &mut x).sim_ms;
             assert!(direct_ms < cg_ms, "{n} unknowns");
             (n, factor_launch(&dev(), n).sim_ms / (cg_ms - direct_ms))
         };

@@ -60,9 +60,10 @@ pub(crate) fn power_method_planned(
     let mut lambda = 0.0;
     let mut done = 0;
     for _ in 0..iterations {
-        clock.add_ms(plan.execute_into(a, &v, &mut av, &mut ws));
+        plan.execute_into(a, &v, &mut av, &mut ws);
+        clock.add_spmv(plan);
         let (norm, s) = blas1::norm2(device, &av);
-        clock.add(&s);
+        clock.add_blas1(&s);
         if norm == 0.0 {
             lambda = 0.0;
             done += 1;
