@@ -82,7 +82,7 @@ pub static EXPERIMENTS: [Experiment; 9] = [
     exp("formats", format_exp::report, Some(format_exp::gates)),
     exp("host", host_exp::report, Some(host_exp::gates)),
     exp("serve", serve_exp::report, None),
-    exp("solvers", solver_exp::report, None),
+    exp("solvers", solver_exp::report, Some(solver_exp::gates)),
     exp("spmm", spmm_exp::report, None),
 ];
 

@@ -47,5 +47,7 @@ pub use spgemm::{
     SpgemmResult,
 };
 pub use spmm::{merge_spmm, SpmmPlan, SpmmResult};
-pub use spmv::{merge_spmv, SpmvPlan, SpmvResult};
+pub use spmv::{
+    merge_spmv, sequential_dot, Epilogue, EpilogueForm, FusedExecute, SpmvPlan, SpmvResult,
+};
 pub use workspace::Workspace;

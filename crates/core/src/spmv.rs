@@ -27,11 +27,27 @@
 //! the kernel's floating-point summation order exactly (per-CTA segmented
 //! sums, then carry folds in CTA order) without re-simulating any launch —
 //! and, given a warmed [`Workspace`], without allocating.
+//!
+//! **Epilogues.** An iterative solver rarely wants `A·x` itself: it wants
+//! a residual, a smoothed iterate, a corrected vector or a dot product of
+//! the result. [`SpmvPlan::execute_fused_into`] applies an [`Epilogue`] to
+//! each finished row sum inside the launch that finishes it. A row whose
+//! nonzeros start inside a CTA's tile and that is not that CTA's trailing
+//! carry gets it in the reduction launch; every other row (carry rows,
+//! rows completed only by the carry fold, rows with no nonzeros) gets it
+//! in the update launch after all its carries are folded. Each launch is
+//! priced from the per-CTA counters the plan recorded at build plus the
+//! extra streams its epilogue rows read. The host replay applies the
+//! epilogue in one pass after the product: it is elementwise on finished
+//! row sums, so where it runs cannot change a bit.
+
+use std::sync::OnceLock;
 
 use mps_simt::block::block_segmented_reduce;
 use mps_simt::cta::Cta;
 use mps_simt::grid::{launch_map_phased, LaunchConfig, LaunchStats};
-use mps_simt::{Device, Phase};
+use mps_simt::sched::makespan;
+use mps_simt::{Counters, Device, Phase};
 use mps_sparse::CsrMatrix;
 
 use crate::config::SpmvConfig;
@@ -107,6 +123,186 @@ pub struct SpmvPlan {
     /// Physical rows the walk never assigns (empty or carry-only); the
     /// executor zeroes exactly these instead of the whole output.
     prezero: Vec<u32>,
+    /// Per reduction CTA: its counters at build and how many rows it
+    /// finishes inside its own tile (the rows an epilogue reaches there).
+    reduction_ctas: Vec<(Counters, u32)>,
+    /// Counters of the update launch at build.
+    update_counters: Counters,
+    /// The (logical) row of each reduction CTA's trailing carry, in CTA
+    /// order.
+    carry_rows: Vec<u32>,
+    /// The device the plan was built on, untraced: fused executes are
+    /// priced on it, as plain executes are.
+    device: Device,
+    /// The price of a fused execute per epilogue shape, computed on first
+    /// use (see [`Epilogue::shape`]).
+    fused_prices: [OnceLock<Box<(LaunchStats, LaunchStats)>>; Epilogue::SHAPES],
+}
+
+/// What a fused execute does with each finished row sum `sᵢ = (A·x)ᵢ`.
+#[derive(Debug, Clone, Copy)]
+pub enum EpilogueForm<'a> {
+    /// `yᵢ = α·sᵢ + β·zᵢ`. As in BLAS, `z` is not read when `β` is zero.
+    Axpby { alpha: f64, beta: f64, z: &'a [f64] },
+    /// One weighted-Jacobi update `yᵢ = xᵢ + (ω·dᵢ)·(bᵢ − sᵢ)`, where `x`
+    /// is the vector the product gathers and `d` the inverse diagonal.
+    Jacobi {
+        omega: f64,
+        inv_diag: &'a [f64],
+        b: &'a [f64],
+    },
+}
+
+/// A per-row [`EpilogueForm`] plus an optional folded dot `Σ wᵢ·yᵢ` over
+/// the finished output.
+#[derive(Debug, Clone, Copy)]
+pub struct Epilogue<'a> {
+    pub form: EpilogueForm<'a>,
+    /// The `w` of the folded dot.
+    pub dot: Option<&'a [f64]>,
+}
+
+impl<'a> Epilogue<'a> {
+    /// `y = α·A·x + β·z`.
+    pub fn axpby(alpha: f64, beta: f64, z: &'a [f64]) -> Self {
+        Epilogue {
+            form: EpilogueForm::Axpby { alpha, beta, z },
+            dot: None,
+        }
+    }
+
+    /// `y = x + (ω·D⁻¹)·(b − A·x)`.
+    pub fn jacobi(omega: f64, inv_diag: &'a [f64], b: &'a [f64]) -> Self {
+        Epilogue {
+            form: EpilogueForm::Jacobi { omega, inv_diag, b },
+            dot: None,
+        }
+    }
+
+    /// `y = A·x`, folding `w·y`.
+    pub fn dot_with(w: &'a [f64]) -> Self {
+        Epilogue::axpby(1.0, 0.0, &[]).with_dot(w)
+    }
+
+    /// This epilogue, also folding `w·y`.
+    pub fn with_dot(self, w: &'a [f64]) -> Self {
+        Epilogue {
+            dot: Some(w),
+            ..self
+        }
+    }
+
+    /// Distinct prices an epilogue can have.
+    const SHAPES: usize = 6;
+
+    /// What the price depends on: the form (with `z` read or not) and
+    /// whether a dot is folded. Values of α, β, ω and the vectors never
+    /// change it.
+    fn shape(&self) -> usize {
+        let form = match self.form {
+            EpilogueForm::Axpby { beta: 0.0, .. } => 0,
+            EpilogueForm::Axpby { .. } => 1,
+            EpilogueForm::Jacobi { .. } => 2,
+        };
+        2 * form + usize::from(self.dot.is_some())
+    }
+
+    /// Vectors each epilogue row reads, besides the row sum.
+    fn streams(&self) -> usize {
+        let form = match self.form {
+            EpilogueForm::Axpby { beta, .. } => usize::from(beta != 0.0),
+            EpilogueForm::Jacobi { .. } => 3,
+        };
+        form + usize::from(self.dot.is_some())
+    }
+
+    /// Arithmetic per epilogue row.
+    fn alu_per_row(&self) -> u64 {
+        let form = match self.form {
+            EpilogueForm::Axpby { beta: 0.0, .. } => 1,
+            EpilogueForm::Axpby { .. } => 3,
+            EpilogueForm::Jacobi { .. } => 4,
+        };
+        form + 2 * u64::from(self.dot.is_some())
+    }
+
+    /// The extra work of a reduction CTA that finishes `rows` rows in its
+    /// own tile: their streams read coalesced, their arithmetic, and the
+    /// CTA's dot partial.
+    fn charge_reduction(&self, cta: &mut Cta, rows: usize) {
+        cta.read_coalesced(rows * self.streams(), 8);
+        cta.alu(self.alu_per_row() * rows as u64);
+        if self.dot.is_some() {
+            cta.write_coalesced(1, 8);
+        }
+    }
+
+    /// The extra work of the update launch: its rows' streams gathered,
+    /// their arithmetic, their final values stored (the carry fold's
+    /// scatter stands for reading the partial sums back), and the
+    /// reduction CTAs' dot partials combined.
+    fn charge_update(&self, cta: &mut Cta, rows: &[u32], partials: usize) {
+        for _ in 0..self.streams() {
+            cta.gather(rows.iter().map(|&r| r as usize), 8);
+        }
+        cta.alu(self.alu_per_row() * rows.len() as u64);
+        cta.scatter(rows.iter().map(|&r| r as usize), 8);
+        if self.dot.is_some() {
+            cta.read_coalesced(partials, 8);
+            cta.alu(partials as u64);
+        }
+    }
+
+    fn check(&self, rows: usize, x: &[f64]) {
+        match self.form {
+            EpilogueForm::Axpby { beta, z, .. } => {
+                assert!(
+                    beta == 0.0 || z.len() == rows,
+                    "z length must equal num_rows"
+                );
+            }
+            EpilogueForm::Jacobi { inv_diag, b, .. } => {
+                assert_eq!(x.len(), rows, "a Jacobi epilogue needs a square operator");
+                assert_eq!(inv_diag.len(), rows, "inv_diag length must equal num_rows");
+                assert_eq!(b.len(), rows, "b length must equal num_rows");
+            }
+        }
+        if let Some(w) = self.dot {
+            assert_eq!(w.len(), rows, "dot operand length must equal num_rows");
+        }
+    }
+}
+
+/// Outcome of a fused execute: the price of its two launches, as the plan
+/// holds it, and the folded dot, when the epilogue asked for one.
+#[derive(Debug, Clone, Copy)]
+pub struct FusedExecute<'p> {
+    pub reduction: &'p LaunchStats,
+    pub update: &'p LaunchStats,
+    pub dot: Option<f64>,
+}
+
+impl FusedExecute<'_> {
+    /// Simulated milliseconds of both launches.
+    pub fn sim_ms(&self) -> f64 {
+        self.reduction.sim_ms + self.update.sim_ms
+    }
+}
+
+/// `Σ aᵢ·bᵢ` folded in index order from the sum's identity: the one
+/// summation order of every host dot in the solvers, folded epilogue dots
+/// included.
+pub fn sequential_dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// What one charge of the numeric phases records.
+struct NumericCharge {
+    reduction: LaunchStats,
+    update: LaunchStats,
+    reduction_ctas: Vec<(Counters, u32)>,
+    update_counters: Counters,
+    carry_rows: Vec<u32>,
 }
 
 impl SpmvPlan {
@@ -142,11 +338,22 @@ impl SpmvPlan {
             reduction: LaunchStats::default(),
             update: LaunchStats::default(),
             prezero,
+            reduction_ctas: Vec::new(),
+            update_counters: Counters::default(),
+            carry_rows: Vec::new(),
+            device: Device {
+                tracer: None,
+                ..device.clone()
+            },
+            fused_prices: Default::default(),
         };
         if plan.part.nnz > 0 {
-            let (reduction, update) = plan.charge_numeric_phases(device, a);
-            plan.reduction = reduction;
-            plan.update = update;
+            let charge = plan.charge_numeric_phases(device, a, None);
+            plan.reduction = charge.reduction;
+            plan.update = charge.update;
+            plan.reduction_ctas = charge.reduction_ctas;
+            plan.update_counters = charge.update_counters;
+            plan.carry_rows = charge.carry_rows;
         }
         plan
     }
@@ -183,10 +390,16 @@ impl SpmvPlan {
     }
 
     /// Simulate the reduction and update phases once, charging the device
-    /// with exactly the traffic of the original per-call kernels. The
-    /// numeric outputs are discarded — only the structure (segment layout,
-    /// carry set) and the cost survive in the plan.
-    fn charge_numeric_phases(&self, device: &Device, a: &CsrMatrix) -> (LaunchStats, LaunchStats) {
+    /// with exactly the traffic of the original per-call kernels, plus
+    /// `epilogue`'s extra work when given. The numeric outputs are
+    /// discarded — only the structure (segment layout, carry set), the
+    /// per-CTA counters and the cost survive in the plan.
+    fn charge_numeric_phases(
+        &self,
+        device: &Device,
+        a: &CsrMatrix,
+        epilogue: Option<&Epilogue>,
+    ) -> NumericCharge {
         let nnz = self.part.nnz;
         let nv = self.cfg.nv();
         let num_ctas = self.part.num_ctas();
@@ -194,8 +407,10 @@ impl SpmvPlan {
         let part = &self.part;
 
         // ---- Phase 2: reduction -----------------------------------------
-        let cfg_red = LaunchConfig::new(num_ctas, self.cfg.block_threads);
-        let (outputs, reduction) =
+        let (outputs, reduction) = if nnz == 0 {
+            (Vec::new(), LaunchStats::default())
+        } else {
+            let cfg_red = LaunchConfig::new(num_ctas, self.cfg.block_threads);
             launch_map_phased(device, "spmv_reduce", Phase::Reduction, cfg_red, |cta| {
                 let lo = cta.cta_id * nv;
                 let hi = (lo + nv).min(nnz);
@@ -240,20 +455,111 @@ impl SpmvPlan {
 
                 // Complete rows go straight to y (contiguous rows: coalesced-ish).
                 cta.write_coalesced(seg.complete.len(), 8);
-                seg.carry.map(|(row, _)| row)
-            });
 
-        let carry_rows: Vec<usize> = outputs.into_iter().flatten().collect();
+                // Of those, the rows that also start in this tile are
+                // finished here; a row continued from an earlier tile
+                // still waits for its carries.
+                let own = seg
+                    .complete
+                    .iter()
+                    .filter(|&&(row, _)| offsets_ref[row] >= lo)
+                    .count();
+                if let Some(e) = epilogue {
+                    e.charge_reduction(cta, own);
+                }
+                (seg.carry.map(|(row, _)| row), *cta.counters(), own as u32)
+            })
+        };
+
+        let mut carry_rows = Vec::with_capacity(outputs.len());
+        let mut reduction_ctas = Vec::with_capacity(outputs.len());
+        for (carry, counters, own) in outputs {
+            carry_rows.extend(carry.map(|row| row as u32));
+            reduction_ctas.push((counters, own));
+        }
 
         // ---- Phase 3: update --------------------------------------------
-        let carries_ref = &carry_rows;
-        let cfg_upd = LaunchConfig::new(1, self.cfg.block_threads);
-        let (_, update) = launch_map_phased(device, "spmv_update", Phase::Update, cfg_upd, |cta| {
-            cta.read_coalesced(carries_ref.len(), 12);
-            cta.alu(2 * carries_ref.len() as u64);
-            cta.scatter(carries_ref.iter().copied(), 8);
-        });
+        let epilogue_rows = epilogue.map(|_| self.update_rows(&carry_rows));
+        let (update, update_counters) = if self.update_runs(epilogue_rows.as_deref()) {
+            let carries_ref = &carry_rows;
+            let cfg_upd = LaunchConfig::new(1, self.cfg.block_threads);
+            let (mut counters, update) =
+                launch_map_phased(device, "spmv_update", Phase::Update, cfg_upd, |cta| {
+                    cta.read_coalesced(carries_ref.len(), 12);
+                    cta.alu(2 * carries_ref.len() as u64);
+                    cta.scatter(carries_ref.iter().map(|&row| row as usize), 8);
+                    if let (Some(e), Some(rows)) = (epilogue, &epilogue_rows) {
+                        e.charge_update(cta, rows, num_ctas);
+                    }
+                    *cta.counters()
+                });
+            (update, counters.pop().unwrap_or_default())
+        } else {
+            (LaunchStats::default(), Counters::default())
+        };
+        NumericCharge {
+            reduction,
+            update,
+            reduction_ctas,
+            update_counters,
+            carry_rows,
+        }
+    }
+
+    /// Physical rows the update launch finishes, ascending: the rows of
+    /// `carry_rows` and every row the walk never assigns (empty rows and
+    /// rows that only carry).
+    fn update_rows(&self, carry_rows: &[u32]) -> Vec<u32> {
+        let mut rows: Vec<u32> = carry_rows
+            .iter()
+            .map(|&row| self.part.to_physical(row as usize) as u32)
+            .chain(self.prezero.iter().copied())
+            .collect();
+        rows.sort_unstable();
+        rows.dedup();
+        rows
+    }
+
+    /// Whether the update launch runs: always when there are nonzeros,
+    /// and for an empty operator when an epilogue has rows to finish.
+    fn update_runs(&self, epilogue_rows: Option<&[u32]>) -> bool {
+        self.part.nnz > 0 || epilogue_rows.is_some_and(|rows| !rows.is_empty())
+    }
+
+    /// The price of a fused execute with `epilogue`, from the counters
+    /// recorded at build plus the epilogue's extra work, through the build
+    /// device's cost model and wave scheduler: O(CTAs) host work and no
+    /// launch simulation. Equal, counter for counter and cycle for cycle,
+    /// to [`Self::simulate_fused`].
+    fn price_fused(&self, epilogue: &Epilogue) -> (LaunchStats, LaunchStats) {
+        let device = &self.device;
+        let num_ctas = self.reduction_ctas.len();
+        let threads = self.cfg.block_threads;
+        let warp = device.props.warp_size;
+        let mut reduction = LaunchStats::default();
+        for (cta_id, &(base, own)) in self.reduction_ctas.iter().enumerate() {
+            let mut extra = Cta::new(cta_id, num_ctas, threads, warp);
+            epilogue.charge_reduction(&mut extra, own as usize);
+            push_priced(device, &mut reduction, base, &extra);
+        }
+        finish_priced(device, &mut reduction);
+        let mut update = LaunchStats::default();
+        let rows = self.update_rows(&self.carry_rows);
+        if self.update_runs(Some(&rows)) {
+            let mut extra = Cta::new(0, 1, threads, warp);
+            epilogue.charge_update(&mut extra, &rows, num_ctas);
+            push_priced(device, &mut update, self.update_counters, &extra);
+            finish_priced(device, &mut update);
+        }
         (reduction, update)
+    }
+
+    /// Simulate the fused reduction and update launches in full on the
+    /// build device, for checking the price [`Self::execute_fused_into`]
+    /// reports, which comes from counters kept at build.
+    pub fn simulate_fused(&self, a: &CsrMatrix, epilogue: &Epilogue) -> (LaunchStats, LaunchStats) {
+        let charge = self.charge_numeric_phases(&self.device, a, Some(epilogue));
+        (charge.reduction, charge.update)
     }
 
     /// The numeric phases as pure flat loops: per-CTA fused product-and-
@@ -363,6 +669,79 @@ impl SpmvPlan {
         ws.put_carries(carries);
         self.execute_sim_ms()
     }
+
+    /// [`Self::execute_into`] with an [`Epilogue`] applied to every row
+    /// sum inside the launch that finishes it: `y` receives the epilogue's
+    /// output, never `A·x` itself. Each row's value is the epilogue's
+    /// host formula applied to the bits [`Self::execute_into`] would have
+    /// produced, and the folded dot is [`sequential_dot`] of the finished
+    /// output, so results match the unfused passes bit for bit. The
+    /// launches are priced from counters kept at build, once per epilogue
+    /// shape; later executes of the shape reuse that price. `y` must not
+    /// be the vector the product gathers (the borrow rules see to that):
+    /// a pass that updates `x` writes a second buffer.
+    ///
+    /// # Panics
+    /// Panics as [`Self::execute_into`] does, or if an epilogue operand
+    /// does not have one entry per row.
+    pub fn execute_fused_into(
+        &self,
+        a: &CsrMatrix,
+        x: &[f64],
+        y: &mut Vec<f64>,
+        ws: &mut Workspace,
+        epilogue: &Epilogue,
+    ) -> FusedExecute<'_> {
+        self.check_inputs(a, x);
+        epilogue.check(self.part.num_rows, x);
+        if y.len() != self.part.num_rows {
+            y.clear();
+            y.resize(self.part.num_rows, 0.0);
+        }
+        let mut carries = ws.take_carries();
+        self.numeric_execute(a, x, y, &mut carries);
+        ws.put_carries(carries);
+        // The epilogue is elementwise on finished row sums, so the replay
+        // applies it in one pass after the product: where it runs cannot
+        // change a bit. Which launch applies it to which row decides only
+        // the price.
+        match epilogue.form {
+            EpilogueForm::Axpby {
+                alpha, beta: 0.0, ..
+            } => y.iter_mut().for_each(|s| *s *= alpha),
+            EpilogueForm::Axpby { alpha, beta, z } => {
+                for (s, zi) in y.iter_mut().zip(z) {
+                    *s = alpha * *s + beta * zi;
+                }
+            }
+            EpilogueForm::Jacobi { omega, inv_diag, b } => {
+                for (((s, xi), di), bi) in y.iter_mut().zip(x).zip(inv_diag).zip(b) {
+                    *s = xi + omega * di * (bi - *s);
+                }
+            }
+        }
+        let price = self.fused_prices[epilogue.shape()]
+            .get_or_init(|| Box::new(self.price_fused(epilogue)));
+        FusedExecute {
+            reduction: &price.0,
+            update: &price.1,
+            dot: epilogue.dot.map(|w| sequential_dot(w, y)),
+        }
+    }
+}
+
+/// Add one priced CTA to `stats`: its counters at build plus the extra
+/// work charged to `extra`.
+fn push_priced(device: &Device, stats: &mut LaunchStats, base: Counters, extra: &Cta) {
+    let mut counters = base;
+    counters.add(extra.counters());
+    stats.per_cta_cycles.push(device.cost.cta_cycles(&counters));
+    stats.totals.add(&counters);
+}
+
+/// Schedule the priced CTAs of `stats` and set its simulated time.
+fn finish_priced(device: &Device, stats: &mut LaunchStats) {
+    stats.sim_ms = device.cycles_to_ms(makespan(&device.props, &stats.per_cta_cycles));
 }
 
 /// The planned-SpMV numeric walk over one CTA partition: per-CTA gathered
@@ -697,6 +1076,98 @@ mod tests {
             plan.update_values(&mut b, vec![0.0; n]),
             Err(PlanError::PatternMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn fused_epilogues_reach_every_row_once_bitwise() {
+        // 64-nonzero tiles. Row 0 spans four tiles; rows 2 and 5 end
+        // exactly on tile boundaries (256 and 320), so they only carry;
+        // rows 1 and 4 and every row past 9 are empty.
+        let cfg = SpmvConfig {
+            block_threads: 32,
+            items_per_thread: 2,
+            force_no_compaction: false,
+        };
+        let lens = [200usize, 0, 56, 10, 0, 54, 3, 7, 1, 90];
+        let n = 256;
+        let mut coo = CooMatrix::new(n, n);
+        for (r, &len) in lens.iter().enumerate() {
+            for k in 0..len {
+                coo.push(
+                    r as u32,
+                    ((r * 3 + k) % n) as u32,
+                    1.0 + (k % 5) as f64 * 0.25,
+                );
+            }
+        }
+        let a = coo.to_csr();
+        let x = x_for(&a);
+        let z: Vec<f64> = (0..n).map(|i| 0.5 - i as f64 * 0.125).collect();
+        let d: Vec<f64> = (0..n).map(|i| 0.2 + (i % 3) as f64 * 0.1).collect();
+        for force_no_compaction in [false, true] {
+            let cfg = SpmvConfig {
+                force_no_compaction,
+                ..cfg
+            };
+            let plan = SpmvPlan::new(&dev(), &a, &cfg);
+            assert_eq!(plan.compacted(), !force_no_compaction);
+            for row in [1, 2, 4, 5] {
+                assert!(plan.prezero.contains(&row), "row {row} is never assigned");
+            }
+            let mut ws = Workspace::new();
+            let mut sums = Vec::new();
+            plan.execute_into(&a, &x, &mut sums, &mut ws);
+            type Formula<'f> = &'f dyn Fn(usize, f64) -> f64;
+            let cases: [(Epilogue, Formula); 3] = [
+                (Epilogue::axpby(-1.0, 1.0, &z), &|i, s| z[i] - s),
+                (Epilogue::jacobi(0.7, &d, &z).with_dot(&z), &|i, s| {
+                    x[i] + 0.7 * d[i] * (z[i] - s)
+                }),
+                (Epilogue::dot_with(&d), &|_, s| s),
+            ];
+            for (epilogue, formula) in cases {
+                let mut y = vec![f64::NAN; n];
+                let fused = plan.execute_fused_into(&a, &x, &mut y, &mut ws, &epilogue);
+                let want: Vec<f64> = (0..n).map(|i| formula(i, sums[i])).collect();
+                assert!(y.iter().zip(&want).all(|(p, q)| p.to_bits() == q.to_bits()));
+                assert_eq!(
+                    fused.dot.map(f64::to_bits),
+                    epilogue.dot.map(|w| sequential_dot(w, &want).to_bits())
+                );
+                let (red, upd) = plan.simulate_fused(&a, &epilogue);
+                for (priced, simulated) in [(fused.reduction, &red), (fused.update, &upd)] {
+                    assert_eq!(priced.per_cta_cycles, simulated.per_cta_cycles);
+                    assert_eq!(priced.totals, simulated.totals);
+                    assert_eq!(priced.sim_ms.to_bits(), simulated.sim_ms.to_bits());
+                }
+                // The epilogue costs extra, and the plain execute's price
+                // is untouched.
+                assert!(fused.sim_ms() > plan.execute_sim_ms());
+            }
+        }
+    }
+
+    #[test]
+    fn fused_execute_of_an_empty_operator_still_applies_its_epilogue() {
+        let a = CsrMatrix::zeros(4, 4);
+        let plan = SpmvPlan::new(&dev(), &a, &SpmvConfig::default());
+        let z = [1.0, -2.0, 3.0, -4.0];
+        let mut y = Vec::new();
+        let fused = plan.execute_fused_into(
+            &a,
+            &[1.0; 4],
+            &mut y,
+            &mut Workspace::new(),
+            &Epilogue::axpby(2.0, 0.5, &z),
+        );
+        assert_eq!(y, vec![0.5, -1.0, 1.5, -2.0]);
+        assert_eq!(plan.execute_sim_ms(), 0.0);
+        // One update CTA finishes all four rows; there is no reduction.
+        assert!(fused.reduction.per_cta_cycles.is_empty());
+        assert_eq!(fused.update.per_cta_cycles.len(), 1);
+        let (red, upd) = plan.simulate_fused(&a, &Epilogue::axpby(2.0, 0.5, &z));
+        assert!(red.per_cta_cycles.is_empty());
+        assert_eq!(upd.per_cta_cycles, fused.update.per_cta_cycles);
     }
 
     #[test]

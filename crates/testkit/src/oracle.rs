@@ -9,6 +9,10 @@
 //!   `execute_into`, and the serving engine's direct and batched paths
 //!   all replay the identical reduction order, so any difference at all
 //!   is a bug;
+//! * **bitwise** between a fused SpMV epilogue and its host formula
+//!   applied to the plain planned execute, for every epilogue form and
+//!   the folded dot; the fused launches' price from the plan's cached
+//!   counters must equal a full simulation of them, cycle for cycle;
 //! * **bitwise** across every SpAdd implementation — each output value is
 //!   a single `a + b` with no reassociation anywhere, so all five
 //!   implementations must agree exactly;
@@ -34,11 +38,12 @@ use std::sync::Arc;
 
 use mps_baselines::{cpu, cusp, cusparse_like, format_spmv, spmm as spmm_base};
 use mps_core::{
-    merge_spadd, merge_spgemm, merge_spmm, merge_spmv, segmented_spgemm, CmrsSpmvPlan,
-    SellSpmvPlan, SpAddConfig, SpAddPlan, SpgemmConfig, SpgemmPlan, SpmmConfig, SpmmPlan,
-    SpmvConfig, SpmvPlan, Workspace,
+    merge_spadd, merge_spgemm, merge_spmm, merge_spmv, segmented_spgemm, sequential_dot,
+    CmrsSpmvPlan, Epilogue, SellSpmvPlan, SpAddConfig, SpAddPlan, SpgemmConfig, SpgemmPlan,
+    SpmmConfig, SpmmPlan, SpmvConfig, SpmvPlan, Workspace,
 };
 use mps_engine::{Engine, EngineOutput, FormatChoice};
+use mps_simt::grid::LaunchStats;
 use mps_simt::Device;
 use mps_sparse::formats::{DiaMatrix, EllMatrix, HybMatrix};
 use mps_sparse::{dense, ops, CmrsMatrix, CooMatrix, CsrMatrix, DenseBlock, SellCSigmaMatrix};
@@ -193,6 +198,8 @@ impl Oracle {
         let direct = self.engine.spmv(a, &x);
         check_vec_bitwise(report, case, K, "engine direct", &direct, &anchor);
 
+        self.check_spmv_epilogues(case, a, &x, report);
+
         match self.engine_batched_spmv(a, &x) {
             Ok(batched) => check_vec_bitwise(report, case, K, "engine batched", &batched, &anchor),
             Err(e) => report.diverge(case, K, "engine batched", e),
@@ -208,6 +215,118 @@ impl Oracle {
         check_vec_rel(report, case, K, "cpu model", &host, &want);
 
         self.check_format_spmv(case, a, &x, &want, &anchor, report);
+    }
+
+    /// Fused epilogue executes: every form, with and without the folded
+    /// dot, bitwise equal to its host formula applied to the plain planned
+    /// execute, written over a NaN-filled buffer so every row must be
+    /// stored; and each fused execute's price from cached counters equal
+    /// to a full simulation of its launches. Runs at the default tile and
+    /// at a 64-nonzero tile, which puts more row ends on tile boundaries
+    /// and spreads long rows over more CTAs, on both the compacting and
+    /// the raw empty-row path.
+    pub fn check_spmv_epilogues(
+        &self,
+        case: &str,
+        a: &CsrMatrix,
+        x: &[f64],
+        report: &mut ConformanceReport,
+    ) {
+        const K: &str = "spmv epilogue";
+        let n = a.num_rows;
+        let z: Vec<f64> = (0..n).map(|i| 0.5 - (i % 11) as f64 * 0.125).collect();
+        let w: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64 * 0.375).collect();
+        let d: Vec<f64> = (0..n).map(|i| 0.25 + (i % 3) as f64 * 0.5).collect();
+        let small = SpmvConfig {
+            block_threads: 32,
+            items_per_thread: 2,
+            force_no_compaction: false,
+        };
+        let configs = [
+            ("default tile", SpmvConfig::default()),
+            ("64-nonzero tile", small),
+            (
+                "64-nonzero tile, raw",
+                SpmvConfig {
+                    force_no_compaction: true,
+                    ..small
+                },
+            ),
+        ];
+        type Formula<'f> = Box<dyn Fn(usize, f64) -> f64 + 'f>;
+        let mut forms: Vec<(&str, Epilogue, Formula)> = vec![
+            (
+                "axpby",
+                Epilogue::axpby(-1.5, 0.75, &z),
+                Box::new(|i, s| -1.5 * s + 0.75 * z[i]),
+            ),
+            (
+                "residual",
+                Epilogue::axpby(-1.0, 1.0, &z),
+                Box::new(|i, s| z[i] - s),
+            ),
+            (
+                "correction",
+                Epilogue::axpby(1.0, 1.0, &z),
+                Box::new(|i, s| z[i] + s),
+            ),
+            (
+                "scale",
+                Epilogue::axpby(2.5, 0.0, &[]),
+                Box::new(|_, s| 2.5 * s),
+            ),
+            ("product, dot", Epilogue::dot_with(&w), Box::new(|_, s| s)),
+        ];
+        if a.num_rows == a.num_cols {
+            forms.push((
+                "jacobi, dot",
+                Epilogue::jacobi(0.7, &d, &z).with_dot(&w),
+                Box::new(|i, s| x[i] + 0.7 * d[i] * (z[i] - s)),
+            ));
+        }
+        let mut ws = Workspace::new();
+        let (mut sums, mut y) = (Vec::new(), Vec::new());
+        for (tile, cfg) in configs {
+            let plan = SpmvPlan::new(&self.device, a, &cfg);
+            plan.execute_into(a, x, &mut sums, &mut ws);
+            for (form, epilogue, formula) in &forms {
+                let imp = format!("{form} ({tile})");
+                let want: Vec<f64> = sums
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &s)| formula(i, s))
+                    .collect();
+                y.clear();
+                y.resize(n, f64::NAN);
+                let fused = plan.execute_fused_into(a, x, &mut y, &mut ws, epilogue);
+                check_vec_bitwise(report, case, K, &imp, &y, &want);
+                let want_dot = epilogue.dot.map(|w| sequential_dot(w, &want));
+                report.checks += 1;
+                if fused.dot.map(f64::to_bits) != want_dot.map(f64::to_bits) {
+                    report.diverge(
+                        case,
+                        K,
+                        &imp,
+                        format!("dot {:?} vs {:?}", fused.dot, want_dot),
+                    );
+                }
+                let simulated = plan.simulate_fused(a, epilogue);
+                for (launch, p, s) in [
+                    ("reduction", fused.reduction, &simulated.0),
+                    ("update", fused.update, &simulated.1),
+                ] {
+                    report.checks += 1;
+                    if !same_launch(p, s) {
+                        report.diverge(
+                            case,
+                            K,
+                            &format!("{imp} {launch} price"),
+                            format!("cached {p:?} vs simulated {s:?}"),
+                        );
+                    }
+                }
+            }
+        }
     }
 
     fn check_format_spmv(
@@ -587,6 +706,14 @@ fn naive_coo_to_csr(coo: &CooMatrix) -> CsrMatrix {
 
 fn rel_err(got: f64, want: f64) -> f64 {
     (got - want).abs() / want.abs().max(got.abs()).max(1.0)
+}
+
+/// Two launches priced identically: per-CTA cycles, counters and
+/// simulated time, bit for bit.
+fn same_launch(a: &LaunchStats, b: &LaunchStats) -> bool {
+    a.per_cta_cycles == b.per_cta_cycles
+        && a.totals == b.totals
+        && a.sim_ms.to_bits() == b.sim_ms.to_bits()
 }
 
 fn vec_detail(idx: usize, got: f64, want: f64) -> String {
