@@ -16,7 +16,12 @@
 //!   measured window;
 //! * **host/sim gap** — measured host milliseconds of warm
 //!   `SpmvPlan`/`SpmmPlan` replays next to the simulated device
-//!   milliseconds the cost model charges for the same launches.
+//!   milliseconds the cost model charges for the same launches;
+//! * **plan builds** — host microseconds of pricing a new sparsity
+//!   pattern on serve-churn's eight stand-ins (2% scale): an SpMV plan
+//!   build, an SpGEMM symbolic build against a 32-column right operand
+//!   with one nonzero per row, and a 4-entry delta apply, each next to
+//!   the simulated milliseconds it charges.
 //!
 //! [`report`] is the `host` experiment of `mps bench`
 //! (`BENCH_host.json`).
@@ -24,10 +29,14 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use mps_core::{SpmmConfig, SpmmPlan, SpmvConfig, SpmvPlan, Workspace};
+use mps_core::{
+    apply_delta, CsrDelta, SpAddConfig, SpgemmConfig, SpgemmPlan, SpmmConfig, SpmmPlan, SpmvConfig,
+    SpmvPlan, Workspace,
+};
 use mps_simt::grid::{launch_map_into, LaunchBuffers, LaunchConfig, LaunchStats};
 use mps_simt::Device;
-use mps_sparse::{gen, CsrMatrix, DenseBlock};
+use mps_sparse::suite::SuiteMatrix;
+use mps_sparse::{gen, CooMatrix, CsrMatrix, DenseBlock};
 
 use crate::report::{Gates, Report};
 
@@ -87,11 +96,34 @@ impl PoolRow {
     }
 }
 
+/// Host cost of pricing one stand-in's new pattern, build by build.
+#[derive(Debug, Clone)]
+pub struct BuildRow {
+    pub matrix: String,
+    pub nnz: usize,
+    /// Intermediate products of the SpGEMM against the right operand.
+    pub products: u64,
+    /// Median host microseconds per build over the reps.
+    pub spmv_build_us: f64,
+    pub spgemm_symbolic_us: f64,
+    pub delta_apply_us: f64,
+    /// Simulated ms the SpMV build charges: the partition it runs, and
+    /// one execute it prices.
+    pub spmv_build_sim_ms: f64,
+    pub spmv_execute_sim_ms: f64,
+    /// Simulated ms of the SpGEMM symbolic half, and of the numeric pass
+    /// the build prices.
+    pub spgemm_symbolic_sim_ms: f64,
+    pub spgemm_numeric_sim_ms: f64,
+    pub delta_sim_ms: f64,
+}
+
 /// The full host-runtime report.
 #[derive(Debug, Clone)]
 pub struct HostReport {
     pub launches: Vec<LaunchRow>,
     pub pool: PoolRow,
+    pub plan_builds: Vec<BuildRow>,
 }
 
 fn operand(a: &CsrMatrix, k: usize) -> DenseBlock {
@@ -179,6 +211,101 @@ pub fn measure_kernels(device: &Device, a: &CsrMatrix, reps: usize) -> Vec<Launc
     ]
 }
 
+/// serve-churn's stand-ins, at its scale.
+const STAND_INS: [SuiteMatrix; 8] = [
+    SuiteMatrix::Protein,
+    SuiteMatrix::Cantilever,
+    SuiteMatrix::Harbor,
+    SuiteMatrix::Qcd,
+    SuiteMatrix::Economics,
+    SuiteMatrix::Epidemiology,
+    SuiteMatrix::Accelerator,
+    SuiteMatrix::Circuit,
+];
+const STAND_IN_SCALE: f64 = 0.02;
+
+/// `rows × 32` with one nonzero per row at a hashed column.
+fn right_operand(rows: usize) -> CsrMatrix {
+    let mut coo = CooMatrix::new(rows, 32);
+    for r in 0..rows {
+        let h = (r as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+        coo.push(r as u32, (h % 32) as u32, 1.0 + (h % 5) as f64);
+    }
+    coo.to_csr()
+}
+
+/// Four edits: two upserts at hashed coordinates (almost always
+/// inserts), one value edit and one removal of existing entries.
+fn four_entry_delta(a: &CsrMatrix) -> CsrDelta {
+    let h = |i: u64| (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20;
+    let mut d = CsrDelta::new();
+    for i in 0..2 {
+        let (r, c) = (
+            h(2 * i) as usize % a.num_rows,
+            h(2 * i + 1) as usize % a.num_cols,
+        );
+        d.upsert(r as u32, c as u32, 0.5);
+    }
+    for (k, edit) in [
+        (h(7) as usize % a.nnz(), Some(2.0)),
+        (h(9) as usize % a.nnz(), None),
+    ] {
+        let r = a.row_offsets.partition_point(|&o| o <= k) - 1;
+        match edit {
+            Some(v) => d.upsert(r as u32, a.col_idx[k], v),
+            None => d.remove(r as u32, a.col_idx[k]),
+        };
+    }
+    d
+}
+
+/// Median host microseconds of `reps` calls of `f`.
+fn median_us(reps: usize, mut f: impl FnMut()) -> f64 {
+    let mut us: Vec<f64> = (0..reps.max(1))
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    us.sort_by(f64::total_cmp);
+    us[us.len() / 2]
+}
+
+/// Time the three pattern builds on `matrix` at `scale`.
+pub fn measure_builds(device: &Device, matrix: SuiteMatrix, scale: f64, reps: usize) -> BuildRow {
+    let a = matrix.generate(scale);
+    let b = right_operand(a.num_cols);
+    let delta = four_entry_delta(&a);
+    let (spmv_cfg, spgemm_cfg, delta_cfg) = (
+        SpmvConfig::default(),
+        SpgemmConfig::default(),
+        SpAddConfig::default(),
+    );
+    let spmv = SpmvPlan::new(device, &a, &spmv_cfg);
+    let spgemm = SpgemmPlan::new(device, &a, &b, &spgemm_cfg);
+    let applied = apply_delta(device, &a, &delta, &delta_cfg).expect("delta within bounds");
+    BuildRow {
+        matrix: matrix.name().to_string(),
+        nnz: a.nnz(),
+        products: spgemm.products(),
+        spmv_build_us: median_us(reps, || {
+            black_box(SpmvPlan::new(device, &a, &spmv_cfg));
+        }),
+        spgemm_symbolic_us: median_us(reps, || {
+            black_box(SpgemmPlan::new(device, &a, &b, &spgemm_cfg));
+        }),
+        delta_apply_us: median_us(reps, || {
+            black_box(apply_delta(device, &a, &delta, &delta_cfg).expect("in bounds"));
+        }),
+        spmv_build_sim_ms: spmv.build_sim_ms(),
+        spmv_execute_sim_ms: spmv.execute_sim_ms(),
+        spgemm_symbolic_sim_ms: spgemm.symbolic_ms(),
+        spgemm_numeric_sim_ms: spgemm.numeric_ms(),
+        delta_sim_ms: applied.sim_ms(),
+    }
+}
+
 /// Output slot shared across spawned chunks. Chunk ranges are disjoint,
 /// so every index is written by exactly one thread per job.
 struct SendPtr(*mut f64);
@@ -251,8 +378,17 @@ pub fn measure_pool(len: usize, jobs: usize) -> PoolRow {
 }
 
 /// Run the full host-runtime experiment on a uniform random operator of
-/// `n` rows and ~`avg_nnz_per_row` nonzeros per row.
-pub fn run(device: &Device, n: usize, avg_nnz_per_row: f64, reps: usize) -> HostReport {
+/// `n` rows and ~`avg_nnz_per_row` nonzeros per row, with the plan builds
+/// timed on the first `stand_ins` of serve-churn's matrices at
+/// `build_scale`.
+pub fn run(device: &Device, size: Size) -> HostReport {
+    let Size {
+        n,
+        avg_nnz_per_row,
+        reps,
+        stand_ins,
+        build_scale,
+    } = size;
     let a = gen::random_uniform(n, n, avg_nnz_per_row, avg_nnz_per_row / 2.0, 42);
     let mut launches = vec![
         measure_launch_floor(device, 1, reps * 4),
@@ -260,21 +396,50 @@ pub fn run(device: &Device, n: usize, avg_nnz_per_row: f64, reps: usize) -> Host
     ];
     launches.extend(measure_kernels(device, &a, reps));
     let pool = measure_pool(1 << 16, (reps * 8).max(16));
-    HostReport { launches, pool }
+    let plan_builds = STAND_INS[..stand_ins]
+        .iter()
+        .map(|&m| measure_builds(device, m, build_scale, reps))
+        .collect();
+    HostReport {
+        launches,
+        pool,
+        plan_builds,
+    }
 }
 
-/// `(n, avg_nnz_per_row, reps)` of the smoke run.
-const TINY: (usize, f64, usize) = (300, 6.0, 2);
-/// `(n, avg_nnz_per_row, reps)` of the committed artifact.
-const FULL: (usize, f64, usize) = (4000, 16.0, 10);
+/// How much the experiment runs.
+#[derive(Debug, Clone, Copy)]
+pub struct Size {
+    pub n: usize,
+    pub avg_nnz_per_row: f64,
+    pub reps: usize,
+    pub stand_ins: usize,
+    pub build_scale: f64,
+}
+
+/// The smoke run.
+const TINY: Size = Size {
+    n: 300,
+    avg_nnz_per_row: 6.0,
+    reps: 2,
+    stand_ins: 2,
+    build_scale: 0.002,
+};
+/// The committed artifact.
+const FULL: Size = Size {
+    n: 4000,
+    avg_nnz_per_row: 16.0,
+    reps: 10,
+    stand_ins: 8,
+    build_scale: STAND_IN_SCALE,
+};
 
 /// Run the experiment on a pool of [`crate::default_pool_threads`] (the
 /// pool-vs-spawn comparison needs a multi-threaded runtime), print the
 /// launch table, and return the report.
 pub fn report(tiny: bool) -> Report {
     crate::default_pool_threads();
-    let (n, avg_nnz_per_row, reps) = if tiny { TINY } else { FULL };
-    let r = run(&Device::titan(), n, avg_nnz_per_row, reps);
+    let r = run(&Device::titan(), if tiny { TINY } else { FULL });
     println!("{}", render(&r));
     to_report(&r, tiny)
 }
@@ -309,6 +474,29 @@ fn to_report(h: &HostReport, tiny: bool) -> Report {
                 ("steady_state_spawns", "count", |p| {
                     p.steady_state_spawns.into()
                 }),
+            ],
+        )
+        .with_table(
+            "plan_builds",
+            &h.plan_builds,
+            &[
+                ("matrix", "", |b| b.matrix.as_str().into()),
+                ("nnz", "count", |b| b.nnz.into()),
+                ("products", "count", |b| b.products.into()),
+                ("spmv_build_us", "us", |b| b.spmv_build_us.into()),
+                ("spgemm_symbolic_us", "us", |b| b.spgemm_symbolic_us.into()),
+                ("delta_apply_us", "us", |b| b.delta_apply_us.into()),
+                ("spmv_build_sim_ms", "ms", |b| b.spmv_build_sim_ms.into()),
+                ("spmv_execute_sim_ms", "ms", |b| {
+                    b.spmv_execute_sim_ms.into()
+                }),
+                ("spgemm_symbolic_sim_ms", "ms", |b| {
+                    b.spgemm_symbolic_sim_ms.into()
+                }),
+                ("spgemm_numeric_sim_ms", "ms", |b| {
+                    b.spgemm_numeric_sim_ms.into()
+                }),
+                ("delta_sim_ms", "ms", |b| b.delta_sim_ms.into()),
             ],
         )
 }
@@ -371,6 +559,31 @@ pub fn render(r: &HostReport) -> String {
         ],
         &data,
     );
+    let builds: Vec<Vec<String>> = r
+        .plan_builds
+        .iter()
+        .map(|b| {
+            vec![
+                b.matrix.clone(),
+                b.nnz.to_string(),
+                b.products.to_string(),
+                format!("{:.0}", b.spmv_build_us),
+                format!("{:.0}", b.spgemm_symbolic_us),
+                format!("{:.0}", b.delta_apply_us),
+            ]
+        })
+        .collect();
+    out.push_str(&crate::render_table(
+        &[
+            "matrix",
+            "nnz",
+            "products",
+            "spmv build us",
+            "spgemm symbolic us",
+            "delta apply us",
+        ],
+        &builds,
+    ));
     let p = &r.pool;
     out.push_str(&format!(
         "pool dispatch ({} items, {} threads): {:.0} ns/job vs {:.0} ns/job spawned \
@@ -407,8 +620,13 @@ mod tests {
     #[test]
     fn report_measures_all_sections() {
         let _serial = serial_pool();
-        let r = run(&dev(), 300, 6.0, 2);
+        let r = run(&dev(), TINY);
         assert_eq!(r.launches.len(), 4);
+        assert_eq!(r.plan_builds.len(), TINY.stand_ins);
+        for b in &r.plan_builds {
+            assert!(b.spmv_build_us > 0.0 && b.spgemm_symbolic_us > 0.0 && b.delta_apply_us > 0.0);
+            assert!(b.products > 0 && b.spgemm_symbolic_sim_ms > 0.0 && b.delta_sim_ms > 0.0);
+        }
         for l in &r.launches {
             assert!(
                 l.host_ns_per_exec > 0.0,
@@ -425,7 +643,18 @@ mod tests {
     #[test]
     fn gates_name_a_warm_pool_spawn() {
         let _serial = serial_pool();
-        let mut r = to_report(&run(&dev(), 200, 5.0, 1), true);
+        let mut r = to_report(
+            &run(
+                &dev(),
+                Size {
+                    n: 200,
+                    avg_nnz_per_row: 5.0,
+                    reps: 1,
+                    ..TINY
+                },
+            ),
+            true,
+        );
         assert_eq!(gates(&r), Vec::<String>::new());
         *r.cell_mut("pool", 0, "steady_state_spawns").expect("cell") = 1u64.into();
         assert_eq!(gates(&r), ["steady_state_spawns == 0"]);

@@ -3,6 +3,25 @@
 //! The paper statically tunes entries-per-thread empirically; these defaults
 //! correspond to its microbenchmark configuration (128 threads per CTA, 11
 //! items per thread for the SpGEMM block sort) and CUB-era SpMV tiles.
+//! Each configuration's `validate` rejects a tile that cannot run, with a
+//! typed [`PlanError`], before any plan is built from it.
+
+use crate::error::PlanError;
+
+/// Reject a zero or overflowing `block_threads × items_per_thread` tile.
+fn check_tile(block_threads: usize, items_per_thread: usize) -> Result<usize, PlanError> {
+    if block_threads == 0 {
+        return Err(PlanError::InvalidConfig("block_threads must be nonzero"));
+    }
+    if items_per_thread == 0 {
+        return Err(PlanError::InvalidConfig("items_per_thread must be nonzero"));
+    }
+    block_threads
+        .checked_mul(items_per_thread)
+        .ok_or(PlanError::InvalidConfig(
+            "block_threads × items_per_thread overflows",
+        ))
+}
 
 /// Merge SpMV tuning (Section III-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,6 +40,11 @@ impl SpmvConfig {
     /// Nonzeros per CTA.
     pub fn nv(&self) -> usize {
         self.block_threads * self.items_per_thread
+    }
+
+    /// Check the tile can run: nonzero threads and items per thread.
+    pub fn validate(&self) -> Result<(), PlanError> {
+        check_tile(self.block_threads, self.items_per_thread).map(|_| ())
     }
 }
 
@@ -60,6 +84,16 @@ impl SpmmConfig {
     /// Column tile width, clamped to at least one.
     pub fn tile(&self) -> usize {
         self.tile_k.max(1)
+    }
+
+    /// Check the tile can run: nonzero threads, items per thread and
+    /// column tile width.
+    pub fn validate(&self) -> Result<(), PlanError> {
+        check_tile(self.block_threads, self.items_per_thread)?;
+        if self.tile_k == 0 {
+            return Err(PlanError::InvalidConfig("tile_k must be nonzero"));
+        }
+        Ok(())
     }
 }
 
@@ -116,9 +150,34 @@ pub struct SpgemmConfig {
 }
 
 impl SpgemmConfig {
+    /// Most products one block-sort tile may hold: the sort stores each
+    /// product's position in its tile as a 16-bit integer.
+    pub const MAX_TILE_PRODUCTS: usize = 1 << 16;
+
     /// Products per CTA (`N_CTA` in the paper).
     pub fn nv(&self) -> usize {
         self.block_threads * self.items_per_thread
+    }
+
+    /// Check the configuration can run: a nonempty tile of at most
+    /// [`SpgemmConfig::MAX_TILE_PRODUCTS`] products, a nonzero global-sort
+    /// tile, and bin thresholds in order.
+    pub fn validate(&self) -> Result<(), PlanError> {
+        let nv = check_tile(self.block_threads, self.items_per_thread)?;
+        if nv > Self::MAX_TILE_PRODUCTS {
+            return Err(PlanError::InvalidConfig(
+                "block_threads × items_per_thread must not exceed 65536 products per tile",
+            ));
+        }
+        if self.global_sort_nv == 0 {
+            return Err(PlanError::InvalidConfig("global_sort_nv must be nonzero"));
+        }
+        if self.bin_tiny_max > self.bin_mid_max {
+            return Err(PlanError::InvalidConfig(
+                "bin_tiny_max must not exceed bin_mid_max",
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -142,6 +201,73 @@ mod tests {
     fn default_spgemm_tile_matches_paper_microbenchmark() {
         // Figure 4: 128 threads × 11 items = 1408 products per CTA.
         assert_eq!(SpgemmConfig::default().nv(), 1408);
+    }
+
+    #[test]
+    fn every_unrunnable_tile_is_a_typed_error() {
+        let spmv = SpmvConfig::default();
+        let spmm = SpmmConfig::default();
+        let spgemm = SpgemmConfig::default();
+        assert_eq!(spmv.validate(), Ok(()));
+        assert_eq!(spmm.validate(), Ok(()));
+        assert_eq!(spgemm.validate(), Ok(()));
+        let invalid = |r: Result<(), PlanError>| matches!(r, Err(PlanError::InvalidConfig(_)));
+        for (threads, items) in [(0, 7), (128, 0), (usize::MAX, 2)] {
+            let (block_threads, items_per_thread) = (threads, items);
+            assert!(invalid(
+                SpmvConfig {
+                    block_threads,
+                    items_per_thread,
+                    ..spmv
+                }
+                .validate()
+            ));
+            assert!(invalid(
+                SpmmConfig {
+                    block_threads,
+                    items_per_thread,
+                    ..spmm
+                }
+                .validate()
+            ));
+            assert!(invalid(
+                SpgemmConfig {
+                    block_threads,
+                    items_per_thread,
+                    ..spgemm
+                }
+                .validate()
+            ));
+        }
+        assert!(invalid(SpmmConfig { tile_k: 0, ..spmm }.validate()));
+        assert!(invalid(
+            SpgemmConfig {
+                global_sort_nv: 0,
+                ..spgemm
+            }
+            .validate()
+        ));
+        assert!(invalid(
+            SpgemmConfig {
+                bin_tiny_max: 600,
+                ..spgemm
+            }
+            .validate()
+        ));
+        // 65 536 products per tile is the largest a 16-bit position holds.
+        let at_limit = SpgemmConfig {
+            block_threads: 512,
+            items_per_thread: 128,
+            ..spgemm
+        };
+        assert_eq!(at_limit.validate(), Ok(()));
+        assert!(invalid(
+            SpgemmConfig {
+                items_per_thread: 130,
+                ..at_limit
+            }
+            .validate()
+        ));
     }
 
     #[test]

@@ -4,14 +4,15 @@
 //! Streaming workloads — evolving graphs, time-stepped PDE meshes — mutate
 //! a matrix by a handful of entries per round. Rebuilding the CSR (and
 //! every cached plan keyed on its pattern) from scratch prices each round
-//! at full replan cost. A [`CsrDelta`] instead rides the same provenance
-//! union [`crate::spadd::SpAddPlan`] is built on: the matrix expands to
-//! packed (row,col) keys, the delta's (already sorted) keys form the
-//! second operand, and one balanced-path union pass merges them. Matched
-//! keys resolve in the delta's favour (an upsert replaces the value, a
-//! remove drops the entry); delta-only upserts insert; delta-only removes
-//! are no-ops. The output is assembled with the same helpers as SpAdd, so
-//! cost scales with `|A| + |delta|`, never with pattern churn.
+//! at full replan cost. A [`CsrDelta`] is instead priced as the
+//! balanced-path union [`crate::spadd::SpAddPlan`] is built on: the matrix
+//! expands to packed (row,col) keys, the delta's (already sorted) keys
+//! form the second operand, and the union's partition, count and fill
+//! launches run over them. Matched keys resolve in the delta's favour (an
+//! upsert replaces the value, a remove drops the entry); delta-only
+//! upserts insert; delta-only removes are no-ops. The output is assembled
+//! from the rows the delta touches, every other row copying over whole,
+//! so cost scales with `|A| + |delta|`, never with pattern churn.
 //!
 //! Whether the *pattern* changed (any insert or remove took effect) is
 //! reported on the result — value-only deltas keep the pattern
@@ -19,15 +20,14 @@
 
 use std::collections::BTreeMap;
 
-use mps_merge::set_ops::{set_op_pairs, SetOp, SetOpStats};
+use mps_merge::set_ops::{set_op_count, SetOp, SetOpStats};
 use mps_simt::grid::LaunchStats;
 use mps_simt::Device;
 use mps_sparse::{pack_key, CooMatrix, CsrMatrix};
 
-use crate::assemble;
 use crate::config::SpAddConfig;
 use crate::error::PlanError;
-use crate::spadd::{expand_keys, NONE};
+use crate::spadd::expand_keys;
 
 /// A small, ordered edit set over one matrix: upserts (insert-or-replace a
 /// value at a coordinate) and removes (drop the entry if present). Later
@@ -109,7 +109,7 @@ impl CsrDelta {
 
     /// Collapse the edit list to one effect per coordinate (last wins),
     /// validating bounds against the target shape.
-    fn resolve(
+    pub(crate) fn resolve(
         &self,
         num_rows: usize,
         num_cols: usize,
@@ -180,70 +180,86 @@ pub fn apply_delta(
     // The resolved map iterates in (row, col) order, which packed keys
     // preserve — the delta side arrives sorted for free.
     let d_keys: Vec<u64> = edits.keys().map(|&(r, c)| pack_key(r, c)).collect();
-    let d_vals: Vec<Option<f64>> = edits.values().copied().collect();
 
-    // Provenance pairs exactly as in SpAdd: `(i, NONE)` from the matrix,
-    // `(NONE, j)` from the delta, matched keys fuse to `(i, j)`.
-    let a_src: Vec<(u32, u32)> = (0..a.nnz() as u32).map(|i| (i, NONE)).collect();
-    let d_src: Vec<(u32, u32)> = (0..d_keys.len() as u32).map(|j| (NONE, j)).collect();
-    let (keys, src, union) = set_op_pairs(
+    // The union's launches, priced for the provenance pairs `(i, j)` the
+    // kernel carries (an index into each operand, 8 bytes). The output is
+    // assembled below from the rows the delta touches; untouched rows
+    // copy over whole.
+    let (_, union) = set_op_count(
         device,
         SetOp::Union,
         &a_keys,
-        &a_src,
         &d_keys,
-        &d_src,
-        |x, y| (x.0, y.1),
+        std::mem::size_of::<(u32, u32)>(),
         cfg.nv,
     );
 
-    // Resolve each union entry: the delta side wins on a match, removes
-    // drop, untouched matrix entries copy their value bits verbatim.
+    // Resolve each edit against its row: the delta side wins on a match
+    // (the first entry of A's run at that column, as the union pairs
+    // ranks), removes drop, every other entry keeps its value bits.
     let (mut inserted, mut updated, mut removed) = (0usize, 0usize, 0usize);
-    let mut out_keys = Vec::with_capacity(keys.len());
-    let mut values = Vec::with_capacity(keys.len());
-    for (&key, &(i, j)) in keys.iter().zip(&src) {
-        let v = if j == NONE {
-            Some(a.values[i as usize])
-        } else {
-            match d_vals[j as usize] {
+    let upserts = edits.values().filter(|v| v.is_some()).count();
+    let mut c = CsrMatrix {
+        num_rows: a.num_rows,
+        num_cols: a.num_cols,
+        row_offsets: Vec::with_capacity(a.num_rows + 1),
+        col_idx: Vec::with_capacity(a.nnz() + upserts),
+        values: Vec::with_capacity(a.nnz() + upserts),
+    };
+    c.row_offsets.push(0);
+    let mut next_row = 0;
+    let mut edits = edits.iter().peekable();
+    while let Some(&(&(row, _), _)) = edits.peek() {
+        let r = row as usize;
+        copy_rows(a, next_row..r, &mut c);
+        let (mut i, hi) = (a.row_offsets[r], a.row_offsets[r + 1]);
+        while let Some((&(_, col), &edit)) = edits.next_if(|(&(er, _), _)| er == row) {
+            let at = i + a.col_idx[i..hi].partition_point(|&c| c < col);
+            c.col_idx.extend_from_slice(&a.col_idx[i..at]);
+            c.values.extend_from_slice(&a.values[i..at]);
+            i = at;
+            let matched = i < hi && a.col_idx[i] == col;
+            i += usize::from(matched);
+            match edit {
                 Some(v) => {
-                    if i == NONE {
-                        inserted += 1;
-                    } else {
+                    c.col_idx.push(col);
+                    c.values.push(v);
+                    if matched {
                         updated += 1;
+                    } else {
+                        inserted += 1;
                     }
-                    Some(v)
                 }
-                None => {
-                    if i != NONE {
-                        removed += 1;
-                    }
-                    None
-                }
+                None => removed += usize::from(matched),
             }
-        };
-        if let Some(v) = v {
-            out_keys.push(key);
-            values.push(v);
         }
+        c.col_idx.extend_from_slice(&a.col_idx[i..hi]);
+        c.values.extend_from_slice(&a.values[i..hi]);
+        c.row_offsets.push(c.col_idx.len());
+        next_row = r + 1;
     }
-    let row_offsets = assemble::row_offsets_from_sorted_keys(a.num_rows, &out_keys);
-    let col_idx = assemble::cols_from_keys(&out_keys);
+    copy_rows(a, next_row..a.num_rows, &mut c);
     Ok(DeltaApplied {
-        c: CsrMatrix {
-            num_rows: a.num_rows,
-            num_cols: a.num_cols,
-            row_offsets,
-            col_idx,
-            values,
-        },
+        c,
         inserted,
         updated,
         removed,
         expand,
         union,
     })
+}
+
+/// Append `a`'s `rows` to `c` unchanged.
+fn copy_rows(a: &CsrMatrix, rows: std::ops::Range<usize>, c: &mut CsrMatrix) {
+    let (lo, hi) = (a.row_offsets[rows.start], a.row_offsets[rows.end]);
+    let base = c.col_idx.len();
+    c.col_idx.extend_from_slice(&a.col_idx[lo..hi]);
+    c.values.extend_from_slice(&a.values[lo..hi]);
+    c.row_offsets.extend(
+        a.row_offsets[rows.start + 1..=rows.end]
+            .iter()
+            .map(|&o| o - lo + base),
+    );
 }
 
 /// Reference delta application: a plain coordinate map, no union pass.

@@ -200,6 +200,72 @@ impl MergePartition {
         };
         (row_lo, row_hi)
     }
+
+    /// The row segments of CTA `cta_id`'s tile, in order, walked from the
+    /// offsets: one step per row the tile touches, never one per nonzero.
+    /// Every segment but the last ends inside the tile (a complete row);
+    /// the last ends at the tile's end (the CTA's carry). These are
+    /// exactly the segments a segmented reduction over the tile's per-item
+    /// row ids finds, so a reduction CTA learns its complete rows and its
+    /// carry row without expanding a row id per nonzero.
+    pub fn tile_segments(&self, cta_id: usize) -> TileSegments<'_> {
+        let lo = cta_id * self.nv;
+        let (row_lo, row_hi) = self.cta_row_range(cta_id);
+        TileSegments {
+            offsets: &self.offsets,
+            row: row_lo,
+            row_hi,
+            item: lo,
+            hi: (lo + self.nv).min(self.nnz),
+        }
+    }
+}
+
+/// The items `start..end` of a CTA tile, all in logical row `row`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowSegment {
+    pub row: usize,
+    pub start: usize,
+    pub end: usize,
+}
+
+/// Iterator over one tile's [`RowSegment`]s (see
+/// [`MergePartition::tile_segments`]).
+#[derive(Debug, Clone)]
+pub struct TileSegments<'p> {
+    offsets: &'p [usize],
+    row: usize,
+    row_hi: usize,
+    item: usize,
+    hi: usize,
+}
+
+impl Iterator for TileSegments<'_> {
+    type Item = RowSegment;
+
+    fn next(&mut self) -> Option<RowSegment> {
+        if self.item >= self.hi {
+            return None;
+        }
+        // The row of `item`: rows ending at or before it are skipped (the
+        // empty rows of the raw path among them); the walk never passes
+        // the CTA's last row.
+        while self.row < self.row_hi && self.offsets[self.row + 1] <= self.item {
+            self.row += 1;
+        }
+        let end = if self.row < self.row_hi {
+            self.offsets[self.row + 1].min(self.hi)
+        } else {
+            self.hi
+        };
+        let segment = RowSegment {
+            row: self.row,
+            start: self.item,
+            end,
+        };
+        self.item = end;
+        Some(segment)
+    }
 }
 
 #[cfg(test)]

@@ -63,11 +63,14 @@ fn expand_keys_host(m: &CsrMatrix, nv: usize) -> Vec<u64> {
             // (ties from empty rows resolve to the owning row).
             let mut r = m.row_offsets.partition_point(|&o| o <= lo) - 1;
             let mut keys = Vec::with_capacity(hi - lo);
-            for i in lo..hi {
+            let mut i = lo;
+            while i < hi {
                 while m.row_offsets[r + 1] <= i {
                     r += 1;
                 }
-                keys.push(pack_key(r as u32, m.col_idx[i]));
+                let end = m.row_offsets[r + 1].min(hi);
+                keys.extend(m.col_idx[i..end].iter().map(|&c| pack_key(r as u32, c)));
+                i = end;
             }
             keys
         })

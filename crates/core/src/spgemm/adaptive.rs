@@ -134,7 +134,7 @@ pub fn segmented_spgemm(
                 products += b.row_len(k as usize);
             }
             cta.read_coalesced(a.row_len(r), 12);
-            cta.gather(0..products, 12);
+            cta.gather_range(0..products, 12);
             cta.alu(2 * products as u64);
 
             // Accumulate (semantics: dense-marker per row; cost: table traffic).

@@ -23,7 +23,8 @@ pub struct TileReduced {
     /// Locally unique (row,col) keys in the tile's (col, row) sort order.
     pub unique_keys: Vec<u64>,
     /// Sorted position → original product offset within the tile. Stored to
-    /// global memory as 16-bit integers (the tile holds ≤ 1408 products).
+    /// global memory as 16-bit integers (a tile holds at most
+    /// [`SpgemmConfig::MAX_TILE_PRODUCTS`] products; 1408 by default).
     pub perm: Vec<u16>,
     /// `head[s]` marks sorted position `s` as the first of a duplicate run.
     pub head: Vec<bool>,
@@ -60,41 +61,40 @@ pub fn block_sort(
             let hi = (lo + nv).min(total);
             let count = hi - lo;
 
-            // Expand the tile's (row, col) coordinates. Values are NOT formed
-            // in this phase (the χ placeholders of Figure 3a).
+            // Expand the tile's (row, col) coordinates, one A nonzero's run
+            // of B's row at a time. Values are NOT formed in this phase (the
+            // χ placeholders of Figure 3a).
             let mut rows: Vec<u32> = Vec::with_capacity(count);
-            let mut cols: Vec<u32> = Vec::with_capacity(count);
-            exp.walk_tile(cta, lo, hi, |_, j, t| {
-                let brow = a.col_idx[j] as usize;
-                let bpos = b.row_offsets[brow] + t;
-                rows.push(exp.a_row_of_nnz[j]);
-                cols.push(b.col_idx[bpos]);
+            let mut keys: Vec<u32> = Vec::with_capacity(count);
+            exp.walk_segments(cta, lo, hi, |j, ts| {
+                let (row, bpos) = (exp.a_row_of_nnz[j], b.row_offsets[a.col_idx[j] as usize]);
+                // Runs are often a single product: push, not a copy call.
+                for &col in &b.col_idx[bpos + ts.start..bpos + ts.end] {
+                    rows.push(row);
+                    keys.push(col);
+                }
             });
             // Traffic: A column indices (sequential), B row offsets and column
             // indices (gathered by referenced row, contiguous runs inside it).
             cta.read_coalesced(count, 4);
-            cta.gather(lo..hi, 4);
+            cta.gather_range(lo..hi, 4);
 
             // Single-pass stable radix sort on the column index. The sorted
             // permutation either rides in the upper key bits (keys-only sort)
-            // or travels as an explicit 16-bit value (pair sort).
-            let mut perm: Vec<u16>;
-            if keys_only {
-                let mut keys: Vec<u32> = cols
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &c)| c | ((i as u32) << col_bits))
-                    .collect();
+            // or travels as an explicit 16-bit value (pair sort); either way
+            // the low `col_bits` of each sorted key are its column.
+            let perm: Vec<u16> = if keys_only {
+                for (i, k) in keys.iter_mut().enumerate() {
+                    *k |= (i as u32) << col_bits;
+                }
                 block_radix_sort_keys(cta, &mut keys, 0, col_bits);
-                perm = keys.iter().map(|&k| (k >> col_bits) as u16).collect();
+                keys.iter().map(|&k| (k >> col_bits) as u16).collect()
             } else {
-                let mut keys = cols.clone();
                 let mut vals: Vec<u32> = (0..count as u32).collect();
                 block_radix_sort_pairs(cta, &mut keys, &mut vals, 0, col_bits);
-                perm = vals.iter().map(|&v| v as u16).collect();
-            }
-            // Defensive: ensure stability produced a valid permutation.
-            debug_assert_eq!(perm.len(), count);
+                vals.iter().map(|&v| v as u16).collect()
+            };
+            let col_mask = u32::MAX.checked_shr(32 - col_bits).unwrap_or(0);
 
             // Scan sorted entries for duplicate heads and reduce locally. Two
             // entries are duplicates when both row and col match; rows within a
@@ -103,9 +103,8 @@ pub fn block_sort(
             let mut unique_keys = Vec::with_capacity(count);
             let mut head = Vec::with_capacity(count);
             let mut prev: Option<(u32, u32)> = None;
-            for &p in perm.iter() {
-                let orig = p as usize;
-                let rc = (rows[orig], cols[orig]);
+            for (&p, &k) in perm.iter().zip(&keys) {
+                let rc = (rows[p as usize], k & col_mask);
                 let is_head = prev != Some(rc);
                 head.push(is_head);
                 if is_head {
@@ -119,9 +118,6 @@ pub fn block_sort(
             cta.write_coalesced(count.div_ceil(8), 1);
             cta.write_coalesced(unique_keys.len(), 8);
 
-            if count == 0 {
-                perm = Vec::new();
-            }
             TileReduced {
                 unique_keys,
                 perm,

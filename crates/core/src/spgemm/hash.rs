@@ -45,6 +45,20 @@ impl HashAccumulator {
         }
     }
 
+    /// Empty the table and size it for `n` distinct keys, as
+    /// [`HashAccumulator::with_capacity`] would, reusing the allocation:
+    /// probes from here on count exactly as in a fresh table.
+    pub fn reset(&mut self, n: usize) {
+        let slots = (2 * n.max(1)).next_power_of_two();
+        self.keys.clear();
+        self.keys.resize(slots, EMPTY);
+        self.vals.clear();
+        self.vals.resize(slots, 0.0);
+        self.mask = slots - 1;
+        self.len = 0;
+        self.probes = 0;
+    }
+
     /// Add `v` to the entry for `key`, inserting it if absent. Counts one
     /// probe per slot inspected (the shared-memory traffic of the kernel).
     ///
@@ -160,5 +174,23 @@ mod tests {
         let mut out = Vec::new();
         h.drain_sorted(&mut out);
         assert_eq!(out, vec![(5, 2.0)]);
+    }
+
+    #[test]
+    fn a_reset_table_probes_like_a_fresh_one() {
+        let keys = [5u64, 9, 5, 1 << 40, 77, 9, 3];
+        let mut reused = HashAccumulator::with_capacity(100);
+        for n in [5, 6, 9, 40] {
+            let mut fresh = HashAccumulator::with_capacity(n);
+            reused.reset(n);
+            for &k in &keys {
+                fresh.accumulate(k, 1.0);
+                reused.accumulate(k, 1.0);
+            }
+            assert_eq!(
+                (reused.probes(), reused.len()),
+                (fresh.probes(), fresh.len())
+            );
+        }
     }
 }

@@ -27,18 +27,16 @@
 //! [`super::merge_spgemm`] is plan build + one execution, so planned
 //! replays are bitwise identical to it by construction.
 
-use rayon::prelude::*;
-
 use mps_merge::radix::sort_permutation;
 use mps_simt::grid::{launch_map_phased, LaunchConfig, LaunchStats};
 use mps_simt::{Device, Phase, PhaseLedger};
 use mps_sparse::{unpack_key, CsrMatrix};
 
 use super::bins::{BinClass, BinSummary, RowBins};
-use super::block_sort::{self, bits_for};
+use super::block_sort::{self, bits_for, TileReduced};
 use super::hash::HashAccumulator;
-use super::product;
-use super::setup;
+use super::product::{self, BinProducts};
+use super::setup::{self, Expansion};
 use super::{PhaseTimes, SpgemmResult};
 use crate::assemble;
 use crate::config::SpgemmConfig;
@@ -101,21 +99,19 @@ impl SpgemmPlan {
                 b_rows: b.num_rows,
             });
         }
-        if cfg.block_threads == 0 {
-            return Err(PlanError::InvalidConfig("block_threads must be nonzero"));
-        }
-        if cfg.global_sort_nv == 0 {
-            return Err(PlanError::InvalidConfig("global_sort_nv must be nonzero"));
-        }
-        if cfg.bin_tiny_max > cfg.bin_mid_max {
-            return Err(PlanError::InvalidConfig(
-                "bin_tiny_max must not exceed bin_mid_max",
-            ));
-        }
-        Ok(Self::build(device, a, b, cfg))
+        cfg.validate()?;
+        Ok(Self::build(device, a, b, cfg, &BuildStages::LEAN))
     }
 
-    fn build(device: &Device, a: &CsrMatrix, b: &CsrMatrix, cfg: &SpgemmConfig) -> SpgemmPlan {
+    /// The plan build, with the stages that do per-product host work taken
+    /// from `stages`.
+    pub(crate) fn build(
+        device: &Device,
+        a: &CsrMatrix,
+        b: &CsrMatrix,
+        cfg: &SpgemmConfig,
+        stages: &BuildStages,
+    ) -> SpgemmPlan {
         let mut symbolic_stats = LaunchStats::default();
         let mut symbolic = PhaseTimes::default();
         let mut symbolic_ledger = PhaseLedger::new();
@@ -160,7 +156,7 @@ impl SpgemmPlan {
         }
 
         // ---- Symbolic 2: block sort -----------------------------------
-        let (tiles, bs_stats) = block_sort::block_sort(device, a, b, &exp, cfg);
+        let (tiles, bs_stats) = (stages.block_sort)(device, a, b, &exp, cfg);
         symbolic.block_sort = bs_stats.sim_ms;
         symbolic_ledger.charge(
             Phase::BlockSort,
@@ -224,21 +220,16 @@ impl SpgemmPlan {
         );
         symbolic_stats.add(&inv_stats);
 
-        let sorted_keys: Vec<u64> = gperm.iter().map(|&p| reduced_keys[p as usize]).collect();
-
         // Sorted position → output index (runs of equal sorted keys), and
         // the unique key list the pattern assembles from.
-        let mut run_of = Vec::with_capacity(sorted_keys.len());
-        let mut final_keys = Vec::new();
-        let mut run = 0u32;
-        for (i, &k) in sorted_keys.iter().enumerate() {
-            if i == 0 {
-                final_keys.push(k);
-            } else if k != sorted_keys[i - 1] {
-                run += 1;
+        let mut run_of = Vec::with_capacity(n_reduced);
+        let mut final_keys: Vec<u64> = Vec::new();
+        for &p in &gperm {
+            let k = reduced_keys[p as usize];
+            if final_keys.last() != Some(&k) {
                 final_keys.push(k);
             }
-            run_of.push(run);
+            run_of.push(final_keys.len() as u32 - 1);
         }
 
         // ---- Symbolic 4: CSR assembly charge + host pattern build -----
@@ -254,7 +245,7 @@ impl SpgemmPlan {
         let col_idx = assemble::cols_from_keys(&final_keys);
 
         // ---- Fuse the structure maps for the numeric replay -----------
-        let (a_idx, b_pos) = product_sources(a, b, &exp.s, cfg.nv());
+        let (a_idx, b_pos) = (stages.product_sources)(a, b, &exp.s);
         let nv = cfg.nv();
         let total = exp.products;
         let mut slot = vec![0u32; total];
@@ -276,19 +267,21 @@ impl SpgemmPlan {
         }
 
         // ---- Numeric: one bin-adaptive pass, charged from the plan ----
-        let (numeric, numeric_ledger, numeric_stats) = charge_numeric(
+        let (numeric, numeric_ledger, numeric_stats) = (stages.charge_numeric)(
             device,
-            a,
-            b,
-            cfg,
-            &bins,
-            &row_products,
-            &row_offsets,
-            &a_idx,
-            &b_pos,
-            &reduced_keys,
-            &rank,
-            &exp.s,
+            &NumericInputs {
+                a,
+                b,
+                cfg,
+                bins: &bins,
+                row_products: &row_products,
+                row_offsets: &row_offsets,
+                a_idx: &a_idx,
+                b_pos: &b_pos,
+                reduced_keys: &reduced_keys,
+                rank: &rank,
+                s: &exp.s,
+            },
         );
 
         SpgemmPlan {
@@ -528,94 +521,149 @@ impl SpgemmPlan {
     }
 }
 
-/// Charge one bin-adaptive numeric pass: gather each bin's products, size
-/// the mid-bin hash tables from the symbolic output counts and measure
-/// their probes, and price the heavy bin through the paper's two-pass
-/// kernels. Empty bins launch nothing.
-#[allow(clippy::too_many_arguments)]
-fn charge_numeric(
-    device: &Device,
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    cfg: &SpgemmConfig,
-    bins: &RowBins,
-    row_products: &[usize],
-    row_offsets: &[usize],
-    a_idx: &[u32],
-    b_pos: &[u32],
-    reduced_keys: &[u64],
-    rank: &[u32],
-    s: &[usize],
-) -> (PhaseTimes, PhaseLedger, LaunchStats) {
-    let mut numeric = PhaseTimes::default();
-    let mut ledger = PhaseLedger::new();
-    let mut stats = LaunchStats::default();
-    let sum = &bins.summary;
+/// The stages of a plan build that do per-product host work, as one set
+/// of functions: the lean ones every build uses, or the reference ones
+/// the tests compare them with ([`crate::reference::spgemm_plan`]).
+pub(crate) struct BuildStages {
+    pub(crate) block_sort: BlockSortFn,
+    pub(crate) product_sources: ProductSourcesFn,
+    pub(crate) charge_numeric: NumericChargeFn,
+}
 
-    // Per-bin product gather streams and output counts, row-major.
-    let mut tiny_a = Vec::with_capacity(sum.tiny_products);
-    let mut tiny_b = Vec::with_capacity(sum.tiny_products);
-    let mut mid_a = Vec::with_capacity(sum.mid_products);
-    let mut mid_b = Vec::with_capacity(sum.mid_products);
-    let mut heavy_a = Vec::with_capacity(sum.heavy_products);
-    let mut heavy_b = Vec::with_capacity(sum.heavy_products);
+pub(crate) type ProductSourcesFn = fn(&CsrMatrix, &CsrMatrix, &[usize]) -> (Vec<u32>, Vec<u32>);
+
+pub(crate) type NumericChargeFn =
+    fn(&Device, &NumericInputs) -> (PhaseTimes, PhaseLedger, LaunchStats);
+
+pub(crate) type BlockSortFn = fn(
+    &Device,
+    &CsrMatrix,
+    &CsrMatrix,
+    &Expansion,
+    &SpgemmConfig,
+) -> (Vec<TileReduced>, LaunchStats);
+
+impl BuildStages {
+    const LEAN: BuildStages = BuildStages {
+        block_sort: block_sort::block_sort,
+        product_sources,
+        charge_numeric,
+    };
+}
+
+/// What the numeric charge reads: the operands and configuration, the
+/// row bins and counts, the output pattern's row offsets, the
+/// per-product source maps, the reduced keys with their global ranks, and
+/// the product prefix sum.
+pub(crate) struct NumericInputs<'p> {
+    pub(crate) a: &'p CsrMatrix,
+    pub(crate) b: &'p CsrMatrix,
+    pub(crate) cfg: &'p SpgemmConfig,
+    pub(crate) bins: &'p RowBins,
+    pub(crate) row_products: &'p [usize],
+    pub(crate) row_offsets: &'p [usize],
+    pub(crate) a_idx: &'p [u32],
+    pub(crate) b_pos: &'p [u32],
+    pub(crate) reduced_keys: &'p [u64],
+    pub(crate) rank: &'p [u32],
+    pub(crate) s: &'p [usize],
+}
+
+/// Charge one bin-adaptive numeric pass: stream each bin's products from
+/// its rows' ranges of the per-product maps, size the mid-bin hash tables
+/// from the symbolic output counts and measure their probes, and price
+/// the heavy bin through the paper's two-pass kernels. Empty bins launch
+/// nothing.
+fn charge_numeric(device: &Device, n: &NumericInputs) -> (PhaseTimes, PhaseLedger, LaunchStats) {
+    let NumericInputs {
+        a,
+        b,
+        bins,
+        row_products,
+        row_offsets,
+        a_idx,
+        b_pos,
+        s,
+        ..
+    } = *n;
+    let mut tiny = BinProducts::new(a_idx, b_pos);
+    let mut mid = BinProducts::new(a_idx, b_pos);
+    let mut heavy = BinProducts::new(a_idx, b_pos);
     let (mut tiny_out, mut mid_out, mut heavy_out) = (0usize, 0usize, 0usize);
     let mut mid_probes = 0u64;
+    let mut table = HashAccumulator::with_capacity(0);
     for (r, &class) in bins.class.iter().enumerate() {
         if row_products[r] == 0 {
             continue;
         }
-        let q_lo = s[a.row_offsets[r]];
-        let q_hi = s[a.row_offsets[r + 1]];
+        let q = s[a.row_offsets[r]]..s[a.row_offsets[r + 1]];
         let out = row_offsets[r + 1] - row_offsets[r];
         match class {
             BinClass::Tiny => {
-                tiny_a.extend_from_slice(&a_idx[q_lo..q_hi]);
-                tiny_b.extend_from_slice(&b_pos[q_lo..q_hi]);
+                tiny.push(q);
                 tiny_out += out;
             }
             BinClass::Mid => {
-                mid_a.extend_from_slice(&a_idx[q_lo..q_hi]);
-                mid_b.extend_from_slice(&b_pos[q_lo..q_hi]);
-                mid_out += out;
                 // Table sized from the symbolic count; measure the probes
                 // this row's actual column stream costs.
-                let mut table = HashAccumulator::with_capacity(out);
-                for &bp in &b_pos[q_lo..q_hi] {
+                table.reset(out);
+                for &bp in &b_pos[q.clone()] {
                     table.accumulate(b.col_idx[bp as usize] as u64, 1.0);
                 }
                 mid_probes += table.probes();
+                mid.push(q);
+                mid_out += out;
             }
             BinClass::Heavy => {
-                heavy_a.extend_from_slice(&a_idx[q_lo..q_hi]);
-                heavy_b.extend_from_slice(&b_pos[q_lo..q_hi]);
+                heavy.push(q);
                 heavy_out += out;
             }
         }
     }
+    charge_bins(
+        device,
+        n,
+        [(&tiny, tiny_out), (&mid, mid_out), (&heavy, heavy_out)],
+        mid_probes,
+    )
+}
 
-    if !tiny_b.is_empty() {
-        let st = product::numeric_tiny(device, &tiny_a, &tiny_b, tiny_out, cfg);
+/// Launch the numeric kernel of every occupied bin, given each bin's
+/// product stream and output nonzeros (tiny, mid, heavy) and the mid
+/// bin's measured probes.
+pub(crate) fn charge_bins(
+    device: &Device,
+    n: &NumericInputs,
+    [(tiny, tiny_out), (mid, mid_out), (heavy, heavy_out)]: [(&BinProducts, usize); 3],
+    mid_probes: u64,
+) -> (PhaseTimes, PhaseLedger, LaunchStats) {
+    let cfg = n.cfg;
+    let mut numeric = PhaseTimes::default();
+    let mut ledger = PhaseLedger::new();
+    let mut stats = LaunchStats::default();
+    if !tiny.is_empty() {
+        let st = product::numeric_tiny(device, tiny, tiny_out, cfg);
         numeric.numeric_tiny = st.sim_ms;
         ledger.charge(Phase::NumericTiny, st.sim_ms, st.totals.dram_bytes());
         stats.add(&st);
     }
-    if !mid_b.is_empty() {
-        let st = product::numeric_mid(device, &mid_a, &mid_b, mid_out, mid_probes, cfg);
+    if !mid.is_empty() {
+        let st = product::numeric_mid(device, mid, mid_out, mid_probes, cfg);
         numeric.numeric_mid = st.sim_ms;
         ledger.charge(Phase::NumericMid, st.sim_ms, st.totals.dram_bytes());
         stats.add(&st);
     }
-    if !heavy_b.is_empty() {
+    if !heavy.is_empty() {
         // Globally sorted positions of the heavy rows' reduced entries —
         // the scatter targets of the two-pass path.
-        let heavy_ranks: Vec<u32> = reduced_keys
+        let heavy_ranks: Vec<u32> = n
+            .reduced_keys
             .iter()
-            .zip(rank)
-            .filter(|(&k, _)| bins.class[unpack_key(k).0 as usize] == BinClass::Heavy)
+            .zip(n.rank)
+            .filter(|(&k, _)| n.bins.class[unpack_key(k).0 as usize] == BinClass::Heavy)
             .map(|(_, &r)| r)
             .collect();
-        let st = product::numeric_heavy_compute(device, &heavy_a, &heavy_b, &heavy_ranks, cfg);
+        let st = product::numeric_heavy_compute(device, heavy, &heavy_ranks, cfg);
         numeric.product_compute = st.sim_ms;
         ledger.charge(Phase::ProductCompute, st.sim_ms, st.totals.dram_bytes());
         stats.add(&st);
@@ -628,39 +676,18 @@ fn charge_numeric(
 }
 
 /// Per-product source indices `(a value index, b value index)` in expansion
-/// order, computed with the same per-tile chunking the kernels use: each
-/// chunk seeks its first A nonzero with one binary search into the product
-/// prefix sum, then walks.
-fn product_sources(a: &CsrMatrix, b: &CsrMatrix, s: &[usize], nv: usize) -> (Vec<u32>, Vec<u32>) {
+/// order: A nonzero `j` forms the products `s[j]..s[j + 1]`, one per entry
+/// of B's row `a.col_idx[j]`.
+fn product_sources(a: &CsrMatrix, b: &CsrMatrix, s: &[usize]) -> (Vec<u32>, Vec<u32>) {
     let total = *s.last().expect("non-empty prefix sum");
-    if total == 0 {
-        return (Vec::new(), Vec::new());
-    }
-    let chunks = total.div_ceil(nv);
-    let parts: Vec<(Vec<u32>, Vec<u32>)> = (0..chunks)
-        .into_par_iter()
-        .map(|chunk| {
-            let lo = chunk * nv;
-            let hi = (lo + nv).min(total);
-            let mut j = s.partition_point(|&v| v <= lo) - 1;
-            let mut a_idx = Vec::with_capacity(hi - lo);
-            let mut b_pos = Vec::with_capacity(hi - lo);
-            for q in lo..hi {
-                while s[j + 1] <= q {
-                    j += 1;
-                }
-                let t = q - s[j];
-                a_idx.push(j as u32);
-                b_pos.push((b.row_offsets[a.col_idx[j] as usize] + t) as u32);
-            }
-            (a_idx, b_pos)
-        })
-        .collect();
     let mut a_idx = Vec::with_capacity(total);
     let mut b_pos = Vec::with_capacity(total);
-    for (ai, bp) in parts {
-        a_idx.extend(ai);
-        b_pos.extend(bp);
+    for (j, (w, &k)) in s.windows(2).zip(&a.col_idx).enumerate() {
+        let first = b.row_offsets[k as usize] as u32;
+        for t in 0..(w[1] - w[0]) as u32 {
+            a_idx.push(j as u32);
+            b_pos.push(first + t);
+        }
     }
     (a_idx, b_pos)
 }
@@ -669,6 +696,7 @@ fn product_sources(a: &CsrMatrix, b: &CsrMatrix, s: &[usize], nv: usize) -> (Vec
 mod tests {
     use super::*;
     use crate::spgemm::merge_spgemm;
+    use crate::{SpmmConfig, SpmmPlan, SpmvConfig, SpmvPlan};
     use mps_sparse::gen;
     use mps_sparse::ops::spgemm_ref;
 
@@ -864,6 +892,94 @@ mod tests {
         let plan = SpgemmPlan::new(&dev(), &a, &a, &SpgemmConfig::default());
         let expect = 12 * plan.products() as usize + 8 * plan.output_nnz();
         assert_eq!(plan.numeric_bytes(), expect);
+    }
+
+    #[test]
+    fn unrunnable_tiles_are_typed_errors_not_panics() {
+        let a = gen::random_uniform(400, 400, 20.0, 4.0, 91);
+        let base = SpgemmConfig::default();
+        for cfg in [
+            SpgemmConfig {
+                items_per_thread: 0,
+                ..base
+            },
+            SpgemmConfig {
+                block_threads: 0,
+                ..base
+            },
+            SpgemmConfig {
+                global_sort_nv: 0,
+                ..base
+            },
+            SpgemmConfig {
+                bin_tiny_max: 513,
+                ..base
+            },
+            // 66 560 products per tile: positions past 65 535 would wrap.
+            SpgemmConfig {
+                block_threads: 512,
+                items_per_thread: 130,
+                ..base
+            },
+        ] {
+            assert!(
+                matches!(
+                    SpgemmPlan::try_new(&dev(), &a, &a, &cfg),
+                    Err(PlanError::InvalidConfig(_))
+                ),
+                "{cfg:?}"
+            );
+        }
+        // The largest tile a 16-bit position holds still multiplies right.
+        let at_limit = SpgemmConfig {
+            block_threads: 512,
+            items_per_thread: 128,
+            ..base
+        };
+        let plan = SpgemmPlan::try_new(&dev(), &a, &a, &at_limit).expect("65 536 products fit");
+        assert!(plan.products() > at_limit.nv() as u64);
+        assert!(plan
+            .execute_matrix(&a, &a)
+            .approx_eq(&spgemm_ref(&a, &a), 1e-12));
+    }
+
+    #[test]
+    fn spmv_and_spmm_reject_unrunnable_tiles() {
+        let a = gen::random_uniform(40, 40, 4.0, 2.0, 92);
+        for cfg in [
+            SpmvConfig {
+                block_threads: 0,
+                ..SpmvConfig::default()
+            },
+            SpmvConfig {
+                items_per_thread: 0,
+                ..SpmvConfig::default()
+            },
+        ] {
+            assert!(matches!(
+                SpmvPlan::try_new(&dev(), &a, &cfg),
+                Err(PlanError::InvalidConfig(_))
+            ));
+        }
+        for cfg in [
+            SpmmConfig {
+                block_threads: 0,
+                ..SpmmConfig::default()
+            },
+            SpmmConfig {
+                items_per_thread: 0,
+                ..SpmmConfig::default()
+            },
+            SpmmConfig {
+                tile_k: 0,
+                ..SpmmConfig::default()
+            },
+        ] {
+            assert!(matches!(
+                SpmmPlan::try_new(&dev(), &a, 4, &cfg),
+                Err(PlanError::InvalidConfig(_))
+            ));
+        }
     }
 
     #[test]

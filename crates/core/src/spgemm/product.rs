@@ -14,6 +14,8 @@
 //! mid rows through a hash reduction (probe counts measured host-side),
 //! and only heavy rows through the original two-pass machinery.
 
+use std::ops::Range;
+
 use mps_simt::grid::{launch_map_phased, LaunchConfig, LaunchStats};
 use mps_simt::{Device, Phase};
 use mps_sparse::CsrMatrix;
@@ -72,7 +74,7 @@ pub fn product_compute(
                 vals.push(a.values[j] * b.values[bpos]);
             });
             cta.read_coalesced(count, 4); // A col idx
-            cta.gather(lo..hi, 8); // B values (per-row contiguous)
+            cta.gather_range(lo..hi, 8); // B values (per-row contiguous)
             cta.alu(count as u64); // multiplies
 
             // Load the stored permutation and head flags, permute in shared
@@ -169,6 +171,80 @@ pub fn product_reduce(
     (keys, vals, stats)
 }
 
+/// The products of one numeric bin as one stream: its rows' ranges of the
+/// plan's per-product maps, in row order, read in place. Ranges of rows
+/// that follow each other in product space merge, so a bin of adjacent
+/// rows is a single range.
+#[derive(Debug, Clone)]
+pub(crate) struct BinProducts<'p> {
+    a_idx: &'p [u32],
+    b_pos: &'p [u32],
+    /// Disjoint ascending product-index ranges.
+    ranges: Vec<Range<usize>>,
+    /// Stream position of each range's first product.
+    starts: Vec<usize>,
+    len: usize,
+}
+
+impl<'p> BinProducts<'p> {
+    pub(crate) fn new(a_idx: &'p [u32], b_pos: &'p [u32]) -> Self {
+        debug_assert_eq!(a_idx.len(), b_pos.len());
+        BinProducts {
+            a_idx,
+            b_pos,
+            ranges: Vec::new(),
+            starts: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// Append the products `q` to the stream.
+    pub(crate) fn push(&mut self, q: Range<usize>) {
+        if q.is_empty() {
+            return;
+        }
+        match self.ranges.last_mut() {
+            Some(last) if last.end == q.start => last.end = q.end,
+            _ => {
+                self.starts.push(self.len);
+                self.ranges.push(q.clone());
+            }
+        }
+        self.len += q.len();
+    }
+
+    /// Products in the stream.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Product indices at stream positions `lo..hi`.
+    fn products(&self, lo: usize, hi: usize) -> impl Iterator<Item = usize> + '_ {
+        let first = self.starts.partition_point(|&s| s <= lo).saturating_sub(1);
+        self.ranges[first..]
+            .iter()
+            .zip(&self.starts[first..])
+            .take_while(move |&(_, &start)| start < hi)
+            .flat_map(move |(range, &start)| {
+                range.start + lo.saturating_sub(start)..range.start + (hi - start).min(range.len())
+            })
+    }
+
+    /// A-value indices of the products at stream positions `lo..hi`.
+    fn a_idx(&self, lo: usize, hi: usize) -> impl Iterator<Item = usize> + '_ {
+        self.products(lo, hi).map(|q| self.a_idx[q] as usize)
+    }
+
+    /// B-value indices of the products at stream positions `lo..hi`.
+    fn b_pos(&self, lo: usize, hi: usize) -> impl Iterator<Item = usize> + '_ {
+        self.products(lo, hi).map(|q| self.b_pos[q] as usize)
+    }
+}
+
 /// Proportional share of `total` items owned by the slice `lo..hi` of `n`.
 #[inline]
 fn share(total: usize, lo: usize, hi: usize, n: usize) -> usize {
@@ -182,17 +258,15 @@ fn share(total: usize, lo: usize, hi: usize, n: usize) -> usize {
 /// source values, one FMA per product into a dense shared-memory
 /// accumulator, coalesced write of the bin's output values.
 ///
-/// `a_idx` / `b_pos` are the gather targets of the bin's products
-/// (concatenated row-major); `out_nnz` is the bin's output nonzeros.
+/// `bin` holds the bin's products (row-major), whose source indices are
+/// the gather targets; `out_nnz` is the bin's output nonzeros.
 pub(crate) fn numeric_tiny(
     device: &Device,
-    a_idx: &[u32],
-    b_pos: &[u32],
+    bin: &BinProducts,
     out_nnz: usize,
     cfg: &SpgemmConfig,
 ) -> LaunchStats {
-    debug_assert_eq!(a_idx.len(), b_pos.len());
-    let n = b_pos.len();
+    let n = bin.len();
     let nv = cfg.nv();
     let launch = LaunchConfig::new(n.div_ceil(nv).max(1), cfg.block_threads);
     let (_, stats) = launch_map_phased(
@@ -205,8 +279,8 @@ pub(crate) fn numeric_tiny(
             let hi = (lo + nv).min(n);
             let count = hi - lo;
             cta.read_coalesced(count, 8); // slot map + source indices
-            cta.gather(a_idx[lo..hi].iter().map(|&i| i as usize), 8);
-            cta.gather(b_pos[lo..hi].iter().map(|&p| p as usize), 8);
+            cta.gather(bin.a_idx(lo, hi), 8);
+            cta.gather(bin.b_pos(lo, hi), 8);
             cta.alu(2 * count as u64); // one FMA per product
             cta.shmem(2 * count as u64); // accumulator read-modify-write
             cta.sync();
@@ -222,14 +296,12 @@ pub(crate) fn numeric_tiny(
 /// [`super::hash::HashAccumulator`]), so clustering costs what it costs.
 pub(crate) fn numeric_mid(
     device: &Device,
-    a_idx: &[u32],
-    b_pos: &[u32],
+    bin: &BinProducts,
     out_nnz: usize,
     probes: u64,
     cfg: &SpgemmConfig,
 ) -> LaunchStats {
-    debug_assert_eq!(a_idx.len(), b_pos.len());
-    let n = b_pos.len();
+    let n = bin.len();
     let nv = cfg.nv();
     let launch = LaunchConfig::new(n.div_ceil(nv).max(1), cfg.block_threads);
     let (_, stats) = launch_map_phased(
@@ -243,8 +315,8 @@ pub(crate) fn numeric_mid(
             let count = hi - lo;
             let probe_share = share(probes as usize, lo, hi, n) as u64;
             cta.read_coalesced(count, 8); // slot map + source indices
-            cta.gather(a_idx[lo..hi].iter().map(|&i| i as usize), 8);
-            cta.gather(b_pos[lo..hi].iter().map(|&p| p as usize), 8);
+            cta.gather(bin.a_idx(lo, hi), 8);
+            cta.gather(bin.b_pos(lo, hi), 8);
             cta.alu(count as u64 + probe_share); // multiply + key hashing
             cta.shmem(2 * probe_share); // probe + insert traffic
             cta.sync();
@@ -260,13 +332,11 @@ pub(crate) fn numeric_mid(
 /// targets).
 pub(crate) fn numeric_heavy_compute(
     device: &Device,
-    a_idx: &[u32],
-    b_pos: &[u32],
+    bin: &BinProducts,
     ranks: &[u32],
     cfg: &SpgemmConfig,
 ) -> LaunchStats {
-    debug_assert_eq!(a_idx.len(), b_pos.len());
-    let n = b_pos.len();
+    let n = bin.len();
     let nv = cfg.nv();
     let launch = LaunchConfig::new(n.div_ceil(nv).max(1), cfg.block_threads);
     let (_, stats) = launch_map_phased(
@@ -279,11 +349,12 @@ pub(crate) fn numeric_heavy_compute(
             let hi = (lo + nv).min(n);
             let count = hi - lo;
             cta.read_coalesced(count, 4); // A col idx
-            cta.gather(a_idx[lo..hi].iter().map(|&i| i as usize), 8);
-            cta.gather(b_pos[lo..hi].iter().map(|&p| p as usize), 8);
+            cta.gather(bin.a_idx(lo, hi), 8);
+            cta.gather(bin.b_pos(lo, hi), 8);
             cta.alu(count as u64); // multiplies
-                                   // Stored permutation + head flags, permute in shared memory,
-                                   // segment-reduce duplicate runs.
+
+            // Stored permutation + head flags, permute in shared memory,
+            // segment-reduce duplicate runs.
             cta.read_coalesced(count, 2);
             cta.read_coalesced(count.div_ceil(8), 1);
             cta.shmem(2 * count as u64);
@@ -360,11 +431,17 @@ mod tests {
         let small: Vec<u32> = (0..64u32).collect();
         let big: Vec<u32> = (0..4096u32).collect();
         let c = SpgemmConfig::default();
-        let t_small = numeric_tiny(&d, &small, &small, 32, &c).sim_ms;
-        let t_big = numeric_tiny(&d, &big, &big, 2048, &c).sim_ms;
+        let whole = |v: &'static [u32]| {
+            let mut bin = BinProducts::new(v, v);
+            bin.push(0..v.len());
+            bin
+        };
+        let (small, big) = (whole(small.leak()), whole(big.leak()));
+        let t_small = numeric_tiny(&d, &small, 32, &c).sim_ms;
+        let t_big = numeric_tiny(&d, &big, 2048, &c).sim_ms;
         assert!(t_big > t_small);
-        let m_small = numeric_mid(&d, &small, &small, 32, 128, &c).sim_ms;
-        let m_big = numeric_mid(&d, &big, &big, 2048, 8192, &c).sim_ms;
+        let m_small = numeric_mid(&d, &small, 32, 128, &c).sim_ms;
+        let m_big = numeric_mid(&d, &big, 2048, 8192, &c).sim_ms;
         assert!(m_big > m_small);
         let h_small = numeric_heavy_reduce(&d, 64, 32, &c).sim_ms;
         let h_big = numeric_heavy_reduce(&d, 4096, 2048, &c).sim_ms;
@@ -403,5 +480,27 @@ mod tests {
         let (k, v, _) = product_reduce(&dev(), &keys, &vals, &cfg());
         assert_eq!(k, vec![42]);
         assert!((v[0] - 11.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_bin_streams_its_ranges_in_order_across_tiles() {
+        let maps: Vec<u32> = (0..40u32).collect();
+        let mut bin = BinProducts::new(&maps, &maps);
+        for q in [2..5, 5..9, 12..12, 20..31, 35..36] {
+            bin.push(q);
+        }
+        let want: Vec<usize> = (2..9).chain(20..31).chain(35..36).collect();
+        assert_eq!(bin.len(), want.len());
+        assert_eq!(bin.ranges.len(), 3, "adjacent rows merge into one range");
+        for tile in [1, 3, 7, 19] {
+            let mut got = Vec::new();
+            let mut lo = 0;
+            while lo < bin.len() {
+                let hi = (lo + tile).min(bin.len());
+                got.extend(bin.a_idx(lo, hi));
+                lo = hi;
+            }
+            assert_eq!(got, want, "tile {tile}");
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! the product space, and expands `A`'s row index per nonzero (needed to
 //! form output row coordinates during expansion).
 
-use mps_simt::block::load_balance_search;
+use mps_simt::block::{load_balance_search, load_balance_segments};
 use mps_simt::grid::{launch_map_phased, LaunchConfig, LaunchStats};
 use mps_simt::{Device, Phase};
 use mps_sparse::CsrMatrix;
@@ -83,6 +83,19 @@ impl Expansion {
         // binary search finds the first A nonzero, then the cursor
         // advances monotonically through the tile.
         load_balance_search(cta, &self.s, lo, hi, f);
+    }
+
+    /// [`Expansion::walk_tile`] one A nonzero at a time: invokes
+    /// `f(j, ts)` for every A nonzero `j` with products in `lo..hi`, where
+    /// `ts` are those products' offsets within B's row, at the same charge.
+    pub fn walk_segments(
+        &self,
+        cta: &mut mps_simt::cta::Cta,
+        lo: usize,
+        hi: usize,
+        f: impl FnMut(usize, std::ops::Range<usize>),
+    ) {
+        load_balance_segments(cta, &self.s, lo, hi, f);
     }
 }
 

@@ -32,7 +32,7 @@
 //! SpMV — column `c` of the product equals `SpmvPlan::execute` on column
 //! `c` of the operand, bit for bit.
 
-use mps_simt::block::block_segmented_reduce;
+use mps_simt::block::charge_segmented_reduce;
 use mps_simt::grid::{launch_map_into_phased, LaunchBuffers, LaunchConfig, LaunchStats};
 use mps_simt::{Device, Phase};
 use mps_sparse::{CsrMatrix, DenseBlock};
@@ -45,7 +45,7 @@ use crate::spmv::{charge_exchange, spmv_segment_walk};
 use crate::workspace::Workspace;
 
 /// Column tiles of a `k`-wide block at width `tile`: `(first_col, width)`.
-fn column_tiles(k: usize, tile: usize) -> impl Iterator<Item = (usize, usize)> {
+pub(crate) fn column_tiles(k: usize, tile: usize) -> impl Iterator<Item = (usize, usize)> {
     (0..k)
         .step_by(tile)
         .map(move |col0| (col0, tile.min(k - col0)))
@@ -89,20 +89,20 @@ impl SpmmResult {
 /// flat numeric work with no allocation in steady state.
 #[derive(Debug, Clone)]
 pub struct SpmmPlan {
-    cfg: SpmmConfig,
-    k: usize,
+    pub(crate) cfg: SpmmConfig,
+    pub(crate) k: usize,
     num_cols: usize,
     /// Shared merge-path partition (phase 1), reused by every tile.
-    part: MergePartition,
+    pub(crate) part: MergePartition,
     /// Cost of the partition boundary searches, paid at plan build.
     pub partition: LaunchStats,
     /// Cost of the empty-row compaction pass (zero on the raw path), paid
     /// at plan build alongside the partition.
     pub fixup: LaunchStats,
     /// Cached cost of all reduction-phase tile launches.
-    reduction: LaunchStats,
+    pub(crate) reduction: LaunchStats,
     /// Cached cost of all update-phase tile launches.
-    update: LaunchStats,
+    pub(crate) update: LaunchStats,
     /// Physical rows the walk never assigns (empty or carry-only); the
     /// executor zeroes exactly these rows of `y` instead of the whole
     /// block.
@@ -118,21 +118,24 @@ impl SpmmPlan {
         k: usize,
         cfg: &SpmmConfig,
     ) -> Result<SpmmPlan, PlanError> {
-        if cfg.block_threads == 0 {
-            return Err(PlanError::InvalidConfig("block_threads must be nonzero"));
-        }
-        if cfg.items_per_thread == 0 {
-            return Err(PlanError::InvalidConfig("items_per_thread must be nonzero"));
-        }
-        if cfg.tile_k == 0 {
-            return Err(PlanError::InvalidConfig("tile_k must be nonzero"));
-        }
+        cfg.validate()?;
         Ok(SpmmPlan::new(device, a, k, cfg))
     }
 
     /// Build the partition for `a` and charge the value-independent cost of
     /// the tiled reduction/update phases for a `k`-column operand block.
     pub fn new(device: &Device, a: &CsrMatrix, k: usize, cfg: &SpmmConfig) -> SpmmPlan {
+        Self::build(device, a, k, cfg, SpmmPlan::charge_tiled_phases)
+    }
+
+    /// [`SpmmPlan::new`] with the tiled phases charged by `charge`.
+    pub(crate) fn build(
+        device: &Device,
+        a: &CsrMatrix,
+        k: usize,
+        cfg: &SpmmConfig,
+        charge: fn(&mut SpmmPlan, &Device, &CsrMatrix),
+    ) -> SpmmPlan {
         let mut part = MergePartition::build(device, a, cfg.nv(), cfg.force_no_compaction);
         let partition = std::mem::take(&mut part.stats);
         let fixup = std::mem::take(&mut part.fixup);
@@ -149,7 +152,7 @@ impl SpmmPlan {
             prezero,
         };
         if plan.part.nnz > 0 && k > 0 {
-            plan.charge_tiled_phases(device, a);
+            charge(&mut plan, device, a);
         }
         plan
     }
@@ -199,13 +202,12 @@ impl SpmmPlan {
     /// Simulate one reduction/update launch pair per column tile, staging
     /// every launch through the same [`LaunchBuffers`]. The numeric outputs
     /// are discarded — only the cost survives in the plan.
-    fn charge_tiled_phases(&mut self, device: &Device, a: &CsrMatrix) {
+    pub(crate) fn charge_tiled_phases(&mut self, device: &Device, a: &CsrMatrix) {
         let nnz = self.part.nnz;
         let nv = self.cfg.nv();
         let k = self.k;
         let num_ctas = self.part.num_ctas();
         let part = &self.part;
-        let offsets = &self.part.offsets;
 
         let mut reduce_bufs: LaunchBuffers<Option<usize>> = LaunchBuffers::new();
         let mut update_bufs: LaunchBuffers<()> = LaunchBuffers::new();
@@ -251,15 +253,7 @@ impl SpmmPlan {
                     cta.alu((count * w) as u64);
 
                     // Expand logical row ids by walking the shared offsets.
-                    let mut rows = Vec::with_capacity(count);
-                    let mut r = row_lo;
                     cta.alu(count as u64);
-                    for item in lo..hi {
-                        while r < row_hi && offsets[r + 1] <= item {
-                            r += 1;
-                        }
-                        rows.push(r);
-                    }
 
                     // Striped→blocked exchange of the row-id tile plus the
                     // w-wide product tile.
@@ -268,20 +262,28 @@ impl SpmmPlan {
                     // Segmented scan: the base routine prices one value
                     // lane; the remaining w-1 lanes share the segment
                     // bookkeeping and add only their adds and staging.
-                    let zeros = vec![0.0f64; count];
-                    let seg = block_segmented_reduce(cta, &zeros, &rows);
+                    charge_segmented_reduce(cta, count);
                     cta.alu((3 * count * (w - 1)) as u64);
                     cta.shmem((2 * count * (w - 1)) as u64);
 
-                    // Complete rows store w consecutive doubles each.
+                    // The scan's segments are the tile's row segments,
+                    // walked from the offsets. Complete rows store w
+                    // consecutive doubles each; the last segment is the
+                    // carry.
+                    let mut carry = None;
                     cta.scatter_wide(
-                        seg.complete
-                            .iter()
-                            .map(|&(row, _)| part.to_physical(row) * k + col0),
+                        part.tile_segments(cta.cta_id).filter_map(|seg| {
+                            if seg.end == hi {
+                                carry = Some(seg.row);
+                                None
+                            } else {
+                                Some(part.to_physical(seg.row) * k + col0)
+                            }
+                        }),
                         8,
                         w,
                     );
-                    seg.carry.map(|(row, _)| row)
+                    carry
                 },
                 &mut reduce_bufs,
                 &mut carry_opts,
@@ -438,7 +440,6 @@ impl SpmmPlan {
         let nv = self.cfg.nv();
         let k = self.k;
         let num_ctas = self.part.num_ctas();
-        let offsets = &self.part.offsets;
 
         if w == 1 {
             // Scalar tile: exactly the planned-SpMV segment walk with a
@@ -446,81 +447,55 @@ impl SpmmPlan {
             // no tiling overhead (no width-w accumulator, no per-item
             // slice juggling) and stays bitwise identical to SpMV.
             for cta_id in 0..num_ctas {
-                let lo = cta_id * nv;
-                let hi = (lo + nv).min(nnz);
-                let (row_lo, row_hi) = self.part.cta_row_range(cta_id);
-                let mut r = row_lo;
-                let mut i = lo;
-                while i < hi {
-                    while r < row_hi && offsets[r + 1] <= i {
-                        r += 1;
-                    }
-                    let seg_end = if r < row_hi {
-                        offsets[r + 1].min(hi)
-                    } else {
-                        hi
-                    };
+                let hi = (cta_id * nv + nv).min(nnz);
+                for seg in self.part.tile_segments(cta_id) {
                     let sum = dot_gather_strided_impl(
-                        &a.values[i..seg_end],
-                        &a.col_idx[i..seg_end],
+                        &a.values[seg.start..seg.end],
+                        &a.col_idx[seg.start..seg.end],
                         &x.data,
                         k,
                         col0,
                     );
-                    let base = self.part.to_physical(r) * k + col0;
-                    if seg_end == hi {
+                    let base = self.part.to_physical(seg.row) * k + col0;
+                    if seg.end == hi {
                         carries.push((base, sum));
                     } else {
                         y.data[base] = sum;
                     }
-                    i = seg_end;
                 }
             }
         } else {
             acc.clear();
             acc.resize(w, 0.0);
             for cta_id in 0..num_ctas {
-                let lo = cta_id * nv;
-                let hi = (lo + nv).min(nnz);
-                let (row_lo, row_hi) = self.part.cta_row_range(cta_id);
-                let mut r = row_lo;
-                let mut i = lo;
+                let hi = (cta_id * nv + nv).min(nnz);
                 // Segment-wise walk (see `SpmvPlan::numeric_execute`):
                 // the w-wide accumulator folds each segment's products
                 // in item order from zero, complete rows store w
                 // contiguous doubles, the trailing segment carries.
-                while i < hi {
-                    while r < row_hi && offsets[r + 1] <= i {
-                        r += 1;
-                    }
-                    let seg_end = if r < row_hi {
-                        offsets[r + 1].min(hi)
-                    } else {
-                        hi
-                    };
-                    let base = self.part.to_physical(r) * k + col0;
+                for seg in self.part.tile_segments(cta_id) {
+                    let base = self.part.to_physical(seg.row) * k + col0;
                     // Complete rows write their lane sums straight into
                     // `y`; only the CTA's trailing segment goes through
                     // the scratch accumulator (to be carried).
-                    let dst: &mut [f64] = if seg_end == hi {
+                    let dst: &mut [f64] = if seg.end == hi {
                         &mut acc[..w]
                     } else {
                         &mut y.data[base..base + w]
                     };
                     seg_dot_impl(
-                        &a.values[i..seg_end],
-                        &a.col_idx[i..seg_end],
+                        &a.values[seg.start..seg.end],
+                        &a.col_idx[seg.start..seg.end],
                         &x.data,
                         k,
                         col0,
                         dst,
                     );
-                    if seg_end == hi {
+                    if seg.end == hi {
                         for (t, &s) in acc.iter().enumerate() {
                             carries.push((base + t, s));
                         }
                     }
-                    i = seg_end;
                 }
             }
         }

@@ -43,7 +43,7 @@
 
 use std::sync::OnceLock;
 
-use mps_simt::block::block_segmented_reduce;
+use mps_simt::block::charge_segmented_reduce;
 use mps_simt::cta::Cta;
 use mps_simt::grid::{launch_map_phased, LaunchConfig, LaunchStats};
 use mps_simt::sched::makespan;
@@ -107,10 +107,10 @@ impl SpmvResult {
 /// numeric work.
 #[derive(Debug, Clone)]
 pub struct SpmvPlan {
-    cfg: SpmvConfig,
+    pub(crate) cfg: SpmvConfig,
     num_cols: usize,
     /// Shared merge-path partition (phase 1), reused by every execute.
-    part: MergePartition,
+    pub(crate) part: MergePartition,
     /// Cost of the partition boundary searches, paid at plan build.
     pub partition: LaunchStats,
     /// Cost of the empty-row compaction pass (zero on the raw path), paid
@@ -133,7 +133,7 @@ pub struct SpmvPlan {
     carry_rows: Vec<u32>,
     /// The device the plan was built on, untraced: fused executes are
     /// priced on it, as plain executes are.
-    device: Device,
+    pub(crate) device: Device,
     /// The price of a fused execute per epilogue shape, computed on first
     /// use (see [`Epilogue::shape`]).
     fused_prices: [OnceLock<Box<(LaunchStats, LaunchStats)>>; Epilogue::SHAPES],
@@ -229,7 +229,7 @@ impl<'a> Epilogue<'a> {
     /// The extra work of a reduction CTA that finishes `rows` rows in its
     /// own tile: their streams read coalesced, their arithmetic, and the
     /// CTA's dot partial.
-    fn charge_reduction(&self, cta: &mut Cta, rows: usize) {
+    pub(crate) fn charge_reduction(&self, cta: &mut Cta, rows: usize) {
         cta.read_coalesced(rows * self.streams(), 8);
         cta.alu(self.alu_per_row() * rows as u64);
         if self.dot.is_some() {
@@ -241,7 +241,7 @@ impl<'a> Epilogue<'a> {
     /// their arithmetic, their final values stored (the carry fold's
     /// scatter stands for reading the partial sums back), and the
     /// reduction CTAs' dot partials combined.
-    fn charge_update(&self, cta: &mut Cta, rows: &[u32], partials: usize) {
+    pub(crate) fn charge_update(&self, cta: &mut Cta, rows: &[u32], partials: usize) {
         for _ in 0..self.streams() {
             cta.gather(rows.iter().map(|&r| r as usize), 8);
         }
@@ -297,13 +297,17 @@ pub fn sequential_dot(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// What one charge of the numeric phases records.
-struct NumericCharge {
-    reduction: LaunchStats,
-    update: LaunchStats,
-    reduction_ctas: Vec<(Counters, u32)>,
-    update_counters: Counters,
-    carry_rows: Vec<u32>,
+pub(crate) struct NumericCharge {
+    pub(crate) reduction: LaunchStats,
+    pub(crate) update: LaunchStats,
+    pub(crate) reduction_ctas: Vec<(Counters, u32)>,
+    pub(crate) update_counters: Counters,
+    pub(crate) carry_rows: Vec<u32>,
 }
+
+/// A charge of the numeric phases: the plan, the device, the matrix and
+/// an optional epilogue in, what the launches recorded out.
+pub(crate) type ChargeFn = fn(&SpmvPlan, &Device, &CsrMatrix, Option<&Epilogue>) -> NumericCharge;
 
 impl SpmvPlan {
     /// Non-panicking [`SpmvPlan::new`]: validates the configuration and
@@ -313,18 +317,23 @@ impl SpmvPlan {
         a: &CsrMatrix,
         cfg: &SpmvConfig,
     ) -> Result<SpmvPlan, PlanError> {
-        if cfg.block_threads == 0 {
-            return Err(PlanError::InvalidConfig("block_threads must be nonzero"));
-        }
-        if cfg.items_per_thread == 0 {
-            return Err(PlanError::InvalidConfig("items_per_thread must be nonzero"));
-        }
+        cfg.validate()?;
         Ok(SpmvPlan::new(device, a, cfg))
     }
 
     /// Build the partition for `a` (phase 1 of Section III-A) and charge
     /// the value-independent cost of the remaining phases.
     pub fn new(device: &Device, a: &CsrMatrix, cfg: &SpmvConfig) -> SpmvPlan {
+        Self::build(device, a, cfg, SpmvPlan::charge_numeric_phases)
+    }
+
+    /// [`SpmvPlan::new`] with the numeric phases charged by `charge`.
+    pub(crate) fn build(
+        device: &Device,
+        a: &CsrMatrix,
+        cfg: &SpmvConfig,
+        charge: ChargeFn,
+    ) -> SpmvPlan {
         let mut part = MergePartition::build(device, a, cfg.nv(), cfg.force_no_compaction);
         let partition = std::mem::take(&mut part.stats);
         let fixup = std::mem::take(&mut part.fixup);
@@ -348,7 +357,7 @@ impl SpmvPlan {
             fused_prices: Default::default(),
         };
         if plan.part.nnz > 0 {
-            let charge = plan.charge_numeric_phases(device, a, None);
+            let charge = charge(&plan, device, a, None);
             plan.reduction = charge.reduction;
             plan.update = charge.update;
             plan.reduction_ctas = charge.reduction_ctas;
@@ -394,7 +403,7 @@ impl SpmvPlan {
     /// `epilogue`'s extra work when given. The numeric outputs are
     /// discarded — only the structure (segment layout, carry set), the
     /// per-CTA counters and the cost survive in the plan.
-    fn charge_numeric_phases(
+    pub(crate) fn charge_numeric_phases(
         &self,
         device: &Device,
         a: &CsrMatrix,
@@ -433,48 +442,44 @@ impl SpmvPlan {
                 cta.alu(count as u64);
 
                 // Expand logical row ids by walking the shared offsets.
-                let mut rows = Vec::with_capacity(count);
-                let mut r = row_lo;
                 cta.alu(count as u64);
-                for item in lo..hi {
-                    while r < row_hi && offsets_ref[r + 1] <= item {
-                        r += 1;
-                    }
-                    rows.push(r);
-                }
 
                 // On hardware the strided register tile is transposed to
                 // blocked order through shared memory before the scan; the
                 // exchange covers two tiles (products and row indices).
                 charge_exchange(cta, 2 * count);
 
-                // Values are irrelevant to both structure and cost; segment
-                // layout comes from the row expansion alone.
-                let zeros = vec![0.0f64; count];
-                let seg = block_segmented_reduce(cta, &zeros, &rows);
+                // The segmented scan over the tile. Its segments are the
+                // tile's row segments, walked from the offsets: every one
+                // but the last is a complete row, the last is the carry.
+                charge_segmented_reduce(cta, count);
+                let (mut complete, mut own, mut carry) = (0usize, 0usize, 0usize);
+                for seg in part.tile_segments(cta.cta_id) {
+                    if seg.end == hi {
+                        carry = seg.row;
+                    } else {
+                        complete += 1;
+                        // A row continued from an earlier tile still
+                        // waits for its carries; the rows that also start
+                        // in this tile are finished here.
+                        own += usize::from(offsets_ref[seg.row] >= lo);
+                    }
+                }
 
                 // Complete rows go straight to y (contiguous rows: coalesced-ish).
-                cta.write_coalesced(seg.complete.len(), 8);
+                cta.write_coalesced(complete, 8);
 
-                // Of those, the rows that also start in this tile are
-                // finished here; a row continued from an earlier tile
-                // still waits for its carries.
-                let own = seg
-                    .complete
-                    .iter()
-                    .filter(|&&(row, _)| offsets_ref[row] >= lo)
-                    .count();
                 if let Some(e) = epilogue {
                     e.charge_reduction(cta, own);
                 }
-                (seg.carry.map(|(row, _)| row), *cta.counters(), own as u32)
+                (carry as u32, *cta.counters(), own as u32)
             })
         };
 
         let mut carry_rows = Vec::with_capacity(outputs.len());
         let mut reduction_ctas = Vec::with_capacity(outputs.len());
         for (carry, counters, own) in outputs {
-            carry_rows.extend(carry.map(|row| row as u32));
+            carry_rows.push(carry);
             reduction_ctas.push((counters, own));
         }
 
@@ -509,7 +514,7 @@ impl SpmvPlan {
     /// Physical rows the update launch finishes, ascending: the rows of
     /// `carry_rows` and every row the walk never assigns (empty rows and
     /// rows that only carry).
-    fn update_rows(&self, carry_rows: &[u32]) -> Vec<u32> {
+    pub(crate) fn update_rows(&self, carry_rows: &[u32]) -> Vec<u32> {
         let mut rows: Vec<u32> = carry_rows
             .iter()
             .map(|&row| self.part.to_physical(row as usize) as u32)
@@ -522,7 +527,7 @@ impl SpmvPlan {
 
     /// Whether the update launch runs: always when there are nonzeros,
     /// and for an empty operator when an epilogue has rows to finish.
-    fn update_runs(&self, epilogue_rows: Option<&[u32]>) -> bool {
+    pub(crate) fn update_runs(&self, epilogue_rows: Option<&[u32]>) -> bool {
         self.part.nnz > 0 || epilogue_rows.is_some_and(|rows| !rows.is_empty())
     }
 
@@ -769,15 +774,8 @@ pub(crate) fn spmv_segment_walk(
     if nnz == 0 {
         return;
     }
-    let num_ctas = part.num_ctas();
-    let offsets = &part.offsets;
-
-    for cta_id in 0..num_ctas {
-        let lo = cta_id * nv;
-        let hi = (lo + nv).min(nnz);
-        let (row_lo, row_hi) = part.cta_row_range(cta_id);
-        let mut r = row_lo;
-        let mut i = lo;
+    for cta_id in 0..part.num_ctas() {
+        let hi = (cta_id * nv + nv).min(nnz);
         // Segment-wise walk: one gathered dot per (row × tile)
         // intersection instead of a row test per nonzero. Bitwise
         // identical to the per-item walk — each segment's products
@@ -785,22 +783,17 @@ pub(crate) fn spmv_segment_walk(
         // produce no segment, and the tile's trailing segment always
         // becomes the CTA carry (even when the row ends exactly at the
         // tile boundary).
-        while i < hi {
-            while r < row_hi && offsets[r + 1] <= i {
-                r += 1;
-            }
-            let seg_end = if r < row_hi {
-                offsets[r + 1].min(hi)
+        for seg in part.tile_segments(cta_id) {
+            let acc = dot_gather(
+                &a.values[seg.start..seg.end],
+                &a.col_idx[seg.start..seg.end],
+                x,
+            );
+            if seg.end == hi {
+                carries.push((seg.row, acc));
             } else {
-                hi
-            };
-            let acc = dot_gather(&a.values[i..seg_end], &a.col_idx[i..seg_end], x);
-            if seg_end == hi {
-                carries.push((r, acc));
-            } else {
-                y[part.to_physical(r)] = acc;
+                y[part.to_physical(seg.row)] = acc;
             }
-            i = seg_end;
         }
     }
 

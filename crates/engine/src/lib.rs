@@ -427,6 +427,16 @@ impl EngineConfig {
                 "chaos probabilities must be finite and within [0, 1]",
             ));
         }
+        for kernel in [
+            self.spmv.validate(),
+            self.spmm.validate(),
+            self.spgemm.validate(),
+        ] {
+            kernel.map_err(|e| match e {
+                PlanError::InvalidConfig(what) => EngineError::InvalidConfig(what),
+                other => EngineError::Plan(other),
+            })?;
+        }
         if self.spmv.nv() != self.spmm.nv() {
             return Err(EngineError::InvalidConfig(
                 "SpMV and SpMM must share merge granularity for batching equivalence",
@@ -1974,6 +1984,92 @@ mod tests {
             (
                 EngineConfig::builder().result_ttl_flushes(0).build(),
                 "result_ttl_flushes",
+            ),
+        ] {
+            match built {
+                Err(EngineError::InvalidConfig(msg)) => {
+                    assert!(msg.contains(what), "{msg} should mention {what}")
+                }
+                other => panic!("expected InvalidConfig for {what}, got {other:?}"),
+            }
+        }
+        // Every kernel tile that cannot run is rejected at the builder.
+        let spmv = SpmvConfig::default();
+        let spmm = SpmmConfig::default();
+        let spgemm = SpgemmConfig::default();
+        for (built, what) in [
+            (
+                EngineConfig::builder()
+                    .spmv(SpmvConfig {
+                        block_threads: 0,
+                        ..spmv
+                    })
+                    .spmm(SpmmConfig {
+                        block_threads: 0,
+                        ..spmm
+                    })
+                    .build(),
+                "block_threads",
+            ),
+            (
+                EngineConfig::builder()
+                    .spmv(SpmvConfig {
+                        items_per_thread: 0,
+                        ..spmv
+                    })
+                    .build(),
+                "items_per_thread",
+            ),
+            (
+                EngineConfig::builder()
+                    .spmm(SpmmConfig { tile_k: 0, ..spmm })
+                    .build(),
+                "tile_k",
+            ),
+            (
+                EngineConfig::builder()
+                    .spgemm(SpgemmConfig {
+                        block_threads: 0,
+                        ..spgemm
+                    })
+                    .build(),
+                "block_threads",
+            ),
+            (
+                EngineConfig::builder()
+                    .spgemm(SpgemmConfig {
+                        items_per_thread: 0,
+                        ..spgemm
+                    })
+                    .build(),
+                "items_per_thread",
+            ),
+            (
+                EngineConfig::builder()
+                    .spgemm(SpgemmConfig {
+                        items_per_thread: 1000,
+                        ..spgemm
+                    })
+                    .build(),
+                "65536",
+            ),
+            (
+                EngineConfig::builder()
+                    .spgemm(SpgemmConfig {
+                        global_sort_nv: 0,
+                        ..spgemm
+                    })
+                    .build(),
+                "global_sort_nv",
+            ),
+            (
+                EngineConfig::builder()
+                    .spgemm(SpgemmConfig {
+                        bin_tiny_max: 1000,
+                        ..spgemm
+                    })
+                    .build(),
+                "bin_tiny_max",
             ),
         ] {
             match built {

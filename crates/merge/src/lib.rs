@@ -26,7 +26,7 @@ pub mod set_ops;
 pub use balanced_path::{balanced_path_search, BalancedPoint};
 pub use merge_path::{parallel_merge, partition_merge};
 pub use merge_sort::parallel_merge_sort;
-pub use set_ops::{set_op_keys, set_op_pairs, SetOp, SetOpStats};
+pub use set_ops::{set_op_count, set_op_keys, set_op_pairs, SetOp, SetOpStats};
 
 /// Key types usable in device-level merge/set operations.
 pub trait Key: Ord + Copy + Send + Sync {

@@ -58,8 +58,11 @@ pub fn sort_permutation_with_payload(
         return (perm, stats);
     }
 
-    // Current key of each rank position; rebuilt every pass.
+    // Current key and source index of each rank position, and the next
+    // pass's, swapped after every pass.
     let mut cur: Vec<u64> = keys.to_vec();
+    let mut next_keys = vec![0u64; n];
+    let mut next_perm = vec![0u32; n];
     let num_tiles = n.div_ceil(nv);
     let cfg = LaunchConfig::new(num_tiles, 128);
 
@@ -75,7 +78,7 @@ pub fn sort_permutation_with_payload(
             let hi = (lo + nv).min(n);
             cta.read_coalesced(hi - lo, 8);
             cta.alu(2 * (hi - lo) as u64);
-            let mut hist = vec![0u32; RADIX];
+            let mut hist = [0u32; RADIX];
             for &k in &cur_ref[lo..hi] {
                 hist[digit(k)] += 1;
             }
@@ -95,10 +98,9 @@ pub fn sort_permutation_with_payload(
             }
         }
 
-        // Downsweep: rank and scatter each tile's elements.
+        // Downsweep: rank each tile's elements to their destinations.
         let offsets_ref = &offsets;
-        let perm_ref = &perm;
-        let (scattered, down_stats) =
+        let (destinations, down_stats) =
             launch_map_named(device, "radix_downsweep", cfg, move |cta| {
                 let lo = cta.cta_id * nv;
                 let hi = (lo + nv).min(n);
@@ -106,34 +108,35 @@ pub fn sort_permutation_with_payload(
                 cta.alu(4 * (hi - lo) as u64);
                 cta.shmem(4 * (hi - lo) as u64);
                 cta.sync();
-                let mut cursor = vec![0u32; RADIX];
-                let mut moves: Vec<(u32, u64, u32)> = Vec::with_capacity(hi - lo);
-                for i in lo..hi {
-                    let d = digit(cur_ref[i]);
-                    let dst = offsets_ref[d * num_tiles + cta.cta_id] + cursor[d];
-                    cursor[d] += 1;
-                    moves.push((dst, cur_ref[i], perm_ref[i]));
+                let mut cursor = [0u32; RADIX];
+                for d in 0..RADIX {
+                    cursor[d] = offsets_ref[d * num_tiles + cta.cta_id];
                 }
+                let dst: Vec<u32> = cur_ref[lo..hi]
+                    .iter()
+                    .map(|&k| {
+                        let d = digit(k);
+                        cursor[d] += 1;
+                        cursor[d] - 1
+                    })
+                    .collect();
                 // Charge the genuine scatter pattern (key + permutation entry,
                 // plus any payload riding along in this pass).
-                cta.scatter(
-                    moves.iter().map(|&(dst, _, _)| dst as usize),
-                    12 + payload_bytes,
-                );
-                moves
+                cta.scatter(dst.iter().map(|&d| d as usize), 12 + payload_bytes);
+                dst
             });
         stats.add(&down_stats);
 
-        let mut next_keys = vec![0u64; n];
-        let mut next_perm = vec![0u32; n];
-        for tile in scattered {
-            for (dst, key, p) in tile {
-                next_keys[dst as usize] = key;
-                next_perm[dst as usize] = p;
+        // Move every element to its destination.
+        for (t, dst) in destinations.iter().enumerate() {
+            let lo = t * nv;
+            for (i, &d) in dst.iter().enumerate() {
+                next_keys[d as usize] = cur[lo + i];
+                next_perm[d as usize] = perm[lo + i];
             }
         }
-        cur = next_keys;
-        perm = next_perm;
+        std::mem::swap(&mut cur, &mut next_keys);
+        std::mem::swap(&mut perm, &mut next_perm);
     }
     (perm, stats)
 }
@@ -252,6 +255,108 @@ mod tests {
             for w in pairs.windows(2) {
                 prop_assert!(w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1));
             }
+        }
+    }
+
+    /// The downsweep as it was written before: per element a
+    /// `(destination, key, permutation)` tuple, gathered into fresh
+    /// buffers every pass. Kept to pin the simulated cost and the order.
+    fn reference_sort_permutation(
+        device: &Device,
+        keys: &[u64],
+        bits: u32,
+        nv: usize,
+        payload_bytes: usize,
+    ) -> (Vec<u32>, LaunchStats) {
+        let n = keys.len();
+        let mut stats = LaunchStats::default();
+        let mut perm: Vec<u32> = (0..n as u32).collect();
+        if n <= 1 || bits == 0 {
+            return (perm, stats);
+        }
+        let mut cur: Vec<u64> = keys.to_vec();
+        let num_tiles = n.div_ceil(nv);
+        let cfg = LaunchConfig::new(num_tiles, 128);
+        for pass in 0..device_passes_for_bits(bits) {
+            let shift = pass * DIGIT_BITS;
+            let digit = |k: u64| ((k >> shift) as usize) & (RADIX - 1);
+            let cur_ref = &cur;
+            let (histograms, up_stats) = launch_map_named(device, "radix_upsweep", cfg, |cta| {
+                let lo = cta.cta_id * nv;
+                let hi = (lo + nv).min(n);
+                cta.read_coalesced(hi - lo, 8);
+                cta.alu(2 * (hi - lo) as u64);
+                let mut hist = vec![0u32; RADIX];
+                for &k in &cur_ref[lo..hi] {
+                    hist[digit(k)] += 1;
+                }
+                hist
+            });
+            stats.add(&up_stats);
+            let mut offsets = vec![0u32; RADIX * num_tiles];
+            let mut running = 0u32;
+            for d in 0..RADIX {
+                for (t, hist) in histograms.iter().enumerate() {
+                    offsets[d * num_tiles + t] = running;
+                    running += hist[d];
+                }
+            }
+            let (offsets_ref, perm_ref) = (&offsets, &perm);
+            let (scattered, down_stats) = launch_map_named(device, "radix_downsweep", cfg, |cta| {
+                let lo = cta.cta_id * nv;
+                let hi = (lo + nv).min(n);
+                cta.read_coalesced(2 * (hi - lo), 8 + payload_bytes);
+                cta.alu(4 * (hi - lo) as u64);
+                cta.shmem(4 * (hi - lo) as u64);
+                cta.sync();
+                let mut cursor = vec![0u32; RADIX];
+                let mut moves: Vec<(u32, u64, u32)> = Vec::with_capacity(hi - lo);
+                for i in lo..hi {
+                    let d = digit(cur_ref[i]);
+                    let dst = offsets_ref[d * num_tiles + cta.cta_id] + cursor[d];
+                    cursor[d] += 1;
+                    moves.push((dst, cur_ref[i], perm_ref[i]));
+                }
+                cta.scatter(
+                    moves.iter().map(|&(dst, _, _)| dst as usize),
+                    12 + payload_bytes,
+                );
+                moves
+            });
+            stats.add(&down_stats);
+            let mut next_keys = vec![0u64; n];
+            let mut next_perm = vec![0u32; n];
+            for tile in scattered {
+                for (dst, key, p) in tile {
+                    next_keys[dst as usize] = key;
+                    next_perm[dst as usize] = p;
+                }
+            }
+            cur = next_keys;
+            perm = next_perm;
+        }
+        (perm, stats)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(120))]
+
+        #[test]
+        fn sort_matches_the_tuple_downsweep_bit_for_bit(
+            keys in proptest::collection::vec(any::<u64>(), 0..1500),
+            bits in 0u32..65,
+            nv in 1usize..700,
+            payload in 0usize..9,
+            spread in 0u32..3,
+        ) {
+            // Narrow key ranges give long equal-digit runs (stability).
+            let keys: Vec<u64> = keys.iter().map(|&k| if spread == 0 { k % 97 } else { k }).collect();
+            let (perm, stats) = sort_permutation_with_payload(&dev(), &keys, bits, nv, payload);
+            let (want, want_stats) = reference_sort_permutation(&dev(), &keys, bits, nv, payload);
+            prop_assert_eq!(perm, want);
+            prop_assert_eq!(&stats.per_cta_cycles, &want_stats.per_cta_cycles);
+            prop_assert_eq!(stats.totals, want_stats.totals);
+            prop_assert_eq!(stats.sim_ms.to_bits(), want_stats.sim_ms.to_bits());
         }
     }
 }

@@ -161,40 +161,10 @@ pub fn set_op_pairs<K: Key, V: Copy + Send + Sync>(
 ) -> (Vec<K>, Vec<V>, SetOpStats) {
     assert_eq!(a_keys.len(), a_vals.len(), "a keys/values length mismatch");
     assert_eq!(b_keys.len(), b_vals.len(), "b keys/values length mismatch");
-    debug_assert!(a_keys.windows(2).all(|w| w[0] <= w[1]), "a not sorted");
-    debug_assert!(b_keys.windows(2).all(|w| w[0] <= w[1]), "b not sorted");
-
-    let (points, partition_stats) = partition_balanced(device, a_keys, b_keys, nv);
-    let num_tiles = points.len() - 1;
-    let tile_ranges = |t: usize| -> (BalancedPoint, BalancedPoint) { (points[t], points[t + 1]) };
     let val_bytes = std::mem::size_of::<V>().max(1);
-
-    // Pass 1: count outputs per tile (the allocation pass of Section III-B).
-    let cfg = LaunchConfig::new(num_tiles, 128);
-    let (counts, count_stats) =
-        launch_map_phased(device, "set_op_count", Phase::Count, cfg, |cta| {
-            let (p0, p1) = tile_ranges(cta.cta_id);
-            let (ta, tb) = (&a_keys[p0.a..p1.a], &b_keys[p0.b..p1.b]);
-            cta.read_coalesced(ta.len() + tb.len(), K::BYTES);
-            cta.alu(2 * (ta.len() + tb.len()) as u64);
-            tile_count(op, ta, tb)
-        });
-
-    // Host-side exclusive scan of tile counts (a single cheap kernel on the
-    // device; charged as one coalesced pass).
-    let total: usize = counts.iter().sum();
-
-    // Pass 2: fill. Each tile stages its slice in shared memory, walks the
-    // zip order, and writes its compacted range.
-    let (tiles, fill_stats) = launch_map_phased(device, "set_op_fill", Phase::Fill, cfg, |cta| {
-        let (p0, p1) = tile_ranges(cta.cta_id);
+    let (tiles, total, stats) = run_set_op(device, op, a_keys, b_keys, val_bytes, nv, |p0, p1| {
         let (ta, tb) = (&a_keys[p0.a..p1.a], &b_keys[p0.b..p1.b]);
         let (va, vb) = (&a_vals[p0.a..p1.a], &b_vals[p0.b..p1.b]);
-        let items = ta.len() + tb.len();
-        cta.read_coalesced(items, K::BYTES + val_bytes);
-        cta.shmem(2 * items as u64);
-        cta.alu(4 * items as u64);
-        cta.sync();
         let mut keys = Vec::new();
         let mut vals = Vec::new();
         tile_walk(ta, tb, |visit| match visit {
@@ -212,7 +182,6 @@ pub fn set_op_pairs<K: Key, V: Copy + Send + Sync>(
             }
             _ => {}
         });
-        cta.write_coalesced(keys.len(), K::BYTES + val_bytes);
         (keys, vals)
     });
 
@@ -223,9 +192,78 @@ pub fn set_op_pairs<K: Key, V: Copy + Send + Sync>(
         vals.extend(tv);
     }
     debug_assert_eq!(keys.len(), total, "count pass disagrees with fill pass");
+    (keys, vals, stats)
+}
+
+/// The launches of [`set_op_pairs`] for values of `val_bytes` bytes, for a
+/// caller that assembles the output itself: returns the output length
+/// the count pass found and the same simulated cost, materializing no
+/// tile.
+pub fn set_op_count<K: Key>(
+    device: &Device,
+    op: SetOp,
+    a_keys: &[K],
+    b_keys: &[K],
+    val_bytes: usize,
+    nv: usize,
+) -> (usize, SetOpStats) {
+    let (_, total, stats) = run_set_op(device, op, a_keys, b_keys, val_bytes, nv, |_, _| ());
+    (total, stats)
+}
+
+/// The three kernels of a balanced-path set operation: the partition, the
+/// count pass, and the fill pass, whose tiles `fill` materializes from
+/// their partition points. Returns the tiles, the output length and the
+/// cost.
+fn run_set_op<K: Key, T: Send>(
+    device: &Device,
+    op: SetOp,
+    a_keys: &[K],
+    b_keys: &[K],
+    val_bytes: usize,
+    nv: usize,
+    fill: impl Fn(BalancedPoint, BalancedPoint) -> T + Sync,
+) -> (Vec<T>, usize, SetOpStats) {
+    debug_assert!(a_keys.windows(2).all(|w| w[0] <= w[1]), "a not sorted");
+    debug_assert!(b_keys.windows(2).all(|w| w[0] <= w[1]), "b not sorted");
+
+    let (points, partition_stats) = partition_balanced(device, a_keys, b_keys, nv);
+    let num_tiles = points.len() - 1;
+    let tile_ranges = |t: usize| -> (BalancedPoint, BalancedPoint) { (points[t], points[t + 1]) };
+
+    // Pass 1: count outputs per tile (the allocation pass of Section III-B).
+    let cfg = LaunchConfig::new(num_tiles, 128);
+    let (counts, count_stats) =
+        launch_map_phased(device, "set_op_count", Phase::Count, cfg, |cta| {
+            let (p0, p1) = tile_ranges(cta.cta_id);
+            let (ta, tb) = (&a_keys[p0.a..p1.a], &b_keys[p0.b..p1.b]);
+            cta.read_coalesced(ta.len() + tb.len(), K::BYTES);
+            cta.alu(2 * (ta.len() + tb.len()) as u64);
+            tile_count(op, ta, tb)
+        });
+
+    // Host-side exclusive scan of tile counts (a single cheap kernel on the
+    // device; charged as one coalesced pass).
+    let total: usize = counts.iter().sum();
+
+    // Pass 2: fill. Each tile stages its slice in shared memory, walks the
+    // zip order, and writes its compacted range of the counted length.
+    let counts_ref = &counts;
+    let (tiles, fill_stats) = launch_map_phased(device, "set_op_fill", Phase::Fill, cfg, |cta| {
+        let (p0, p1) = tile_ranges(cta.cta_id);
+        let items = (p1.a - p0.a) + (p1.b - p0.b);
+        cta.read_coalesced(items, K::BYTES + val_bytes);
+        cta.shmem(2 * items as u64);
+        cta.alu(4 * items as u64);
+        cta.sync();
+        let tile = fill(p0, p1);
+        cta.write_coalesced(counts_ref[cta.cta_id], K::BYTES + val_bytes);
+        tile
+    });
+
     (
-        keys,
-        vals,
+        tiles,
+        total,
         SetOpStats {
             partition: partition_stats,
             count: count_stats,
@@ -355,6 +393,30 @@ mod tests {
                 prop_assert_eq!(cu, ca.max(cb), "key {}", k);
             }
             prop_assert!(keys.windows(2).all(|w| w[0] <= w[1]));
+        }
+
+        /// Counting without materializing charges what materializing does.
+        #[test]
+        fn count_only_launches_charge_like_the_pairs(
+            mut a in proptest::collection::vec(0u32..50, 0..300),
+            mut b in proptest::collection::vec(0u32..50, 0..300),
+            op_idx in 0usize..4,
+            nv in 2usize..64,
+        ) {
+            a.sort_unstable();
+            b.sort_unstable();
+            let op = [SetOp::Union, SetOp::Intersection, SetOp::Difference,
+                      SetOp::SymmetricDifference][op_idx];
+            let av: Vec<(u32, u32)> = (0..a.len() as u32).map(|i| (i, 0)).collect();
+            let bv: Vec<(u32, u32)> = (0..b.len() as u32).map(|j| (0, j)).collect();
+            let (keys, _, pairs) = set_op_pairs(&dev(), op, &a, &av, &b, &bv, |x, y| (x.0, y.1), nv);
+            let (total, counted) = set_op_count(&dev(), op, &a, &b, 8, nv);
+            prop_assert_eq!(total, keys.len());
+            for (p, c) in [(&pairs.partition, &counted.partition), (&pairs.count, &counted.count), (&pairs.fill, &counted.fill)] {
+                prop_assert_eq!(&p.per_cta_cycles, &c.per_cta_cycles);
+                prop_assert_eq!(p.totals, c.totals);
+                prop_assert_eq!(p.sim_ms.to_bits(), c.sim_ms.to_bits());
+            }
         }
     }
 }

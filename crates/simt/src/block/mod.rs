@@ -21,5 +21,7 @@ pub use merge::block_merge_by;
 pub use radix_sort::{block_radix_sort_keys, block_radix_sort_pairs, BlockSortCost};
 pub use reduce::block_reduce;
 pub use scan::{block_exclusive_scan, block_inclusive_scan, Semigroup};
-pub use search::{binary_search_partition, load_balance_search, merge_path_search};
-pub use segscan::{block_segmented_reduce, SegmentedReduceOut};
+pub use search::{
+    binary_search_partition, load_balance_search, load_balance_segments, merge_path_search,
+};
+pub use segscan::{block_segmented_reduce, charge_segmented_reduce, SegmentedReduceOut};

@@ -51,18 +51,55 @@ fn charge_passes(cta: &mut Cta, items: usize, passes: u32, with_values: bool) {
     }
 }
 
-fn masked(key: u32, begin_bit: u32, end_bit: u32) -> u32 {
-    debug_assert!(begin_bit <= end_bit && end_bit <= 32);
-    if end_bit == begin_bit {
-        return 0;
+/// Widest digit the host counting sort ranks per pass.
+const HOST_DIGIT_BITS: u32 = 8;
+
+/// Stable LSD counting sort of `keys` (and `values`, moved alongside when
+/// given) by the bit range `[begin_bit, end_bit)`: the same order a stable
+/// comparison sort on the masked key gives, in passes of up to
+/// [`HOST_DIGIT_BITS`] bits.
+fn counting_sort(keys: &mut [u32], mut values: Option<&mut [u32]>, begin_bit: u32, end_bit: u32) {
+    assert!(
+        begin_bit <= end_bit && end_bit <= 32,
+        "bit range {begin_bit}..{end_bit} is not within a 32-bit key"
+    );
+    let n = keys.len();
+    if n <= 1 {
+        return;
     }
-    let width = end_bit - begin_bit;
-    let mask = if width == 32 {
-        u32::MAX
-    } else {
-        (1u32 << width) - 1
-    };
-    (key >> begin_bit) & mask
+    let mut key_tmp = vec![0u32; n];
+    let mut value_tmp = vec![0u32; if values.is_some() { n } else { 0 }];
+    let mut counts = [0usize; 1 << HOST_DIGIT_BITS];
+    let mut shift = begin_bit;
+    while shift < end_bit {
+        let bits = HOST_DIGIT_BITS.min(end_bit - shift);
+        let mask = (1u32 << bits) - 1;
+        let digit = |k: u32| ((k >> shift) & mask) as usize;
+        let counts = &mut counts[..1 << bits];
+        counts.fill(0);
+        for &k in keys.iter() {
+            counts[digit(k)] += 1;
+        }
+        let mut running = 0;
+        for c in counts.iter_mut() {
+            let here = *c;
+            *c = running;
+            running += here;
+        }
+        for (i, &k) in keys.iter().enumerate() {
+            let d = digit(k);
+            key_tmp[counts[d]] = k;
+            if let Some(v) = values.as_deref() {
+                value_tmp[counts[d]] = v[i];
+            }
+            counts[d] += 1;
+        }
+        keys.copy_from_slice(&key_tmp);
+        if let Some(v) = values.as_deref_mut() {
+            v.copy_from_slice(&value_tmp);
+        }
+        shift += bits;
+    }
 }
 
 /// Stable keys-only sort of the bit range `[begin_bit, end_bit)`.
@@ -74,7 +111,7 @@ pub fn block_radix_sort_keys(
 ) -> BlockSortCost {
     let passes = passes_for_bits(end_bit - begin_bit);
     charge_passes(cta, keys.len(), passes, false);
-    keys.sort_by_key(|&k| masked(k, begin_bit, end_bit));
+    counting_sort(keys, None, begin_bit, end_bit);
     BlockSortCost {
         digit_passes: passes,
         items: keys.len(),
@@ -96,12 +133,7 @@ pub fn block_radix_sort_pairs(
     );
     let passes = passes_for_bits(end_bit - begin_bit);
     charge_passes(cta, keys.len(), passes, true);
-    let mut zipped: Vec<(u32, u32)> = keys.iter().copied().zip(values.iter().copied()).collect();
-    zipped.sort_by_key(|&(k, _)| masked(k, begin_bit, end_bit));
-    for (i, (k, v)) in zipped.into_iter().enumerate() {
-        keys[i] = k;
-        values[i] = v;
-    }
+    counting_sort(keys, Some(values), begin_bit, end_bit);
     BlockSortCost {
         digit_passes: passes,
         items: keys.len(),
@@ -192,5 +224,69 @@ mod tests {
     fn pair_sort_length_mismatch_panics() {
         let mut c = cta();
         block_radix_sort_pairs(&mut c, &mut [1u32, 2], &mut [1u32], 0, 32);
+    }
+
+    /// The sort written as a stable comparison sort on the masked key.
+    fn reference_order(pairs: &mut [(u32, u32)], begin_bit: u32, end_bit: u32) {
+        let width = end_bit - begin_bit;
+        let mask = if width == 32 {
+            u32::MAX
+        } else {
+            (1u32 << width) - 1
+        };
+        pairs.sort_by_key(|&(k, _)| {
+            if width == 0 {
+                0
+            } else {
+                (k >> begin_bit) & mask
+            }
+        });
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(120))]
+
+        #[test]
+        fn counting_sort_matches_a_stable_sort_on_the_masked_key(
+            keys in proptest::collection::vec(proptest::prelude::any::<u32>(), 0..1500),
+            begin in 0u32..33,
+            width in 0u32..33,
+            narrow in 0u32..3,
+        ) {
+            let sampled = (begin.min(32), (begin + width).min(32));
+            // Every sample also runs the empty range, the full 32-bit
+            // range and ranges starting above bit 0.
+            for (begin_bit, end_bit) in [sampled, (0, 0), (0, 32), (9, 9), (7, 32), (31, 32), (4, 13)] {
+                // Keys drawn from a few values exercise equal digits (stability).
+                let keys: Vec<u32> = keys.iter().map(|&k| if narrow == 0 { (k % 7) << begin_bit.min(28) } else { k }).collect();
+                let vals: Vec<u32> = (0..keys.len() as u32).collect();
+                let mut want: Vec<(u32, u32)> = keys.iter().copied().zip(vals.iter().copied()).collect();
+                reference_order(&mut want, begin_bit, end_bit);
+
+                let mut k = keys.clone();
+                let mut c = cta();
+                block_radix_sort_keys(&mut c, &mut k, begin_bit, end_bit);
+                let want_keys: Vec<u32> = want.iter().map(|p| p.0).collect();
+                proptest::prop_assert_eq!(&k, &want_keys);
+
+                let (mut k, mut v) = (keys.clone(), vals.clone());
+                let mut c = cta();
+                block_radix_sort_pairs(&mut c, &mut k, &mut v, begin_bit, end_bit);
+                let got: Vec<(u32, u32)> = k.into_iter().zip(v).collect();
+                proptest::prop_assert_eq!(got, want);
+            }
+        }
+    }
+
+    #[test]
+    fn charges_depend_on_the_bit_range_only() {
+        let mut a = cta();
+        block_radix_sort_pairs(&mut a, &mut [5u32, 1, 4], &mut [0, 1, 2], 3, 21);
+        let k = a.counters();
+        // 18 bits = 5 passes of 4 bits over 3 items, values riding along.
+        assert_eq!(
+            (k.shmem_ops, k.alu_ops, k.syncs),
+            (10 * 3 * 5, 18 * 3 * 5, 15)
+        );
     }
 }

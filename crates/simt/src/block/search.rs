@@ -78,16 +78,40 @@ pub fn load_balance_search(
     hi: usize,
     mut f: impl FnMut(usize, usize, usize),
 ) {
+    load_balance_segments(cta, scan, lo, hi, |seg, ranks| {
+        for rank in ranks {
+            f(scan[seg] + rank, seg, rank);
+        }
+    });
+}
+
+/// [`load_balance_search`] handing over each owning segment once: calls
+/// `f(segment, ranks)` for every segment with items in `lo..hi`, in order,
+/// where `ranks` are those items' ranks within the segment. Charges
+/// exactly what the per-item walk charges.
+///
+/// # Panics
+/// Panics (in the initial search) if `scan` is empty or `lo` precedes it.
+pub fn load_balance_segments(
+    cta: &mut Cta,
+    scan: &[usize],
+    lo: usize,
+    hi: usize,
+    mut f: impl FnMut(usize, std::ops::Range<usize>),
+) {
     if lo >= hi {
         return;
     }
     let mut seg = binary_search_partition(cta, scan, lo);
     cta.alu(2 * (hi - lo) as u64);
-    for item in lo..hi {
+    let mut item = lo;
+    while item < hi {
         while scan[seg + 1] <= item {
             seg += 1;
         }
-        f(item, seg, item - scan[seg]);
+        let end = scan[seg + 1].min(hi);
+        f(seg, item - scan[seg]..end - scan[seg]);
+        item = end;
     }
 }
 

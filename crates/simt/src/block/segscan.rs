@@ -23,8 +23,23 @@ pub struct SegmentedReduceOut {
     pub carry: Option<(usize, f64)>,
 }
 
+/// Charge a segmented reduction over a tile of `items` entries: the
+/// flag-augmented scan of [`block_segmented_reduce`]. Kernels that find
+/// their segments by walking row offsets, rather than materializing
+/// per-item segment ids, charge the same scan through this.
+pub fn charge_segmented_reduce(cta: &mut Cta, items: usize) {
+    cta.alu(3 * items as u64);
+    cta.shmem(2 * items as u64);
+    cta.sync();
+    cta.sync();
+}
+
 /// Segmented sum over `values`, where `segments[i]` is the non-decreasing
 /// segment id of `values[i]`.
+///
+/// The plan builds find their segments from row offsets and charge the
+/// scan through [`charge_segmented_reduce`]; this materializing form is
+/// what their references (`mps_core::reference`) run.
 ///
 /// # Panics
 /// Debug-asserts that `segments` is non-decreasing and the slices have
@@ -38,10 +53,7 @@ pub fn block_segmented_reduce(
     debug_assert!(segments.windows(2).all(|w| w[0] <= w[1]));
 
     let n = values.len();
-    cta.alu(3 * n as u64);
-    cta.shmem(2 * n as u64);
-    cta.sync();
-    cta.sync();
+    charge_segmented_reduce(cta, n);
 
     let mut complete = Vec::new();
     let mut carry = None;
