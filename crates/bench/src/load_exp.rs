@@ -254,7 +254,6 @@ pub fn run_closed_loop(device: &Device, opts: &LoadOptions) -> ClosedLoopReport 
         .shards(opts.shards)
         .engine(
             EngineConfig::builder()
-                .queue_capacity(512)
                 // Result TTL is counted in shard flush epochs, and *every*
                 // worker's flush() advances *every* shard's epoch — W
                 // concurrent flushers spin epochs fast enough to evict a
@@ -399,15 +398,7 @@ pub fn run_fairness(device: &Device, opts: &LoadOptions) -> FairnessReport {
     let tenants: [(TenantId, u32); 3] = [(TenantId(1), 3), (TenantId(2), 1), (TenantId(3), 1)];
     let quota = 128usize;
     let budget = 64usize;
-    let mut builder = ServiceConfig::builder()
-        .shards(1)
-        .drain_budget(budget)
-        .engine(
-            EngineConfig::builder()
-                .queue_capacity(budget.max(quota))
-                .build()
-                .expect("valid engine config"),
-        );
+    let mut builder = ServiceConfig::builder().shards(1).drain_budget(budget);
     for &(t, w) in &tenants {
         builder = builder.tenant(t, TenantSpec::new(w, quota));
     }

@@ -1,11 +1,12 @@
 //! Serving-engine benchmark: batched vs unbatched SpMV request serving.
 //!
 //! At each concurrency level `C` the same wave of `C` SpMV requests on one
-//! matrix is served two ways through an [`Engine`]:
+//! matrix is served two ways:
 //!
-//! * **batched** — all `C` requests are submitted to the engine's queue
-//!   and one [`Engine::flush`] coalesces them into a single column-tiled
-//!   SpMM traversal (results split back per request, bitwise identical);
+//! * **batched** — all `C` requests are submitted to a one-shard
+//!   [`Service`] and one [`Service::flush`] coalesces them into a single
+//!   column-tiled SpMM traversal (results split back per request, bitwise
+//!   identical);
 //! * **unbatched** — `C` direct [`Engine::spmv`] calls, each its own
 //!   planned SpMV execution.
 //!
@@ -19,7 +20,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use mps_engine::{Engine, EngineStats};
+use mps_engine::{Engine, EngineStats, Service, ServiceConfig, TenantId};
 use mps_simt::Device;
 use mps_sparse::{gen, CsrMatrix};
 
@@ -83,7 +84,11 @@ pub fn measure(device: &Device, a: &Arc<CsrMatrix>, concurrency: usize, rounds: 
 
     // Batched path: warm one wave (builds + caches the SpMM plan, pools
     // the workspace), reset the ledger, then measure.
-    let batched = Engine::new(device);
+    let cfg = ServiceConfig::builder()
+        .shards(1)
+        .build()
+        .expect("valid service config");
+    let batched = Service::with_config(device, cfg);
     serve_wave(&batched, a, &xs);
     batched.reset_stats();
     let t0 = Instant::now();
@@ -91,7 +96,7 @@ pub fn measure(device: &Device, a: &Arc<CsrMatrix>, concurrency: usize, rounds: 
         serve_wave(&batched, a, &xs);
     }
     let batched_host_ms = t0.elapsed().as_secs_f64() * 1e3 / rounds.max(1) as f64;
-    let bstats: EngineStats = batched.stats();
+    let bstats: EngineStats = batched.stats().aggregate();
 
     // Unbatched path: same warm-reset-measure shape, direct calls.
     let unbatched = Engine::new(device);
@@ -124,18 +129,17 @@ pub fn measure(device: &Device, a: &Arc<CsrMatrix>, concurrency: usize, rounds: 
     }
 }
 
-fn serve_wave(engine: &Engine, a: &Arc<CsrMatrix>, xs: &[Vec<f64>]) {
+fn serve_wave(svc: &Service, a: &Arc<CsrMatrix>, xs: &[Vec<f64>]) {
     let tickets: Vec<_> = xs
         .iter()
         .map(|x| {
-            engine
-                .submit_spmv(a, x.clone(), None)
-                .expect("bench waves stay under the depth limit")
+            svc.submit_spmv(TenantId(0), a, x.clone(), None)
+                .expect("bench waves stay under the tenant quota")
         })
         .collect();
-    engine.flush();
+    svc.flush();
     for t in tickets {
-        engine.take_result(t).expect("flushed request has a result");
+        svc.take_result(t).expect("flushed request has a result");
     }
 }
 

@@ -22,7 +22,7 @@ use std::time::Instant;
 use mps_baselines::cpu::{self, CpuModel};
 use mps_baselines::{cusp, cusparse_like};
 use mps_core::{merge_spgemm, PhaseTimes, SpgemmConfig, SpgemmPlan};
-use mps_engine::Engine;
+use mps_engine::{Service, ServiceConfig, TenantId};
 use mps_simt::Device;
 use mps_sparse::ops::spgemm_products;
 use mps_sparse::suite::SuiteMatrix;
@@ -284,7 +284,7 @@ pub struct RepeatRow {
     pub full_rebuild_sim_ms: f64,
     pub full_rebuild_host_ms: f64,
     /// Steady-state symbolic-cache hit rate of the same loop served
-    /// through [`Engine::submit_spgemm`] (1.0 = every round replayed).
+    /// through [`Service::submit_spgemm`] (1.0 = every round replayed).
     pub engine_hit_rate: f64,
     pub engine_symbolic_builds: u64,
     pub engine_numeric_execs: u64,
@@ -344,24 +344,32 @@ pub fn run_repeated(
                 full_host += t.elapsed().as_secs_f64() * 1e3;
             }
 
-            // The same loop through the engine: after one warm-up flush,
-            // every round must hit the cached symbolic plan.
-            let engine = Engine::new(device);
-            let warm = engine
-                .submit_spgemm(&Arc::new(a.clone()), &Arc::new(b.clone()), None)
-                .expect("admitted");
-            engine.flush();
-            engine.take_result(warm).expect("warmed");
-            engine.reset_stats();
+            // The same loop through a one-shard service: after one warm-up
+            // flush, every round must hit the cached symbolic plan.
+            let cfg = ServiceConfig::builder()
+                .shards(1)
+                .build()
+                .expect("valid service config");
+            let svc = Service::with_config(device, cfg);
+            let serve = |a: &CsrMatrix| {
+                let t = svc
+                    .submit_spgemm(
+                        TenantId(0),
+                        &Arc::new(a.clone()),
+                        &Arc::new(b.clone()),
+                        None,
+                    )
+                    .expect("admitted");
+                svc.flush();
+                svc.take_result(t).expect("served");
+            };
+            serve(&a);
+            svc.reset_stats();
             for round in 0..rounds {
                 mutate_values(&mut a, round);
-                let t = engine
-                    .submit_spgemm(&Arc::new(a.clone()), &Arc::new(b.clone()), None)
-                    .expect("admitted");
-                engine.flush();
-                engine.take_result(t).expect("served");
+                serve(&a);
             }
-            let s = engine.stats();
+            let s = svc.stats().aggregate();
 
             RepeatRow {
                 name: m.name(),

@@ -1,54 +1,28 @@
-//! Submission queues and completion store for batched execution.
+//! The request a [`crate::Service`] queues, and what it multiplies.
 //!
-//! Requests are grouped per matrix: everything in one queue targets the
-//! same `Arc<CsrMatrix>` allocation, so a flush can interleave the pending
-//! operands — single vectors and dense blocks alike — into one
-//! [`mps_sparse::DenseBlock`] and run them through a single column-tiled
-//! SpMM traversal. The data structures live here; the drain logic (which
-//! needs the plan cache and workspace pool) lives on
-//! [`crate::Engine::flush`].
+//! A request waits in its tenant's injector queue until a drain hands it,
+//! in drain order, to the shard engine. The engine queues it behind the
+//! first request on the same operands, so a flush can interleave the
+//! pending operands of one matrix — single vectors and dense blocks alike
+//! — into one [`mps_sparse::DenseBlock`] and run them through a single
+//! column-tiled SpMM traversal.
 
-use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
 use mps_sparse::{CsrMatrix, DenseBlock};
 
-use crate::error::{EngineError, TenantId};
-use crate::EngineOutput;
+use crate::error::TenantId;
+use crate::service::ServiceTicket;
 
-/// Handle to a submitted request; redeem with
-/// [`crate::Engine::take_result`] after a flush.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Ticket(pub(crate) u64);
-
-/// Queue identity: the pattern fingerprint plus the address of the matrix
-/// allocation. Two matrices can share a sparsity pattern (and therefore a
-/// cached plan) while holding different values, so batching them through
-/// one queue — which pins a single matrix — would compute with the wrong
-/// values. The address disambiguates: while a queue holds its `Arc`, the
-/// allocation cannot be freed, so equal addresses mean the same matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct QueueKey {
-    pub fingerprint: u64,
-    ptr: usize,
-}
-
-impl QueueKey {
-    pub fn of(fingerprint: u64, matrix: &Arc<CsrMatrix>) -> QueueKey {
-        QueueKey {
-            fingerprint,
-            ptr: Arc::as_ptr(matrix) as usize,
-        }
-    }
-}
-
-/// What a request wants multiplied: one vector (SpMV) or a dense block
-/// (SpMM). Both coalesce into the same column-tiled traversal; the payload
-/// kind decides the [`EngineOutput`] variant handed back at redemption.
+/// What a request multiplies its matrix by: one vector (SpMV), a dense
+/// block (SpMM) or a sparse matrix (SpGEMM). Vectors and blocks coalesce
+/// into the same column-tiled traversal; the payload kind decides the
+/// [`crate::EngineOutput`] variant handed back at redemption.
 pub(crate) enum RequestPayload {
     Vector(Vec<f64>),
     Block(DenseBlock),
+    Matrix(Arc<CsrMatrix>),
 }
 
 impl RequestPayload {
@@ -57,208 +31,35 @@ impl RequestPayload {
         match self {
             RequestPayload::Vector(_) => 1,
             RequestPayload::Block(b) => b.cols,
+            RequestPayload::Matrix(b) => b.num_cols,
         }
     }
 }
 
 pub(crate) struct Request {
-    pub ticket: Ticket,
+    pub ticket: ServiceTicket,
+    pub tenant: TenantId,
+    /// Pattern fingerprint of `matrix`, computed once to route the request.
+    pub fingerprint: u64,
+    /// The left operand. Kept as an `Arc` so the request works even if the
+    /// submitter drops its handle before the flush, and so requests on one
+    /// allocation can be told apart from same-pattern matrices holding
+    /// other values.
+    pub matrix: Arc<CsrMatrix>,
     pub payload: RequestPayload,
     /// Absolute expiry; `None` means no deadline.
     pub deadline: Option<Instant>,
-    /// Tenant attribution for errors and the per-tenant ledger; `None`
-    /// for plain (untagged) engine submissions.
-    pub tenant: Option<TenantId>,
 }
 
-/// A queued SpGEMM request. The operands live on the queue (every pending
-/// request in one queue multiplies the same `(A, B)` pair), so the request
-/// itself is just the handle plus its expiry and attribution.
-pub(crate) struct GemmRequest {
-    pub ticket: Ticket,
-    /// Absolute expiry; `None` means no deadline.
-    pub deadline: Option<Instant>,
-    /// Tenant attribution; `None` for plain engine submissions.
-    pub tenant: Option<TenantId>,
-}
-
-/// One per distinct `(A, B)` matrix pair with pending SpGEMM work. Keyed
-/// like the SpMV/SpMM queues — pattern fingerprints pick the cached
-/// symbolic plan, `Arc` addresses keep same-pattern pairs with different
-/// values apart.
-pub(crate) struct GemmQueue {
-    pub a: Arc<CsrMatrix>,
-    pub b: Arc<CsrMatrix>,
-    pub pending: VecDeque<GemmRequest>,
-}
-
-/// One per distinct matrix with pending work.
-pub(crate) struct Queue {
-    /// The matrix every pending request multiplies. Kept as an `Arc` so
-    /// the queue works even if the submitter drops its handle pre-flush
-    /// (and so the [`QueueKey`] address stays pinned).
-    pub matrix: Arc<CsrMatrix>,
-    pub pending: VecDeque<Request>,
-}
-
-/// A resolved request, stamped with the flush epoch that resolved it so
-/// unclaimed results can be aged out.
-pub(crate) struct Resolved {
-    epoch: u64,
-    pub result: Result<EngineOutput, EngineError>,
-}
-
-pub(crate) struct Batcher {
-    pub queues: HashMap<QueueKey, Queue>,
-    pub gemm_queues: HashMap<(QueueKey, QueueKey), GemmQueue>,
-    completed: HashMap<Ticket, Resolved>,
-    /// Number of completed [`crate::Engine::flush`] calls; the age unit
-    /// for [`Batcher::evict_stale`].
-    flush_epoch: u64,
-    next_ticket: u64,
-}
-
-impl Batcher {
-    pub fn new() -> Batcher {
-        Batcher {
-            queues: HashMap::new(),
-            gemm_queues: HashMap::new(),
-            completed: HashMap::new(),
-            flush_epoch: 0,
-            next_ticket: 0,
-        }
-    }
-
-    /// Enqueue a request, enforcing the per-queue depth limit.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit(
-        &mut self,
-        fingerprint: u64,
-        matrix: &Arc<CsrMatrix>,
-        payload: RequestPayload,
-        deadline: Option<Instant>,
-        max_queue_depth: usize,
-        tenant: Option<TenantId>,
-    ) -> Result<Ticket, EngineError> {
-        let key = QueueKey::of(fingerprint, matrix);
-        let queue = self.queues.entry(key).or_insert_with(|| Queue {
-            matrix: Arc::clone(matrix),
-            pending: VecDeque::new(),
-        });
-        if queue.pending.len() >= max_queue_depth {
-            return Err(EngineError::Overloaded {
-                fingerprint,
-                queue_depth: queue.pending.len(),
-                limit: max_queue_depth,
-                tenant,
-            });
-        }
-        self.next_ticket += 1;
-        let ticket = Ticket(self.next_ticket);
-        queue.pending.push_back(Request {
-            ticket,
-            payload,
-            deadline,
-            tenant,
-        });
-        Ok(ticket)
-    }
-
-    /// Enqueue an SpGEMM request on the `(A, B)` pair's queue, enforcing
-    /// the per-queue depth limit. The `Overloaded` fingerprint reports
-    /// A's pattern (the queue's primary identity).
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_gemm(
-        &mut self,
-        fp_a: u64,
-        a: &Arc<CsrMatrix>,
-        fp_b: u64,
-        b: &Arc<CsrMatrix>,
-        deadline: Option<Instant>,
-        max_queue_depth: usize,
-        tenant: Option<TenantId>,
-    ) -> Result<Ticket, EngineError> {
-        let key = (QueueKey::of(fp_a, a), QueueKey::of(fp_b, b));
-        let queue = self.gemm_queues.entry(key).or_insert_with(|| GemmQueue {
-            a: Arc::clone(a),
-            b: Arc::clone(b),
-            pending: VecDeque::new(),
-        });
-        if queue.pending.len() >= max_queue_depth {
-            return Err(EngineError::Overloaded {
-                fingerprint: fp_a,
-                queue_depth: queue.pending.len(),
-                limit: max_queue_depth,
-                tenant,
-            });
-        }
-        self.next_ticket += 1;
-        let ticket = Ticket(self.next_ticket);
-        queue.pending.push_back(GemmRequest {
-            ticket,
-            deadline,
-            tenant,
-        });
-        Ok(ticket)
-    }
-
-    /// Record a request's outcome, redeemable via
-    /// [`crate::Engine::take_result`] until aged out.
-    pub fn complete(&mut self, ticket: Ticket, result: Result<EngineOutput, EngineError>) {
-        self.completed.insert(
-            ticket,
-            Resolved {
-                epoch: self.flush_epoch,
-                result,
-            },
-        );
-    }
-
-    /// Remove and return a resolved request's outcome.
-    pub fn take_completed(&mut self, ticket: Ticket) -> Option<Result<EngineOutput, EngineError>> {
-        self.completed.remove(&ticket).map(|r| r.result)
-    }
-
-    /// Whether the ticket is still queued (submitted, not yet flushed).
-    pub fn is_pending(&self, ticket: Ticket) -> bool {
-        self.queues
-            .values()
-            .any(|q| q.pending.iter().any(|r| r.ticket == ticket))
-            || self
-                .gemm_queues
-                .values()
-                .any(|q| q.pending.iter().any(|r| r.ticket == ticket))
-    }
-
-    /// Close out a flush: advance the epoch and drop unclaimed results
-    /// older than `ttl_flushes` flushes, so tickets that are never
-    /// redeemed (dropped by the caller, abandoned waves) cannot grow the
-    /// completed map without bound. Returns the number evicted.
-    pub fn evict_stale(&mut self, ttl_flushes: u64) -> u64 {
-        self.flush_epoch += 1;
-        let cutoff = self.flush_epoch.saturating_sub(ttl_flushes);
-        let before = self.completed.len();
-        self.completed.retain(|_, r| r.epoch >= cutoff);
-        (before - self.completed.len()) as u64
-    }
-
-    /// Requests waiting on one queue.
-    pub fn depth(&self, key: QueueKey) -> usize {
-        self.queues.get(&key).map_or(0, |q| q.pending.len())
-    }
-
-    /// SpGEMM requests waiting on one `(A, B)` pair's queue.
-    pub fn gemm_depth(&self, key: (QueueKey, QueueKey)) -> usize {
-        self.gemm_queues.get(&key).map_or(0, |q| q.pending.len())
-    }
-
-    /// Total requests waiting across all queues (SpMV/SpMM and SpGEMM).
-    pub fn total_pending(&self) -> usize {
-        self.queues.values().map(|q| q.pending.len()).sum::<usize>()
-            + self
-                .gemm_queues
-                .values()
-                .map(|q| q.pending.len())
-                .sum::<usize>()
+impl Request {
+    /// Whether `other` multiplies the same operand allocations, and so may
+    /// share this request's queue (and, for SpMV/SpMM, its traversal).
+    pub fn same_operands(&self, other: &Request) -> bool {
+        Arc::ptr_eq(&self.matrix, &other.matrix)
+            && match (&self.payload, &other.payload) {
+                (RequestPayload::Matrix(b), RequestPayload::Matrix(b2)) => Arc::ptr_eq(b, b2),
+                (RequestPayload::Matrix(_), _) | (_, RequestPayload::Matrix(_)) => false,
+                _ => true,
+            }
     }
 }

@@ -5,8 +5,10 @@
 //! test fixtures instead of timing accidents. Every fault decision is a
 //! Bernoulli draw from one SplitMix64 stream seeded by
 //! [`ChaosConfig::seed`], and draws are consumed in the engine's
-//! deterministic processing order, so a `(seed, probabilities)` pair
-//! replays the identical fault schedule on every run.
+//! deterministic processing order (a [`crate::Service`] shard's flush
+//! hands requests over in drain order and serves them in first-arrival
+//! order per matrix), so a `(seed, probabilities)` pair replays the
+//! identical fault schedule on every run.
 //!
 //! Injection points (all no-ops at the default zero probabilities):
 //!
@@ -16,10 +18,11 @@
 //! * **cache eviction storm** — a plan lookup finds the whole LRU cleared
 //!   and must rebuild, as if capacity pressure evicted everything;
 //! * **deadline expiry** — a deadline-carrying request is treated as
-//!   expired at flush regardless of wall clock
+//!   expired as its flush group forms, regardless of wall clock
 //!   ([`crate::EngineError::DeadlineExceeded`]);
-//! * **admission rejection** — a submission is refused with
-//!   [`crate::EngineError::Overloaded`] regardless of queue depth.
+//! * **admission rejection** — a request handed to the engine by a
+//!   flush is refused with [`crate::EngineError::Overloaded`] regardless
+//!   of its tenant's quota.
 //!
 //! Faults churn resources and surface typed errors; they never corrupt a
 //! successful result. A request that completes under chaos returns bits
@@ -40,8 +43,8 @@ pub struct ChaosConfig {
     /// Probability a deadline-carrying request is expired at flush
     /// regardless of wall clock. Requests without deadlines are immune.
     pub deadline_expiry_p: f64,
-    /// Probability a submission is refused with `Overloaded` regardless
-    /// of actual queue depth.
+    /// Probability a request is refused with `Overloaded` when a flush
+    /// hands it to the engine, regardless of its tenant's quota.
     pub reject_submit_p: f64,
 }
 
@@ -89,7 +92,7 @@ pub struct ChaosCounters {
     pub cache_storms: u64,
     /// Deadline-carrying requests forcibly expired at flush.
     pub forced_deadline_expiries: u64,
-    /// Submissions forcibly refused with `Overloaded`.
+    /// Requests forcibly refused with `Overloaded` at flush.
     pub forced_rejections: u64,
 }
 

@@ -1,7 +1,6 @@
 //! Typed admission-control errors.
 
-/// Identity of a tenant submitting through the serving layer. Plain
-/// engine submissions carry no tenant; the sharded [`crate::Service`]
+/// Identity of a tenant submitting through the [`crate::Service`], which
 /// tags every request so overload and deadline errors can be attributed
 /// to the tenant that suffered them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -23,31 +22,29 @@ fn fmt_tenant(t: &Option<TenantId>) -> String {
 /// Why the engine refused (or failed to complete) a request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
-    /// The submission queue (per-fingerprint inside the engine, or the
-    /// per-tenant quota at the service layer) is full. Backpressure: the
-    /// caller should retry after a [`crate::Engine::flush`] drains the
-    /// queue, or shed the request.
+    /// The tenant's pending quota ([`crate::TenantSpec::max_pending`]) on
+    /// the target shard is full, or the chaos schedule forced a
+    /// rejection. Backpressure: the caller should retry after a
+    /// [`crate::Service::flush`] drains the queue, or shed the request.
     Overloaded {
-        /// Pattern fingerprint whose queue rejected the submission.
+        /// Pattern fingerprint of the refused request's matrix.
         fingerprint: u64,
-        /// Requests already waiting on that queue (or counted against the
-        /// tenant's quota at the service layer).
+        /// Requests of the tenant already waiting on the shard (for a
+        /// forced rejection: requests on the same operands ahead of it in
+        /// the flush).
         queue_depth: usize,
-        /// Configured depth limit ([`crate::EngineConfig::max_queue_depth`]
-        /// or the tenant's quota).
+        /// The tenant's quota.
         limit: usize,
-        /// The tenant whose submission was refused, when the request came
-        /// through a tenant-tagged path. `None` for plain engine calls.
+        /// The tenant whose submission was refused.
         tenant: Option<TenantId>,
     },
     /// The request's deadline passed before a flush could execute it.
     DeadlineExceeded {
-        /// The tenant whose request expired, when it came through a
-        /// tenant-tagged path. `None` for plain engine calls.
+        /// The tenant whose request expired.
         tenant: Option<TenantId>,
     },
     /// The ticket is still queued: it was submitted but no
-    /// [`crate::Engine::flush`] has resolved it yet. Flush, then redeem.
+    /// [`crate::Service::flush`] has resolved it yet. Flush, then redeem.
     NotReady(u64),
     /// No pending or completed request matches the ticket — it was never
     /// issued, its result was already taken, or its unclaimed result was
@@ -59,7 +56,7 @@ pub enum EngineError {
     /// [`crate::Engine::try_with_config`].
     InvalidConfig(&'static str),
     /// No registered matrix matches the [`crate::MatrixHandle`] — it was
-    /// never issued by this engine/service, or belongs to another one.
+    /// never issued by this service, or belongs to another tenant.
     UnknownHandle(u64),
     /// A value update or pattern delta was rejected by plan validation
     /// (wrong value count, mismatched pattern, out-of-bounds delta

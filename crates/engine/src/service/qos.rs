@@ -1,10 +1,8 @@
 //! Per-shard injector queues and deficit-round-robin credit mechanics.
 //!
 //! Each shard holds one [`ShardState`]: a per-tenant FIFO of requests not
-//! yet handed to the shard's engine, a completion store for resolved
-//! service tickets, and a service-level [`TenantTable`] ledger recording
-//! the QoS events the engine never sees (quota rejections at submit,
-//! deadlines that expire while still in the injector).
+//! yet handed to the shard's engine, and the completion store every
+//! request of the shard resolves into.
 //!
 //! Draining uses deficit round-robin: every round each backlogged tenant
 //! earns `weight × quantum` credits, and one credit admits one request to
@@ -13,13 +11,10 @@
 //! which is the fairness property `tests/service_serving.rs` pins.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Arc;
 use std::time::Instant;
 
-use mps_sparse::{CsrMatrix, DenseBlock};
-
+use crate::batch::Request;
 use crate::error::{EngineError, TenantId};
-use crate::stats::TenantTable;
 use crate::EngineOutput;
 
 use super::ServiceTicket;
@@ -54,31 +49,8 @@ impl Default for TenantSpec {
     }
 }
 
-/// What a queued service request wants computed.
-pub(crate) enum ServiceOp {
-    Spmv {
-        a: Arc<CsrMatrix>,
-        x: Vec<f64>,
-    },
-    Spmm {
-        a: Arc<CsrMatrix>,
-        x: DenseBlock,
-    },
-    Spgemm {
-        a: Arc<CsrMatrix>,
-        b: Arc<CsrMatrix>,
-    },
-}
-
-pub(crate) struct ServiceRequest {
-    pub ticket: ServiceTicket,
-    pub op: ServiceOp,
-    /// Absolute expiry; `None` means no deadline.
-    pub deadline: Option<Instant>,
-}
-
 struct TenantQueue {
-    pending: VecDeque<ServiceRequest>,
+    pending: VecDeque<Request>,
     /// Unspent DRR credits. Reset when the queue empties (a tenant cannot
     /// bank credit while idle).
     deficit: u64,
@@ -87,19 +59,15 @@ struct TenantQueue {
 /// What the drain loop should do with one tenant's front request.
 pub(crate) enum DrainAction {
     /// The deadline passed while the request sat in the injector.
-    Expire(ServiceRequest),
+    Expire(Request),
     /// Spend one credit and hand the request to the engine.
-    Submit(ServiceRequest),
+    Submit(Request),
 }
 
 /// Everything one shard guards behind its injector mutex.
 pub(crate) struct ShardState {
     tenants: BTreeMap<TenantId, TenantQueue>,
     completed: HashMap<ServiceTicket, (u64, Result<EngineOutput, EngineError>)>,
-    /// Service-level QoS events (quota rejections, injector-expired
-    /// deadlines). Engine-level events live in the engine's own ledger;
-    /// [`super::ServiceStats`] merges both.
-    pub ledger: TenantTable,
     /// Requests accepted into this shard's injector.
     pub injected: u64,
     /// Requests handed to the engine by drains.
@@ -113,7 +81,6 @@ impl ShardState {
         ShardState {
             tenants: BTreeMap::new(),
             completed: HashMap::new(),
-            ledger: TenantTable::default(),
             injected: 0,
             drained: 0,
             epoch: 0,
@@ -135,10 +102,10 @@ impl ShardState {
         self.tenants.keys().copied().collect()
     }
 
-    pub fn push(&mut self, tenant: TenantId, req: ServiceRequest) {
+    pub fn push(&mut self, req: Request) {
         self.injected += 1;
         self.tenants
-            .entry(tenant)
+            .entry(req.tenant)
             .or_insert_with(|| TenantQueue {
                 pending: VecDeque::new(),
                 deficit: 0,
@@ -218,15 +185,20 @@ impl ShardState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use std::time::Duration;
 
-    fn req(ticket: u64, deadline: Option<Instant>) -> ServiceRequest {
-        ServiceRequest {
+    use mps_sparse::CsrMatrix;
+
+    use crate::batch::RequestPayload;
+
+    fn req(ticket: u64, deadline: Option<Instant>) -> Request {
+        Request {
             ticket: ServiceTicket::new(ticket, 0),
-            op: ServiceOp::Spmv {
-                a: Arc::new(CsrMatrix::identity(2)),
-                x: vec![1.0, 2.0],
-            },
+            tenant: TenantId(5),
+            fingerprint: 0,
+            matrix: Arc::new(CsrMatrix::identity(2)),
+            payload: RequestPayload::Vector(vec![1.0, 2.0]),
             deadline,
         }
     }
@@ -237,9 +209,9 @@ mod tests {
         let t = TenantId(5);
         let now = Instant::now();
         let past = now - Duration::from_secs(1);
-        st.push(t, req(1, Some(past)));
-        st.push(t, req(2, None));
-        st.push(t, req(3, None));
+        st.push(req(1, Some(past)));
+        st.push(req(2, None));
+        st.push(req(3, None));
         assert_eq!(st.pending_for(t), 3);
         assert!(st.refill(t, 1));
         // Expired front pops without spending the single credit…

@@ -2,17 +2,15 @@
 
 use std::fmt::Write as _;
 
-use crate::stats::{EngineStats, TenantTable};
+use crate::stats::EngineStats;
 
-/// Snapshot of a [`super::Service`]: one [`EngineStats`] per shard plus
-/// the service-level QoS ledger (quota rejections and injector-expired
-/// deadlines — events the shard engines never see).
+/// Snapshot of a [`super::Service`]: one [`EngineStats`] ledger per
+/// shard, counting every request the shard resolved once — quota
+/// refusals and injector expiries included — plus service-wide counters.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceStats {
-    /// Per-shard engine snapshots, indexed by shard.
+    /// Per-shard ledgers, indexed by shard.
     pub shards: Vec<EngineStats>,
-    /// Service-level per-tenant events, merged across shards.
-    pub service_tenants: TenantTable,
     /// Requests accepted into shard injectors.
     pub injected: u64,
     /// Requests handed to shard engines by drains.
@@ -27,22 +25,23 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
-    /// Quota rejections at the service layer (before any engine saw the
-    /// request).
+    /// Submissions refused because the tenant's quota was full: every
+    /// `Overloaded` the chaos schedule did not force.
     pub fn quota_rejections(&self) -> u64 {
-        self.service_tenants.iter().map(|(_, c)| c.overloads).sum()
+        self.shards
+            .iter()
+            .map(|s| s.rejected_overload - s.chaos.forced_rejections)
+            .sum()
     }
 
     /// One engine-stats view of the whole service: every shard's counters
-    /// summed, with the service-level tenant ledger folded into the
-    /// per-tenant table. Hit rates and batch histograms aggregate exactly
-    /// as if one engine had served everything.
+    /// summed. Hit rates and batch histograms aggregate exactly as if one
+    /// engine had served everything.
     pub fn aggregate(&self) -> EngineStats {
         let mut total = EngineStats::default();
         for s in &self.shards {
             total.merge(s);
         }
-        total.tenants.merge(&self.service_tenants);
         total
     }
 
@@ -80,23 +79,25 @@ mod tests {
     use crate::error::TenantId;
 
     #[test]
-    fn aggregate_sums_shards_and_folds_service_ledger() {
+    fn aggregate_sums_shards_and_counts_quota_rejections() {
         let mut a = EngineStats {
             requests: 3,
             cache_hits: 2,
             ..EngineStats::default()
         };
         a.tenants.record_request(TenantId(1), true);
-        let b = EngineStats {
+        let mut b = EngineStats {
             requests: 4,
             cache_misses: 1,
+            rejected_overload: 3,
             ..EngineStats::default()
         };
+        b.chaos.forced_rejections = 2;
+        b.tenants.record_overload(TenantId(1));
         let mut st = ServiceStats {
             shards: vec![a, b],
             ..ServiceStats::default()
         };
-        st.service_tenants.record_overload(TenantId(1));
         st.injected = 9;
         st.fingerprint_hashes = 5;
         let agg = st.aggregate();

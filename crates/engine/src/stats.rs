@@ -10,14 +10,14 @@ use crate::error::TenantId;
 /// Per-tenant serving counters. One row of the [`TenantTable`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantCounters {
-    /// Requests completed for this tenant (through tenant-tagged
-    /// submissions; plain engine calls are never attributed).
+    /// Requests completed for this tenant (through [`crate::Service`]
+    /// submissions; direct engine calls are never attributed).
     pub requests: u64,
     /// Of those, how many were served from an already-cached plan (the
     /// plan lookup for the flush group carrying the request was a hit).
     pub hits: u64,
     /// Submissions refused with [`crate::EngineError::Overloaded`] —
-    /// engine queue-depth rejections and service quota rejections alike.
+    /// quota refusals and forced (chaos) rejections alike.
     pub overloads: u64,
     /// Requests that expired with
     /// [`crate::EngineError::DeadlineExceeded`].
@@ -36,8 +36,7 @@ impl TenantCounters {
     }
 }
 
-/// Per-tenant ledger shared by [`EngineStats`] and the service layer's
-/// aggregated stats: requests, plan-cache hits, overload rejections and
+/// Per-tenant ledger of [`EngineStats`]: requests, plan-cache hits, overload rejections and
 /// deadline misses, keyed by [`TenantId`] (ordered, so rendering is
 /// deterministic).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -89,8 +88,7 @@ impl TenantTable {
         self.rows.is_empty()
     }
 
-    /// Fold another table into this one (summing per-tenant rows). Used
-    /// by the service to aggregate per-shard ledgers.
+    /// Fold another table into this one (summing per-tenant rows).
     pub fn merge(&mut self, other: &TenantTable) {
         for (t, c) in other.iter() {
             let r = self.row(t);
@@ -121,9 +119,10 @@ impl TenantTable {
 }
 
 /// Snapshot of everything the engine has done since construction (or the
-/// last [`crate::Engine::reset_stats`]). Cheap to clone; all counters are
-/// plain integers plus the simt [`Counters`] accumulated over executed
-/// kernel phases.
+/// last [`crate::Engine::reset_stats`]); for a [`crate::Service`] shard,
+/// also everything its injector refused, expired or evicted. Cheap to
+/// clone; all counters are plain integers plus the simt [`Counters`]
+/// accumulated over executed kernel phases.
 #[derive(Debug, Clone, Default)]
 pub struct EngineStats {
     /// Plan-cache lookups that found a live plan.
@@ -138,17 +137,19 @@ pub struct EngineStats {
     pub pool_reuses: u64,
     /// Requests completed (direct calls plus flushed submissions).
     pub requests: u64,
-    /// Coalesced SpMM traversals executed by the batcher.
+    /// Flushed SpMV/SpMM groups, each run as one traversal.
     pub batches: u64,
-    /// SpMV submissions completed through the batcher.
+    /// SpMV/SpMM submissions completed in those groups.
     pub batched_requests: u64,
     /// `batch_histogram[s]` counts flushed groups of exactly `s` requests
     /// (index 0 is unused; the vector grows to the largest size seen).
     pub batch_histogram: Vec<u64>,
-    /// Submissions refused with [`crate::EngineError::Overloaded`].
+    /// Submissions refused with [`crate::EngineError::Overloaded`]: at
+    /// the tenant's quota, or forced by the chaos schedule.
     pub rejected_overload: u64,
     /// Requests that missed their deadline
-    /// ([`crate::EngineError::DeadlineExceeded`]).
+    /// ([`crate::EngineError::DeadlineExceeded`]) in the injector, or were
+    /// expired by the chaos schedule.
     pub rejected_deadline: u64,
     /// Unclaimed results dropped from the completion store after
     /// outliving [`crate::EngineConfig::result_ttl_flushes`] flushes.
@@ -176,7 +177,7 @@ pub struct EngineStats {
     /// Host wall-clock milliseconds spent in SpGEMM numeric replays.
     pub spgemm_numeric_host_ms: f64,
     /// In-place value swaps applied to registered matrices
-    /// ([`crate::Engine::submit_update`]) — numeric-only rounds that kept
+    /// ([`crate::Service::submit_update`]) — numeric-only rounds that kept
     /// every cached plan for the pattern valid.
     pub value_updates: u64,
     /// Format-advised plans built ([`crate::Engine::spmv_advised`] cache
@@ -193,7 +194,7 @@ pub struct EngineStats {
     /// Advised plans that chose the SELL-C-σ slice kernel.
     pub advice_sell: u64,
     /// Pattern deltas applied through the balanced-path union
-    /// ([`crate::Engine::submit_delta`]), fallbacks excluded.
+    /// ([`crate::Service::submit_delta`]), fallbacks excluded.
     pub delta_applies: u64,
     /// Deltas that exceeded
     /// [`crate::EngineConfig::delta_replan_threshold`] and fell back to a
@@ -210,8 +211,8 @@ pub struct EngineStats {
     /// Faults injected by the [`crate::ChaosConfig`] schedule (all zero
     /// when chaos is disabled).
     pub chaos: ChaosCounters,
-    /// Per-tenant ledger of tenant-tagged submissions (empty when every
-    /// request came through the plain, untagged engine API).
+    /// Per-tenant ledger of [`crate::Service`] submissions (empty for an
+    /// engine that served only direct calls).
     pub tenants: TenantTable,
 }
 
@@ -245,8 +246,8 @@ impl EngineStats {
     }
 
     /// Fold another snapshot into this one, summing every counter,
-    /// histogram bucket, ledger phase and tenant row. The service layer
-    /// uses this to aggregate per-shard engine stats into one view.
+    /// histogram bucket, ledger phase and tenant row. The service uses
+    /// this to aggregate per-shard ledgers into one view.
     pub fn merge(&mut self, other: &EngineStats) {
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;

@@ -46,7 +46,10 @@ use mps_core::{
     sequential_dot, CmrsSpmvPlan, CsrDelta, Epilogue, SellSpmvPlan, SpAddConfig, SpAddPlan,
     SpgemmConfig, SpgemmPlan, SpmmConfig, SpmmPlan, SpmvConfig, SpmvPlan, Workspace,
 };
-use mps_engine::{Engine, EngineOutput, FormatChoice};
+use mps_engine::{
+    Engine, EngineError, EngineOutput, FormatChoice, Service, ServiceConfig, ServiceTicket,
+    TenantId,
+};
 use mps_simt::grid::LaunchStats;
 use mps_simt::Device;
 use mps_sparse::formats::{DiaMatrix, EllMatrix, HybMatrix};
@@ -146,20 +149,42 @@ impl ConformanceReport {
     }
 }
 
-/// The differential runner: owns a device and a long-lived serving engine
-/// (so sweeping also exercises the engine's plan cache and workspace
-/// reuse across cases).
+/// The differential runner: owns a device and a long-lived one-shard
+/// serving service, whose engine serves the direct paths and whose queue
+/// the batched ones (so sweeping also exercises the engine's plan cache
+/// and workspace reuse across cases).
 pub struct Oracle {
     device: Device,
-    engine: Engine,
+    service: Service,
 }
 
 impl Oracle {
     pub fn new(device: &Device) -> Oracle {
+        let cfg = ServiceConfig::builder()
+            .shards(1)
+            .build()
+            .expect("default engine config is valid");
         Oracle {
             device: device.clone(),
-            engine: Engine::new(device),
+            service: Service::with_config(device, cfg),
         }
+    }
+
+    /// The service's one shard engine.
+    fn engine(&self) -> &Engine {
+        self.service.shard_engine(0)
+    }
+
+    /// Submit one request to the service, flush, and redeem it.
+    fn serve(
+        &self,
+        submit: impl FnOnce(&Service) -> Result<ServiceTicket, EngineError>,
+    ) -> Result<EngineOutput, String> {
+        let ticket = submit(&self.service).map_err(|e| format!("submit failed: {e}"))?;
+        self.service.flush();
+        self.service
+            .take_result(ticket)
+            .map_err(|e| format!("take_result failed: {e}"))
     }
 
     /// Sweep every kernel over every named case.
@@ -289,7 +314,7 @@ impl Oracle {
         plan.execute_into(a, &x, &mut y, &mut ws);
         check_vec_bitwise(report, case, K, "plan execute_into", &y, &anchor);
 
-        let direct = self.engine.spmv(a, &x);
+        let direct = self.engine().spmv(a, &x);
         check_vec_bitwise(report, case, K, "engine direct", &direct, &anchor);
 
         self.check_spmv_epilogues(case, a, &x, report);
@@ -506,8 +531,8 @@ impl Oracle {
 
         // Advised: whatever format the advisor picked, the result must be
         // bitwise identical to that family's anchor.
-        let advised = self.engine.spmv_advised(a, x);
-        match self.engine.spmv_advice(a).choice {
+        let advised = self.engine().spmv_advised(a, x);
+        match self.engine().spmv_advice(a).choice {
             FormatChoice::MergeCsr => check_vec_bitwise(
                 report,
                 case,
@@ -544,7 +569,7 @@ impl Oracle {
         plan.execute_into(a, &x, &mut y, &mut ws);
         check_block_bitwise(report, case, K, "plan execute_into", &y, &anchor);
 
-        let direct = self.engine.spmm(a, &x);
+        let direct = self.engine().spmm(a, &x);
         check_block_bitwise(report, case, K, "engine direct", &direct, &anchor);
 
         match self.engine_batched_spmm(a, &x) {
@@ -587,7 +612,7 @@ impl Oracle {
         let (host, _) = cpu::spadd(&cpu::CpuModel::i7_3820(), a, &b);
         check_csr_exact(report, case, K, "cpu model", &host, &want);
 
-        let engine_out = self.engine.spadd(a, &b).c;
+        let engine_out = self.engine().spadd(a, &b).c;
         check_csr_exact(report, case, K, "engine direct", &engine_out, &anchor);
     }
 
@@ -616,7 +641,7 @@ impl Oracle {
         let (host, _) = cpu::spgemm(&cpu::CpuModel::i7_3820(), a, &b);
         check_csr_rel(report, case, K, "cpu model", &host, &want);
 
-        let engine_out = self.engine.spgemm(a, &b).c;
+        let engine_out = self.engine().spgemm(a, &b).c;
         check_csr_bitwise(report, case, K, "engine direct", &engine_out, &anchor);
     }
 
@@ -672,15 +697,10 @@ impl Oracle {
     }
 
     fn engine_submitted_spgemm(&self, a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix, String> {
-        let ticket = self
-            .engine
-            .submit_spgemm(&Arc::new(a.clone()), &Arc::new(b.clone()), None)
-            .map_err(|e| format!("submit failed: {e}"))?;
-        self.engine.flush();
-        match self.engine.take_result(ticket) {
-            Ok(EngineOutput::Matrix(c)) => Ok(c),
-            Ok(other) => Err(format!("matrix request returned {}", output_kind(&other))),
-            Err(e) => Err(format!("take_result failed: {e}")),
+        let (a, b) = (Arc::new(a.clone()), Arc::new(b.clone()));
+        match self.serve(|svc| svc.submit_spgemm(TenantId(0), &a, &b, None))? {
+            EngineOutput::Matrix(c) => Ok(c),
+            other => Err(format!("matrix request returned {}", output_kind(&other))),
         }
     }
 
@@ -707,29 +727,17 @@ impl Oracle {
 
     fn engine_batched_spmv(&self, a: &CsrMatrix, x: &[f64]) -> Result<Vec<f64>, String> {
         let shared = Arc::new(a.clone());
-        let ticket = self
-            .engine
-            .submit_spmv(&shared, x.to_vec(), None)
-            .map_err(|e| format!("submit failed: {e}"))?;
-        self.engine.flush();
-        match self.engine.take_result(ticket) {
-            Ok(EngineOutput::Vector(y)) => Ok(y),
-            Ok(other) => Err(format!("vector request returned {}", output_kind(&other))),
-            Err(e) => Err(format!("take_result failed: {e}")),
+        match self.serve(|svc| svc.submit_spmv(TenantId(0), &shared, x.to_vec(), None))? {
+            EngineOutput::Vector(y) => Ok(y),
+            other => Err(format!("vector request returned {}", output_kind(&other))),
         }
     }
 
     fn engine_batched_spmm(&self, a: &CsrMatrix, x: &DenseBlock) -> Result<DenseBlock, String> {
         let shared = Arc::new(a.clone());
-        let ticket = self
-            .engine
-            .submit_spmm(&shared, x.clone(), None)
-            .map_err(|e| format!("submit failed: {e}"))?;
-        self.engine.flush();
-        match self.engine.take_result(ticket) {
-            Ok(EngineOutput::Block(y)) => Ok(y),
-            Ok(other) => Err(format!("block request returned {}", output_kind(&other))),
-            Err(e) => Err(format!("take_result failed: {e}")),
+        match self.serve(|svc| svc.submit_spmm(TenantId(0), &shared, x.clone(), None))? {
+            EngineOutput::Block(y) => Ok(y),
+            other => Err(format!("block request returned {}", output_kind(&other))),
         }
     }
 }

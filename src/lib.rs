@@ -34,9 +34,9 @@
 //! * [`graph`] — graph analytics over a generic-semiring flat SpMV (BFS,
 //!   connected components, PageRank, triangle counting);
 //! * [`engine`] — the serving layer: a plan cache keyed by pattern
-//!   fingerprint, a workspace pool, a batcher that coalesces concurrent
-//!   SpMV requests into column-tiled SpMM traversals, and a sharded
-//!   multi-tenant [`engine::Service`] with per-tenant QoS.
+//!   fingerprint, a workspace pool, and a sharded multi-tenant
+//!   [`engine::Service`] with per-tenant QoS whose flushes coalesce
+//!   concurrent SpMV requests into column-tiled SpMM traversals.
 
 pub use mps_baselines as baselines;
 pub use mps_core as core;
@@ -144,7 +144,7 @@ pub mod prelude {
     pub use mps_engine::{
         AdvisedSpmvPlan, Engine, EngineConfig, EngineConfigBuilder, EngineError, EngineOutput,
         EngineStats, FormatAdvisor, FormatChoice, FormatDecision, Service, ServiceConfig,
-        ServiceConfigBuilder, ServiceStats, ServiceTicket, TenantId, TenantSpec, Ticket,
+        ServiceConfigBuilder, ServiceStats, ServiceTicket, TenantId, TenantSpec,
     };
     pub use mps_simt::{Device, Phase, PhaseLedger, PhaseReport};
     pub use mps_solvers::{

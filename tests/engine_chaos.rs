@@ -1,20 +1,38 @@
 //! Deterministic fault injection for the serving engine: every
 //! [`EngineError`] variant is constructed on purpose by a seeded
-//! [`ChaosConfig`] schedule (or an engine misuse the chaos path makes
-//! reachable), the injected faults are visible in `stats().chaos`, and —
-//! the core guarantee — a request that *completes* under chaos returns
-//! bits identical to the same request on a chaos-free engine. Faults
-//! churn resources and surface typed errors; they never corrupt results.
+//! [`ChaosConfig`] schedule (or a misuse the chaos path makes reachable)
+//! on a one-shard service, the injected faults are visible in
+//! `stats().chaos`, and — the core guarantee — a request that *completes*
+//! under chaos returns bits identical to the same request on a chaos-free
+//! engine. Faults churn resources and surface typed errors; they never
+//! corrupt results.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use merge_path_sparse::engine::{ChaosConfig, Engine, EngineConfig, EngineError, Ticket};
+use merge_path_sparse::engine::{
+    ChaosConfig, Engine, EngineConfig, EngineError, Service, ServiceConfig, ServiceTicket,
+    TenantId, TenantSpec,
+};
 use merge_path_sparse::prelude::*;
 use mps_testkit::strategies::sprinkled;
 
 fn device() -> Device {
     Device::titan()
+}
+
+const T: TenantId = TenantId(0);
+
+/// A one-shard service over an engine built from `cfg`, every tenant
+/// held to `quota` pending requests.
+fn service_with(cfg: EngineConfig, quota: usize) -> Service {
+    let cfg = ServiceConfig::builder()
+        .shards(1)
+        .engine(cfg)
+        .default_tenant(TenantSpec::new(1, quota))
+        .build()
+        .expect("valid config");
+    Service::with_config(&device(), cfg)
 }
 
 fn matrix(seed: u64) -> Arc<CsrMatrix> {
@@ -27,60 +45,60 @@ fn operand(cols: usize, slot: usize) -> Vec<f64> {
         .collect()
 }
 
-fn chaos_engine(chaos: ChaosConfig) -> Engine {
+fn chaos_service(chaos: ChaosConfig) -> Service {
     let cfg = EngineConfig::builder()
         .chaos(chaos)
         .build()
         .expect("valid config");
-    Engine::with_config(&device(), cfg)
+    service_with(cfg, 64)
 }
 
-/// `reject_submit_p = 1` refuses every admission with `Overloaded`
-/// regardless of actual queue depth, and the forced rejections are
-/// counted separately from organic ones.
+/// `reject_submit_p = 1` refuses every request with `Overloaded` when the
+/// flush hands it to the engine, regardless of the tenant's quota, and
+/// the forced rejections are counted separately from organic ones.
 #[test]
 fn forced_rejection_constructs_overloaded() {
-    let engine = chaos_engine(ChaosConfig {
+    let svc = chaos_service(ChaosConfig {
         seed: 11,
         reject_submit_p: 1.0,
         ..ChaosConfig::default()
     });
     let a = matrix(1);
-    let err = engine
-        .submit_spmv(&a, operand(a.num_cols, 0), None)
-        .expect_err("certain rejection");
-    match err {
+    let t = svc
+        .submit_spmv(T, &a, operand(a.num_cols, 0), None)
+        .expect("the quota admits");
+    assert_eq!(svc.flush(), 1);
+    match svc.take_result(t).expect_err("certain rejection") {
         EngineError::Overloaded {
-            queue_depth, limit, ..
+            queue_depth,
+            limit,
+            tenant,
+            ..
         } => {
             assert_eq!(queue_depth, 0, "queue was empty; the rejection was forced");
-            assert_eq!(limit, engine.config().max_queue_depth());
+            assert_eq!(limit, 64, "the tenant's quota");
+            assert_eq!(tenant, Some(T));
         }
         other => panic!("expected Overloaded, got {other:?}"),
     }
-    let stats = engine.stats();
+    let stats = svc.stats().aggregate();
     assert_eq!(stats.chaos.forced_rejections, 1);
     assert_eq!(stats.rejected_overload, 1);
-    assert_eq!(engine.pending_requests(), 0);
+    assert_eq!(svc.pending_requests(), 0);
 }
 
-/// Organic `Overloaded` still works with chaos disabled: the
-/// per-fingerprint queue refuses the submission past `max_queue_depth`.
+/// Organic `Overloaded` still works with chaos disabled: the tenant's
+/// quota refuses the submission past `max_pending`.
 #[test]
 fn organic_queue_overflow_constructs_overloaded() {
-    let cfg = EngineConfig::builder()
-        .queue_capacity(3)
-        .build()
-        .expect("valid config");
-    let engine = Engine::with_config(&device(), cfg);
+    let svc = service_with(EngineConfig::default(), 3);
     let a = matrix(2);
     for s in 0..3 {
-        engine
-            .submit_spmv(&a, operand(a.num_cols, s), None)
-            .expect("under the depth limit");
+        svc.submit_spmv(T, &a, operand(a.num_cols, s), None)
+            .expect("under the quota");
     }
-    let err = engine
-        .submit_spmv(&a, operand(a.num_cols, 9), None)
+    let err = svc
+        .submit_spmv(T, &a, operand(a.num_cols, 9), None)
         .expect_err("fourth submission overflows");
     assert!(
         matches!(
@@ -93,7 +111,7 @@ fn organic_queue_overflow_constructs_overloaded() {
         ),
         "{err:?}"
     );
-    let stats = engine.stats();
+    let stats = svc.stats().aggregate();
     assert_eq!(stats.chaos.forced_rejections, 0, "no chaos involved");
     assert_eq!(stats.rejected_overload, 1);
 }
@@ -104,29 +122,34 @@ fn organic_queue_overflow_constructs_overloaded() {
 /// complete in the same flush.
 #[test]
 fn forced_expiry_constructs_deadline_exceeded() {
-    let engine = chaos_engine(ChaosConfig {
+    let svc = chaos_service(ChaosConfig {
         seed: 23,
         deadline_expiry_p: 1.0,
         ..ChaosConfig::default()
     });
     let a = matrix(3);
-    let doomed = engine
-        .submit_spmv(&a, operand(a.num_cols, 0), Some(Duration::from_secs(3600)))
+    let doomed = svc
+        .submit_spmv(
+            T,
+            &a,
+            operand(a.num_cols, 0),
+            Some(Duration::from_secs(3600)),
+        )
         .expect("admitted");
-    let immune = engine
-        .submit_spmv(&a, operand(a.num_cols, 1), None)
+    let immune = svc
+        .submit_spmv(T, &a, operand(a.num_cols, 1), None)
         .expect("admitted");
-    assert_eq!(engine.flush(), 2, "both requests resolve in one flush");
+    assert_eq!(svc.flush(), 2, "both requests resolve in one flush");
     assert!(
         matches!(
-            engine.take_result(doomed),
+            svc.take_result(doomed),
             Err(EngineError::DeadlineExceeded { .. })
         ),
         "a generous hour-long deadline was forcibly expired"
     );
-    let y = engine.take_result(immune).expect("no deadline, no expiry");
+    let y = svc.take_result(immune).expect("no deadline, no expiry");
     assert_eq!(y.into_vector().len(), a.num_rows);
-    let stats = engine.stats();
+    let stats = svc.stats().aggregate();
     assert_eq!(stats.chaos.forced_deadline_expiries, 1);
     assert_eq!(stats.rejected_deadline, 1);
 }
@@ -135,31 +158,28 @@ fn forced_expiry_constructs_deadline_exceeded() {
 /// queued and completes normally afterwards.
 #[test]
 fn unflushed_ticket_is_not_ready() {
-    let engine = chaos_engine(ChaosConfig::default());
+    let svc = chaos_service(ChaosConfig::default());
     let a = matrix(4);
-    let t = engine
-        .submit_spmv(&a, operand(a.num_cols, 0), None)
+    let t = svc
+        .submit_spmv(T, &a, operand(a.num_cols, 0), None)
         .expect("admitted");
-    assert!(matches!(
-        engine.take_result(t),
-        Err(EngineError::NotReady(_))
-    ));
-    assert_eq!(engine.flush(), 1);
-    engine.take_result(t).expect("ready after the flush");
+    assert!(matches!(svc.take_result(t), Err(EngineError::NotReady(_))));
+    assert_eq!(svc.flush(), 1);
+    svc.take_result(t).expect("ready after the flush");
 }
 
 /// Double redemption and never-issued tickets are `UnknownTicket`.
 #[test]
 fn spent_or_bogus_tickets_are_unknown() {
-    let engine = chaos_engine(ChaosConfig::default());
+    let svc = chaos_service(ChaosConfig::default());
     let a = matrix(5);
-    let t = engine
-        .submit_spmv(&a, operand(a.num_cols, 0), None)
+    let t = svc
+        .submit_spmv(T, &a, operand(a.num_cols, 0), None)
         .expect("admitted");
-    engine.flush();
-    engine.take_result(t).expect("first redemption");
+    svc.flush();
+    svc.take_result(t).expect("first redemption");
     assert!(matches!(
-        engine.take_result(t),
+        svc.take_result(t),
         Err(EngineError::UnknownTicket(_))
     ));
 }
@@ -200,21 +220,21 @@ fn unclaimed_results_age_out() {
         .result_ttl_flushes(2)
         .build()
         .expect("valid config");
-    let engine = Engine::with_config(&device(), cfg);
+    let svc = service_with(cfg, 64);
     let a = matrix(6);
-    let t = engine
-        .submit_spmv(&a, operand(a.num_cols, 0), None)
+    let t = svc
+        .submit_spmv(T, &a, operand(a.num_cols, 0), None)
         .expect("admitted");
-    assert_eq!(engine.flush(), 1);
+    assert_eq!(svc.flush(), 1);
     // Empty flushes still advance the TTL clock.
-    engine.flush();
-    engine.flush();
-    engine.flush();
+    svc.flush();
+    svc.flush();
+    svc.flush();
     assert!(
-        matches!(engine.take_result(t), Err(EngineError::UnknownTicket(_))),
+        matches!(svc.take_result(t), Err(EngineError::UnknownTicket(_))),
         "result should have aged out"
     );
-    assert_eq!(engine.stats().results_evicted, 1);
+    assert_eq!(svc.stats().aggregate().results_evicted, 1);
 }
 
 /// Pool exhaustion and cache-eviction storms at high probability: the
@@ -225,12 +245,13 @@ fn unclaimed_results_age_out() {
 fn resource_churn_never_corrupts_results() {
     let dev = device();
     let clean = Engine::new(&dev);
-    let chaotic = chaos_engine(ChaosConfig {
+    let svc = chaos_service(ChaosConfig {
         seed: 0xC0FFEE,
         pool_exhaust_p: 0.8,
         cache_storm_p: 0.7,
         ..ChaosConfig::default()
     });
+    let chaotic = svc.shard_engine(0);
 
     for round in 0..6u64 {
         let a = matrix(round % 3); // cycle patterns to stress the plan cache
@@ -246,17 +267,16 @@ fn resource_churn_never_corrupts_results() {
         }
 
         // Batched path under churn.
-        let tickets: Vec<Ticket> = xs
+        let tickets: Vec<ServiceTicket> = xs
             .iter()
             .map(|x| {
-                chaotic
-                    .submit_spmv(&a, x.clone(), None)
+                svc.submit_spmv(T, &a, x.clone(), None)
                     .expect("admission chaos is off in this test")
             })
             .collect();
-        assert_eq!(chaotic.flush(), xs.len());
+        assert_eq!(svc.flush(), xs.len());
         for (t, w) in tickets.into_iter().zip(&want) {
-            let got = chaotic.take_result(t).expect("completed").into_vector();
+            let got = svc.take_result(t).expect("completed").into_vector();
             let got_bits: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
             let want_bits: Vec<u64> = w.iter().map(|v| v.to_bits()).collect();
             assert_eq!(got_bits, want_bits, "batched spmv diverged under chaos");
@@ -281,14 +301,14 @@ fn resource_churn_never_corrupts_results() {
 }
 
 /// The fault schedule is a pure function of `(seed, probabilities)` and
-/// the engine's processing order: two engines driven identically inject
+/// the flush's processing order: two services driven identically inject
 /// identical fault counts; a different seed injects a different schedule.
 #[test]
 fn fault_schedules_replay_deterministically() {
     // Drive a fixed request sequence and record each request's fate —
     // the fate vector, not just aggregate counters, is the schedule.
     let drive = |seed: u64| {
-        let engine = chaos_engine(ChaosConfig {
+        let svc = chaos_service(ChaosConfig {
             seed,
             pool_exhaust_p: 0.5,
             cache_storm_p: 0.4,
@@ -299,17 +319,17 @@ fn fault_schedules_replay_deterministically() {
         let mut fates = Vec::new();
         for s in 0..16 {
             let deadline = (s % 2 == 0).then(|| Duration::from_secs(3600));
-            let t = engine
-                .submit_spmv(&a, operand(a.num_cols, s), deadline)
+            let t = svc
+                .submit_spmv(T, &a, operand(a.num_cols, s), deadline)
                 .expect("admitted");
-            engine.flush();
-            fates.push(match engine.take_result(t) {
+            svc.flush();
+            fates.push(match svc.take_result(t) {
                 Ok(_) => "completed",
                 Err(EngineError::DeadlineExceeded { .. }) => "expired",
                 other => panic!("unexpected redemption outcome: {other:?}"),
             });
         }
-        (fates, engine.stats().chaos)
+        (fates, svc.stats().aggregate().chaos)
     };
     let (fates_a, chaos_a) = drive(42);
     let (fates_b, chaos_b) = drive(42);

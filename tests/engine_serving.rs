@@ -1,20 +1,33 @@
 //! Batching equivalence for the serving engine: N concurrent SpMV
-//! submissions on one sparsity pattern must return results **bitwise**
-//! equal (`f64::to_bits`) to N sequential `SpmvPlan` executions. This is
-//! the contract that makes the engine's SpMV→SpMM coalescing transparent:
+//! submissions to a one-shard service on one sparsity pattern must return
+//! results **bitwise** equal (`f64::to_bits`) to N sequential `SpmvPlan`
+//! executions. This is the contract that makes the flush's SpMV→SpMM
+//! coalescing transparent:
 //! the column-tiled SpMM computes each output column in exactly the SpMV
 //! reduction order, so a caller cannot tell whether its request ran alone
 //! or shared a traversal with 15 strangers.
 
 use std::sync::Arc;
 
-use merge_path_sparse::engine::{Engine, EngineConfig};
+use merge_path_sparse::engine::{EngineConfig, Service, ServiceConfig, TenantId};
 use merge_path_sparse::prelude::*;
 use mps_testkit::strategies::sprinkled;
 use proptest::prelude::*;
 
 fn device() -> Device {
     Device::titan()
+}
+
+const T: TenantId = TenantId(0);
+
+/// The queued path: a one-shard service over an engine built from `cfg`.
+fn service(cfg: EngineConfig) -> Service {
+    let cfg = ServiceConfig::builder()
+        .shards(1)
+        .engine(cfg)
+        .build()
+        .expect("valid config");
+    Service::with_config(&device(), cfg)
 }
 
 fn operand(cols: usize, slot: usize) -> Vec<f64> {
@@ -26,9 +39,9 @@ fn operand(cols: usize, slot: usize) -> Vec<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Batch sizes 1..=TILE_K+1: size 1 takes the engine's SpMV path,
+    /// Batch sizes 1..=TILE_K+1: size 1 takes the flush's SpMV path,
     /// 2..=16 coalesce into one SpMM traversal, and 17 forces a split
-    /// into a full tile plus a single — every grouping the batcher can
+    /// into a full tile plus a single — every grouping the flush can
     /// produce under the default `max_batch = TILE_K = 16`.
     #[test]
     fn concurrent_submissions_match_sequential_plans_bitwise(
@@ -55,16 +68,16 @@ proptest! {
             })
             .collect();
 
-        // Engine: N concurrent submissions, one flush.
-        let engine = Engine::new(&dev);
-        prop_assert_eq!(engine.config().max_batch(), 16, "suite assumes TILE_K = 16");
+        // Service: N concurrent submissions, one flush.
+        let svc = service(EngineConfig::default());
+        prop_assert_eq!(svc.config().engine().max_batch(), 16, "suite assumes TILE_K = 16");
         let tickets: Vec<_> = xs
             .iter()
-            .map(|x| engine.submit_spmv(&a, x.clone(), None).expect("under depth limit"))
+            .map(|x| svc.submit_spmv(T, &a, x.clone(), None).expect("under the quota"))
             .collect();
-        prop_assert_eq!(engine.flush(), batch);
+        prop_assert_eq!(svc.flush(), batch);
         for (i, (t, want)) in tickets.into_iter().zip(&expected).enumerate() {
-            let got = engine
+            let got = svc
                 .take_result(t)
                 .expect("flushed request completed")
                 .into_vector();
@@ -79,14 +92,14 @@ proptest! {
             }
         }
         // Everything resolved: nothing pending, every ticket consumed.
-        prop_assert_eq!(engine.pending_requests(), 0);
-        let stats = engine.stats();
+        prop_assert_eq!(svc.pending_requests(), 0);
+        let stats = svc.stats().aggregate();
         prop_assert_eq!(stats.requests, batch as u64);
         prop_assert_eq!(stats.rejected_overload + stats.rejected_deadline, 0);
     }
 
     /// The same equivalence under a deliberately tiny `max_batch`, so the
-    /// batcher's splitting (not just the full-tile path) carries the load.
+    /// flush's splitting (not just the full-tile path) carries the load.
     #[test]
     fn equivalence_survives_forced_batch_splits(
         rows in 1usize..120,
@@ -110,22 +123,22 @@ proptest! {
             .collect();
 
         let cfg = EngineConfig::builder().max_batch(max_batch).build().expect("valid config");
-        let engine = Engine::with_config(&dev, cfg);
+        let svc = service(cfg);
         let tickets: Vec<_> = xs
             .iter()
-            .map(|x| engine.submit_spmv(&a, x.clone(), None).expect("under depth limit"))
+            .map(|x| svc.submit_spmv(T, &a, x.clone(), None).expect("under the quota"))
             .collect();
-        prop_assert_eq!(engine.flush(), batch);
+        prop_assert_eq!(svc.flush(), batch);
         for (t, want) in tickets.into_iter().zip(&expected) {
-            let got = engine.take_result(t).expect("completed").into_vector();
+            let got = svc.take_result(t).expect("completed").into_vector();
             let got_bits: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
             let want_bits: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(got_bits, want_bits);
         }
-        prop_assert_eq!(engine.stats().batches as usize, batch.div_ceil(max_batch));
+        prop_assert_eq!(svc.stats().aggregate().batches as usize, batch.div_ceil(max_batch));
     }
 
-    /// Block submissions ([`Engine::submit_spmm`]) redeem as typed blocks
+    /// Block submissions ([`Service::submit_spmm`]) redeem as typed blocks
     /// whose data is bitwise identical to a standalone planned SpMM run —
     /// whatever mixed vector/block grouping the flush's column budget
     /// chose, and with vector neighbours still matching standalone SpMV.
@@ -160,24 +173,20 @@ proptest! {
             .collect();
 
         let cfg = EngineConfig::builder().max_batch(max_batch).build().expect("valid config");
-        let engine = Engine::with_config(&dev, cfg);
-        let tb = engine.submit_spmm(&a, block.clone(), None).expect("admitted");
+        let svc = service(cfg);
+        let tb = svc.submit_spmm(T, &a, block.clone(), None).expect("admitted");
         let tvs: Vec<_> = (0..extra_vecs)
-            .map(|s| {
-                engine
-                    .submit_spmv(&a, operand(cols, 100 + s), None)
-                    .expect("admitted")
-            })
+            .map(|s| svc.submit_spmv(T, &a, operand(cols, 100 + s), None).expect("admitted"))
             .collect();
-        prop_assert_eq!(engine.flush(), 1 + extra_vecs);
+        prop_assert_eq!(svc.flush(), 1 + extra_vecs);
 
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        let got_block = engine.take_result(tb).expect("block completed").into_block();
+        let got_block = svc.take_result(tb).expect("block completed").into_block();
         prop_assert_eq!(got_block.rows, want_block.rows);
         prop_assert_eq!(got_block.cols, k);
         prop_assert_eq!(bits(&got_block.data), bits(&want_block.data));
         for (t, want) in tvs.into_iter().zip(&want_vecs) {
-            let got = engine.take_result(t).expect("vector completed").into_vector();
+            let got = svc.take_result(t).expect("vector completed").into_vector();
             prop_assert_eq!(bits(&got), bits(want));
         }
     }

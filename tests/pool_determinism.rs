@@ -17,6 +17,16 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// A one-shard service: the queued path, whose engine also serves the
+/// direct calls.
+fn service(device: &Device) -> Service {
+    let cfg = ServiceConfig::builder()
+        .shards(1)
+        .build()
+        .expect("valid config");
+    Service::with_config(device, cfg)
+}
+
 fn operand(n: usize, seed: u64) -> Vec<f64> {
     (0..n)
         .map(|i| ((i as u64).wrapping_mul(seed).wrapping_add(11) % 1000) as f64 / 999.0 - 0.5)
@@ -77,32 +87,32 @@ fn pipelined_engine_flush_matches_sequential_flush() {
     let device = Device::titan();
     let a = Arc::new(gen::random_uniform(2000, 2000, 9.0, 3.0, 19));
 
-    // One engine flushes with the pool live (assembly overlapped with
-    // execution via join); the reference engine is forced inline.
-    let run = |engine: &Engine| -> Vec<Vec<u64>> {
+    // One service flushes with the pool live (assembly overlapped with
+    // execution via join); the reference service is forced inline.
+    let run = |svc: &Service| -> Vec<Vec<u64>> {
+        let t = TenantId(0);
         let mut tickets = Vec::new();
         for s in 0..4 {
             tickets.push(
-                engine
-                    .submit_spmv(&a, operand(a.num_cols, s), None)
+                svc.submit_spmv(t, &a, operand(a.num_cols, s), None)
                     .expect("admitted"),
             );
         }
         let xb = DenseBlock::from_fn(a.num_cols, 3, |r, c| operand(a.num_cols, 40 + c as u64)[r]);
-        let tb = engine.submit_spmm(&a, xb, None).expect("admitted");
-        engine.flush();
+        let tb = svc.submit_spmm(t, &a, xb, None).expect("admitted");
+        svc.flush();
         let mut out: Vec<Vec<u64>> = tickets
             .into_iter()
-            .map(|t| bits(&engine.take_result(t).expect("resolved").into_vector()))
+            .map(|t| bits(&svc.take_result(t).expect("resolved").into_vector()))
             .collect();
         out.push(bits(
-            &engine.take_result(tb).expect("resolved").into_block().data,
+            &svc.take_result(tb).expect("resolved").into_block().data,
         ));
         out
     };
 
-    let pooled = run(&Engine::new(&device));
-    let sequential = rayon::with_sequential(|| run(&Engine::new(&device)));
+    let pooled = run(&service(&device));
+    let sequential = rayon::with_sequential(|| run(&service(&device)));
     assert_eq!(
         pooled, sequential,
         "pipelined flush must match the inline flush bit for bit"
@@ -114,7 +124,8 @@ fn degenerate_one_column_block_takes_the_spmv_plan_bitwise() {
     let _ = rayon::set_num_threads(4);
     let device = Device::titan();
     let a = Arc::new(gen::random_uniform(1200, 1200, 8.0, 3.0, 23));
-    let engine = Engine::new(&device);
+    let svc = service(&device);
+    let engine = svc.shard_engine(0);
     let x = operand(a.num_cols, 5);
 
     // Reference: the direct SpMV path on the same engine (same cache).
@@ -123,9 +134,11 @@ fn degenerate_one_column_block_takes_the_spmv_plan_bitwise() {
     // A single one-column block submission must dispatch through the
     // cached SpMV plan — same bits, no k=1 SpMM plan built.
     let xb = DenseBlock::from_fn(a.num_cols, 1, |r, _| x[r]);
-    let t = engine.submit_spmm(&a, xb, None).expect("admitted");
-    engine.flush();
-    let got = engine.take_result(t).expect("resolved").into_block();
+    let t = svc
+        .submit_spmm(TenantId(0), &a, xb, None)
+        .expect("admitted");
+    svc.flush();
+    let got = svc.take_result(t).expect("resolved").into_block();
     assert_eq!((got.rows, got.cols), (a.num_rows, 1));
     assert_eq!(bits(&got.data), bits(&want));
     // One plan total: the SpMV plan, shared by both paths.

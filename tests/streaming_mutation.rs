@@ -1,8 +1,8 @@
 //! Streaming-mutation contracts: swapping numeric values into a cached
 //! plan (`update_values` / `submit_update`) must be *bitwise* identical
 //! to planning from scratch on the mutated matrix — for every plan type,
-//! through the engine's handle registry, and through a multi-shard
-//! service — and a `CsrDelta` must land on exactly the matrix a full
+//! through a one-shard service's handle registry, and through a
+//! multi-shard service — and a `CsrDelta` must land on exactly the matrix a full
 //! rebuild would produce whether it patches through the balanced-path
 //! union or falls back past the replan threshold.
 
@@ -10,6 +10,19 @@ use std::sync::Arc;
 
 use merge_path_sparse::core::{apply_delta_reference, CsrDelta};
 use merge_path_sparse::engine::{Engine, EngineConfig, Service, ServiceConfig, TenantId};
+
+const T: TenantId = TenantId(0);
+
+/// A one-shard service over an engine built from `cfg`: its registry
+/// holds the handles, its engine serves the direct calls.
+fn service(cfg: EngineConfig) -> Service {
+    let cfg = ServiceConfig::builder()
+        .shards(1)
+        .engine(cfg)
+        .build()
+        .expect("valid config");
+    Service::with_config(&device(), cfg)
+}
 use merge_path_sparse::prelude::*;
 use mps_testkit::strategies::sprinkled;
 use proptest::prelude::*;
@@ -87,9 +100,9 @@ proptest! {
         prop_assert_eq!(bits(&a.values), before);
     }
 
-    /// The engine's handle registry serves updated values through its
-    /// cached plans: every post-update submission matches a cold engine
-    /// planning the mutated matrix from scratch, without a single
+    /// The service's handle registry serves updated values through its
+    /// engine's cached plans: every post-update submission matches a cold
+    /// engine planning the mutated matrix from scratch, without a single
     /// additional plan build.
     #[test]
     fn engine_value_updates_replay_cached_plans_bitwise(
@@ -103,14 +116,15 @@ proptest! {
         let nnz = a.nnz();
         let x: Vec<f64> = (0..cols).map(|i| 1.0 + (i % 5) as f64 * 0.5).collect();
 
-        let engine = Engine::new(&dev);
-        let h = engine.register(&a);
+        let svc = service(EngineConfig::default());
+        let engine = svc.shard_engine(0);
+        let h = svc.register(T, &a);
         drop(a);
-        let _ = engine.spmv(&engine.matrix(h).expect("registered"), &x); // warm the plan
+        let _ = engine.spmv(&svc.matrix(h).expect("registered"), &x); // warm the plan
         let misses = engine.stats().cache_misses;
 
         for round in 0..rounds as u64 {
-            let snapshot = engine.submit_update(h, round_values(nnz, round)).expect("same nnz");
+            let snapshot = svc.submit_update(T, h, round_values(nnz, round)).expect("same nnz");
             let got = engine.spmv(&snapshot, &x);
             let cold = Engine::new(&dev);
             prop_assert_eq!(bits(&got), bits(&cold.spmv(&snapshot, &x)));
@@ -189,16 +203,12 @@ proptest! {
         edits in 2usize..12,
         seed in 0u64..1000,
     ) {
-        let dev = device();
         let a = Arc::new(sprinkled(rows, cols, 2, 4, seed));
         let nnz = a.nnz();
 
         // A threshold wide enough that `edits` stays on the patch side.
-        let engine = Engine::with_config(
-            &dev,
-            EngineConfig::builder().delta_replan_threshold(0.9).build().expect("valid"),
-        );
-        let h = engine.register(&a);
+        let svc = service(EngineConfig::builder().delta_replan_threshold(0.9).build().expect("valid"));
+        let h = svc.register(T, &a);
         let limit = (0.9 * nnz as f64).ceil() as usize;
         let mut small = CsrDelta::new();
         for i in 0..edits.min(limit) {
@@ -212,9 +222,9 @@ proptest! {
         // At least two entries so even `ceil(tiny * nnz) == 1` is exceeded
         // on the strict engine below.
         prop_assert!(small.len() >= 2 && small.len() <= limit);
-        let outcome = engine.submit_delta(h, &small).expect("in bounds");
+        let outcome = svc.submit_delta(T, h, &small).expect("in bounds");
         prop_assert!(!outcome.fallback, "under the threshold the union patch serves");
-        let got = engine.matrix(h).expect("registered");
+        let got = svc.matrix(h).expect("registered");
         let want = apply_delta_reference(&a, &small).expect("in bounds");
         prop_assert_eq!(&got.row_offsets, &want.row_offsets);
         prop_assert_eq!(&got.col_idx, &want.col_idx);
@@ -222,22 +232,21 @@ proptest! {
 
         // Across the threshold: same edits, tiny threshold → fallback,
         // and the mutated matrix is *identical* to the patched one.
-        let strict = Engine::with_config(
-            &dev,
+        let strict = service(
             EngineConfig::builder()
                 .delta_replan_threshold(f64::MIN_POSITIVE)
                 .build()
                 .expect("valid"),
         );
-        let h2 = strict.register(&a);
-        let outcome = strict.submit_delta(h2, &small).expect("in bounds");
+        let h2 = strict.register(T, &a);
+        let outcome = strict.submit_delta(T, h2, &small).expect("in bounds");
         prop_assert!(outcome.fallback, "over the threshold rebuilds");
         let rebuilt = strict.matrix(h2).expect("registered");
         prop_assert_eq!(&rebuilt.row_offsets, &got.row_offsets);
         prop_assert_eq!(&rebuilt.col_idx, &got.col_idx);
         prop_assert_eq!(bits(&rebuilt.values), bits(&got.values));
-        prop_assert_eq!(strict.stats().delta_fallbacks, 1);
-        prop_assert_eq!(engine.stats().delta_applies, 1);
+        prop_assert_eq!(strict.stats().aggregate().delta_fallbacks, 1);
+        prop_assert_eq!(svc.stats().aggregate().delta_applies, 1);
     }
 }
 
@@ -245,17 +254,17 @@ proptest! {
 /// against a pre-update `Arc` compute with the values they captured.
 #[test]
 fn pre_update_snapshots_keep_their_values() {
-    let dev = device();
     let a = Arc::new(sprinkled(40, 40, 2, 3, 7));
     let nnz = a.nnz();
     let x = vec![1.0; 40];
-    let engine = Engine::new(&dev);
-    let h = engine.register(&a);
+    let svc = service(EngineConfig::default());
+    let engine = svc.shard_engine(0);
+    let h = svc.register(T, &a);
 
-    let old = engine.matrix(h).expect("registered");
+    let old = svc.matrix(h).expect("registered");
     let want_old = engine.spmv(&old, &x);
-    let new = engine
-        .submit_update(h, round_values(nnz, 3))
+    let new = svc
+        .submit_update(T, h, round_values(nnz, 3))
         .expect("same nnz");
     assert_ne!(
         bits(&old.values),
