@@ -163,10 +163,10 @@ const ROW_SETUP_THREAD_OPS: u64 = 150_000;
 ///
 /// Each output row accumulates its products in a hash table: shared memory
 /// when the row's intermediate product count fits, a global-memory table
-/// at [`GLOBAL_FALLBACK_PENALTY`]x cost otherwise. Runtime is governed by
-/// per-row product counts and the hash traffic, not the flat total — which
-/// is why its Figure 10 correlation with products collapses on skewed
-/// suites.
+/// at `GLOBAL_FALLBACK_PENALTY` times the cost otherwise. Runtime is
+/// governed by per-row product counts and the hash traffic, not the flat
+/// total — which is why its Figure 10 correlation with products collapses
+/// on skewed suites.
 pub fn spgemm(device: &Device, a: &CsrMatrix, b: &CsrMatrix) -> (CsrMatrix, LaunchStats) {
     assert_eq!(a.num_cols, b.num_rows, "inner dimensions must agree");
     let rows = a.num_rows;

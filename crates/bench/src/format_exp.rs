@@ -8,25 +8,21 @@
 //!   bitwise (pattern and values). Each successful round trip is counted;
 //!   the acceptance gate demands exactly two per suite matrix.
 //! * **Advised vs always-merge** — the always-merge arm builds the
-//!   reference [`SpmvPlan`]; the advised arm serves the same operand
-//!   through an [`Engine`]'s advised path, letting the [`FormatAdvisor`]
-//!   pick merge-CSR, CMRS, or SELL-C-σ per pattern. Both arms report
-//!   simulated kernel milliseconds; the gate demands the advised arm
-//!   matches or beats always-merge on **every** matrix. When the advisor
-//!   stays on merge the two arms share the identical plan, so the
-//!   speedup is exactly 1.0 by construction — the interesting rows are
-//!   the ones that leave it.
+//!   reference [`SpmvPlan`]; the advised arm builds an [`AdvisedSpmvPlan`]
+//!   for the same matrix, letting the [`FormatAdvisor`] pick merge-CSR,
+//!   CMRS, or SELL-C-σ per pattern. Both arms report simulated kernel
+//!   milliseconds; the gate demands the advised arm matches or beats
+//!   always-merge on **every** matrix. When the advisor stays on merge
+//!   the two arms share the identical plan, so the speedup is exactly
+//!   1.0 by construction — the interesting rows are the ones that leave
+//!   it.
 //! * **Numeric policy** — a merge choice must be bitwise identical to
 //!   the plain merge path; a format choice must be bitwise identical to
 //!   the sequential row-wise dot *and* within relative tolerance of
 //!   merge. Any violation counts as a divergence (gate: zero).
-//!
-//! A steady-state pass then re-serves every matrix through the same
-//! engine and checks EngineStats: zero re-advisals and a 100% plan-cache
-//! hit rate — advice is paid once per pattern, like planning.
 
 use mps_core::{SpmvConfig, SpmvPlan, Workspace};
-use mps_engine::{Engine, FormatChoice};
+use mps_engine::{AdvisedSpmvPlan, FormatAdvisor, FormatChoice};
 use mps_simt::Device;
 use mps_sparse::cmrs::CmrsMatrix;
 use mps_sparse::sell::SellCSigmaMatrix;
@@ -46,8 +42,6 @@ pub const REL_TOL: f64 = 1e-9;
 pub struct FormatOptions {
     /// Suite generation scale (fraction of the paper's dimensions).
     pub scale: f64,
-    /// Steady-state executes per matrix after the advised plan is cached.
-    pub steady_rounds: usize,
     /// Label recorded in the report ("full" / "tiny").
     pub mode: &'static str,
 }
@@ -56,7 +50,6 @@ impl FormatOptions {
     pub fn full() -> FormatOptions {
         FormatOptions {
             scale: 0.1,
-            steady_rounds: 3,
             mode: "full",
         }
     }
@@ -64,7 +57,6 @@ impl FormatOptions {
     pub fn tiny() -> FormatOptions {
         FormatOptions {
             scale: 0.01,
-            steady_rounds: 2,
             mode: "tiny",
         }
     }
@@ -102,10 +94,6 @@ pub struct FormatBenchReport {
     pub advice_merge: u64,
     pub advice_cmrs: u64,
     pub advice_sell: u64,
-    /// Advisals performed during the steady-state pass (must be 0).
-    pub steady_readvisals: u64,
-    /// Plan-cache hit rate of the steady-state pass (must be 1.0).
-    pub steady_hit_rate: f64,
 }
 
 fn bits_of(v: &[f64]) -> Vec<u64> {
@@ -124,7 +112,7 @@ fn audit_roundtrip(back: &CsrMatrix, original: &CsrMatrix, valid: Result<(), Str
     usize::from(valid.is_ok() && back == original)
 }
 
-fn run_matrix(device: &Device, engine: &Engine, s: SuiteMatrix, scale: f64) -> FormatRow {
+fn run_matrix(device: &Device, s: SuiteMatrix, scale: f64) -> FormatRow {
     let a = s.generate(scale);
     let x: Vec<f64> = (0..a.num_cols)
         .map(|i| 1.0 + (i % 13) as f64 * 0.5)
@@ -142,10 +130,15 @@ fn run_matrix(device: &Device, engine: &Engine, s: SuiteMatrix, scale: f64) -> F
     let mut y_merge = Vec::new();
     merge_plan.execute_into(&a, &x, &mut y_merge, &mut ws);
 
-    // Advised arm: served through the engine so the decision lands in
-    // the plan cache alongside the format plan.
-    let y_advised = engine.spmv_advised(&a, &x);
-    let advised = engine.spmv_advised_plan(&a);
+    // Advised arm: the advisor's pick, built and executed once.
+    let advised = AdvisedSpmvPlan::new(
+        device,
+        &a,
+        &SpmvConfig::default(),
+        &FormatAdvisor::default(),
+    );
+    let mut y_advised = Vec::new();
+    advised.execute_into(&a, &x, &mut y_advised, &mut ws);
 
     let mut divergences = 0usize;
     if advised.choice() == FormatChoice::MergeCsr {
@@ -180,38 +173,22 @@ fn run_matrix(device: &Device, engine: &Engine, s: SuiteMatrix, scale: f64) -> F
 
 /// Run the sweep over the Table II suite.
 pub fn run(device: &Device, opts: &FormatOptions) -> FormatBenchReport {
-    let engine = Engine::new(device);
     let suite: Vec<FormatRow> = SuiteMatrix::ALL
         .iter()
-        .map(|&s| run_matrix(device, &engine, s, opts.scale))
+        .map(|&s| run_matrix(device, s, opts.scale))
         .collect();
-
-    // Steady state: every pattern is cached; re-serving must hit both the
-    // plan cache and the cached advice, never re-advising.
-    let warm = engine.stats();
-    engine.reset_stats();
-    for s in SuiteMatrix::ALL {
-        let a = s.generate(opts.scale);
-        let x: Vec<f64> = (0..a.num_cols)
-            .map(|i| 1.0 + (i % 13) as f64 * 0.5)
-            .collect();
-        for _ in 0..opts.steady_rounds {
-            engine.spmv_advised(&a, &x);
-        }
-    }
-    let steady = engine.stats();
-
+    let advised = |choice: FormatChoice| {
+        let name = choice.to_string();
+        suite.iter().filter(|r| r.choice == name).count() as u64
+    };
     FormatBenchReport {
         mode: opts.mode.to_string(),
         advisor_wins: suite.iter().filter(|r| r.speedup > 1.0).count(),
         total_round_trips: suite.iter().map(|r| r.round_trips).sum(),
         total_divergences: suite.iter().map(|r| r.divergences).sum(),
-        advice_merge: warm.advice_merge,
-        advice_cmrs: warm.advice_cmrs,
-        advice_sell: warm.advice_sell,
-        steady_readvisals: steady.advice_builds,
-        steady_hit_rate: steady.cache_hits as f64
-            / (steady.cache_hits + steady.cache_misses).max(1) as f64,
+        advice_merge: advised(FormatChoice::MergeCsr),
+        advice_cmrs: advised(FormatChoice::Cmrs),
+        advice_sell: advised(FormatChoice::SellCSigma),
         suite,
     }
 }
@@ -257,15 +234,13 @@ fn to_report(f: &FormatBenchReport, tiny: bool) -> Report {
                 ("advice_merge", "count", |f| f.advice_merge.into()),
                 ("advice_cmrs", "count", |f| f.advice_cmrs.into()),
                 ("advice_sell", "count", |f| f.advice_sell.into()),
-                ("steady_readvisals", "count", |f| f.steady_readvisals.into()),
-                ("steady_hit_rate", "ratio", |f| f.steady_hit_rate.into()),
             ],
         )
 }
 
 /// Every Table II matrix round trips losslessly and without divergence,
-/// the advisor never loses to always-merge and strictly wins somewhere,
-/// and the steady state re-advises nothing.
+/// and the advisor never loses to always-merge and strictly wins
+/// somewhere.
 pub fn gates(r: &Report) -> Vec<String> {
     let mut g = Gates::default();
     let suite = r.rows("suite");
@@ -297,17 +272,7 @@ pub fn gates(r: &Report) -> Vec<String> {
         t.num("round_trips") == 2.0 * n,
         "totals round_trips == 2 x rows",
     );
-    g.each(
-        &[t],
-        "",
-        &[
-            ("totals divergences == 0", |t| t.num("divergences") == 0.0),
-            ("steady_readvisals == 0", |t| {
-                t.num("steady_readvisals") == 0.0
-            }),
-            ("steady_hit_rate == 1", |t| t.num("steady_hit_rate") == 1.0),
-        ],
-    );
+    g.check(t.num("divergences") == 0.0, "totals divergences == 0");
     let advised = t.num("advice_merge") + t.num("advice_cmrs") + t.num("advice_sell");
     g.check(advised == n, "advice merge + cmrs + sell == rows");
     let wins = suite.iter().any(|s| s.num("speedup") > 1.0);
@@ -351,16 +316,13 @@ pub fn render(r: &FormatBenchReport) -> String {
         &rows,
     ));
     out.push_str(&format!(
-        "advice: {} merge / {} cmrs / {} sell · {} strict wins · {} round trips · {} divergences\n\
-         steady state: {} re-advisals, plan-cache hit rate {:.3}\n",
+        "advice: {} merge / {} cmrs / {} sell · {} strict wins · {} round trips · {} divergences\n",
         r.advice_merge,
         r.advice_cmrs,
         r.advice_sell,
         r.advisor_wins,
         r.total_round_trips,
         r.total_divergences,
-        r.steady_readvisals,
-        r.steady_hit_rate
     ));
     out
 }
@@ -369,23 +331,15 @@ pub fn render(r: &FormatBenchReport) -> String {
 mod tests {
     use super::*;
 
-    fn dev() -> Device {
-        Device::titan()
-    }
-
-    fn micro() -> FormatOptions {
-        FormatOptions {
-            scale: 0.005,
-            steady_rounds: 2,
-            mode: "micro",
-        }
-    }
-
     #[test]
-    fn gates_name_a_steady_state_readvisal() {
-        let mut r = to_report(&run(&dev(), &micro()), true);
+    fn gates_name_a_total_divergence() {
+        let micro = FormatOptions {
+            scale: 0.005,
+            mode: "micro",
+        };
+        let mut r = to_report(&run(&Device::titan(), &micro), true);
         assert_eq!(gates(&r), Vec::<String>::new());
-        *r.cell_mut("totals", 0, "steady_readvisals").expect("cell") = 1u64.into();
-        assert_eq!(gates(&r), ["steady_readvisals == 0"]);
+        *r.cell_mut("totals", 0, "divergences").expect("cell") = 1u64.into();
+        assert_eq!(gates(&r), ["totals divergences == 0"]);
     }
 }

@@ -10,9 +10,9 @@
 //!   flushes, redeems, and immediately submits the next. Latency is the
 //!   submit→redeem host wall-clock per request (p50/p99/p999), throughput
 //!   is total redeemed requests over the run. Every redeemed result is
-//!   checked **bitwise** against a single-threaded reference [`Engine`]
-//!   serving the same `(matrix, operand)` pair — the harness is also the
-//!   concurrency-equivalence proof. A warm-up pass builds every plan
+//!   checked **bitwise** against a freshly built [`SpmvPlan`] or
+//!   [`SpmmPlan`] executing the same `(matrix, operand)` pair alone — the
+//!   harness is also the concurrency-equivalence proof. A warm-up pass builds every plan
 //!   before stats reset, so the steady-state per-tenant cache hit rate
 //!   must be exactly 1.0.
 //! * **Fairness under overload (open loop)** — one shard, three tenants
@@ -34,8 +34,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use mps_core::{SpmmConfig, SpmmPlan, SpmvConfig, SpmvPlan};
 use mps_engine::{
-    ChaosConfig, Engine, EngineConfig, EngineError, Service, ServiceConfig, TenantId, TenantSpec,
+    ChaosConfig, EngineConfig, EngineError, Service, ServiceConfig, TenantId, TenantSpec,
 };
 use mps_simt::Device;
 use mps_sparse::{gen, CsrMatrix, DenseBlock};
@@ -216,7 +217,7 @@ fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
 // ---- closed loop --------------------------------------------------------
 
 /// Run the multi-threaded closed loop and verify every result bitwise
-/// against a single-threaded reference engine.
+/// against freshly built plans.
 pub fn run_closed_loop(device: &Device, opts: &LoadOptions) -> ClosedLoopReport {
     let workers = opts.workers.max(1);
     let mats_per_worker = 2usize;
@@ -232,22 +233,25 @@ pub fn run_closed_loop(device: &Device, opts: &LoadOptions) -> ClosedLoopReport 
         })
         .collect();
 
-    // Single-threaded reference: expected bits per (matrix, slot) and the
-    // expected SpMM block per matrix.
-    let reference = Engine::new(device);
+    // Single-threaded reference from fresh plans: expected bits per
+    // (matrix, slot) and the expected SpMM block per matrix.
     let want_vec: Vec<Vec<Vec<u64>>> = mats
         .iter()
         .enumerate()
         .map(|(m, a)| {
+            let plan = SpmvPlan::new(device, a, &SpmvConfig::default());
             (0..SLOTS)
-                .map(|s| bits_of(&reference.spmv(a, &operand(opts.n, m, s))))
+                .map(|s| bits_of(&plan.execute(device, a, &operand(opts.n, m, s)).y))
                 .collect()
         })
         .collect();
     let want_blk: Vec<Vec<u64>> = mats
         .iter()
         .enumerate()
-        .map(|(m, a)| bits_of(&reference.spmm(a, &block_operand(opts.n, m)).data))
+        .map(|(m, a)| {
+            let plan = SpmmPlan::new(device, a, SPMM_K, &SpmmConfig::default());
+            bits_of(&plan.execute(device, a, &block_operand(opts.n, m)).y.data)
+        })
         .collect();
 
     let cfg = ServiceConfig::builder()

@@ -7,10 +7,11 @@
 //!   [`Service`] and one [`Service::flush`] coalesces them into a single
 //!   column-tiled SpMM traversal (results split back per request, bitwise
 //!   identical);
-//! * **unbatched** — `C` direct [`Engine::spmv`] calls, each its own
-//!   planned SpMV execution.
+//! * **unbatched** — the same `C` requests on a second one-shard
+//!   service, one request per flush, so each runs alone through the
+//!   cached SpMV plan.
 //!
-//! Both paths run against a warmed engine (plans cached, workspaces
+//! Both paths run against a warmed service (plans cached, workspaces
 //! pooled), then stats are reset so the measured phase reports
 //! steady-state serving: simulated device time, measured host wall-clock
 //! per wave, plan-cache hit rate, pool reuse, mean batch size, and the
@@ -20,7 +21,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use mps_engine::{Engine, EngineStats, Service, ServiceConfig, TenantId};
+use mps_engine::{EngineStats, Service, ServiceConfig, TenantId};
 use mps_simt::Device;
 use mps_sparse::{gen, CsrMatrix};
 
@@ -40,7 +41,7 @@ pub struct ServeRow {
     pub unbatched_sim_ms: f64,
     /// Measured host ms per wave, batched (submit + flush + collect).
     pub batched_host_ms: f64,
-    /// Measured host ms per wave, unbatched (`C` direct calls).
+    /// Measured host ms per wave, unbatched (`C` one-request flushes).
     pub unbatched_host_ms: f64,
     /// Steady-state plan-cache hit rate on the batched engine.
     pub cache_hit_rate: f64,
@@ -77,18 +78,22 @@ fn operand(n: usize, slot: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Serve `rounds` waves of `concurrency` requests both ways on one engine
-/// pair, returning steady-state numbers (one warm wave excluded).
+/// Serve `rounds` waves of `concurrency` requests both ways on a pair of
+/// one-shard services, returning steady-state numbers (one warm wave
+/// excluded).
 pub fn measure(device: &Device, a: &Arc<CsrMatrix>, concurrency: usize, rounds: usize) -> ServeRow {
     let xs: Vec<Vec<f64>> = (0..concurrency).map(|s| operand(a.num_cols, s)).collect();
+    let service = || {
+        let cfg = ServiceConfig::builder()
+            .shards(1)
+            .build()
+            .expect("valid service config");
+        Service::with_config(device, cfg)
+    };
 
     // Batched path: warm one wave (builds + caches the SpMM plan, pools
     // the workspace), reset the ledger, then measure.
-    let cfg = ServiceConfig::builder()
-        .shards(1)
-        .build()
-        .expect("valid service config");
-    let batched = Service::with_config(device, cfg);
+    let batched = service();
     serve_wave(&batched, a, &xs);
     batched.reset_stats();
     let t0 = Instant::now();
@@ -98,20 +103,22 @@ pub fn measure(device: &Device, a: &Arc<CsrMatrix>, concurrency: usize, rounds: 
     let batched_host_ms = t0.elapsed().as_secs_f64() * 1e3 / rounds.max(1) as f64;
     let bstats: EngineStats = batched.stats().aggregate();
 
-    // Unbatched path: same warm-reset-measure shape, direct calls.
-    let unbatched = Engine::new(device);
-    for x in &xs {
-        unbatched.spmv(a, x);
-    }
+    // Unbatched path: same warm-reset-measure shape, one request per
+    // flush.
+    let unbatched = service();
+    let serve_alone = || {
+        for x in &xs {
+            serve_wave(&unbatched, a, std::slice::from_ref(x));
+        }
+    };
+    serve_alone();
     unbatched.reset_stats();
     let t1 = Instant::now();
     for _ in 0..rounds {
-        for x in &xs {
-            unbatched.spmv(a, x);
-        }
+        serve_alone();
     }
     let unbatched_host_ms = t1.elapsed().as_secs_f64() * 1e3 / rounds.max(1) as f64;
-    let ustats = unbatched.stats();
+    let ustats = unbatched.stats().aggregate();
 
     ServeRow {
         concurrency,

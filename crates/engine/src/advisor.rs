@@ -11,26 +11,24 @@
 //! imbalance. The advisor builds an [`SpmvWorkload`] for each candidate
 //! from row lengths plus a warp-exact replay of each kernel's `x`-gather
 //! order — no format is materialized — and asks the device's
-//! [`CostModel`] to price them. The gather replays are what separate the
-//! candidates on real matrices: merge gathers row-major (rewarding
-//! within-row column runs), CMRS gathers strip-interleaved (rewarding
-//! cross-row locality, the mesh case), SELL gathers through the σ-sort
-//! permutation (which taxes that locality). An alternative must beat
-//! merge by
-//! [`FormatAdvisor::DEFAULT_MARGIN`] to be chosen: ties go to merge, whose
-//! flat decomposition is the safe default the paper argues for.
+//! [`mps_simt::CostModel`] to price them. The gather replays are what
+//! separate the candidates on real matrices: merge gathers row-major
+//! (rewarding within-row column runs), CMRS gathers strip-interleaved
+//! (rewarding cross-row locality, the mesh case), SELL gathers through
+//! the σ-sort permutation (which taxes that locality). An alternative
+//! must beat merge by [`FormatAdvisor::DEFAULT_MARGIN`] to be chosen:
+//! ties go to merge, whose flat decomposition is the safe default the
+//! paper argues for.
 
 use std::sync::Arc;
 
 use mps_core::{format_grid, CmrsSpmvPlan, SellSpmvPlan, SpmvConfig, SpmvPlan, Workspace};
-use mps_simt::{Device, Phase, SpmvWorkload};
+use mps_simt::{Device, SpmvWorkload};
 use std::cmp::Reverse;
 
 use mps_sparse::cmrs::CMRS_DEFAULT_STRIP_HEIGHT;
 use mps_sparse::sell::{slice_widths, SELL_DEFAULT_CHUNK, SELL_DEFAULT_SIGMA};
 use mps_sparse::{CsrMatrix, MatrixStats};
-
-use crate::stats::EngineStats;
 
 /// The storage format + kernel an advised plan executes with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -378,10 +376,9 @@ enum AdvisedBackend {
     Sell(SellSpmvPlan),
 }
 
-/// A format decision plus the plan built for the chosen format, cached
-/// together in the engine's LRU under the pattern fingerprint — so at
-/// steady state the advisor never re-runs and execution is the usual
-/// zero-alloc replay.
+/// A format decision plus the plan built for the chosen format: the
+/// advisor runs once, at build, and every execution is the chosen
+/// kernel's zero-alloc replay.
 #[derive(Debug, Clone)]
 pub struct AdvisedSpmvPlan {
     decision: FormatDecision,
@@ -456,42 +453,6 @@ impl AdvisedSpmvPlan {
             AdvisedBackend::Merge(p) => p.execute_into(a, x, y, ws),
             AdvisedBackend::Cmrs(p) => p.execute_into(a, x, y),
             AdvisedBackend::Sell(p) => p.execute_into(a, x, y),
-        }
-    }
-
-    /// Charge this plan's build-time work to the engine stats (the
-    /// single advised arm of [`crate::cache::CachedPlan::charge_build`]).
-    pub(crate) fn charge_build(&self, stats: &mut EngineStats) {
-        stats.advice_builds += 1;
-        match self.decision.choice {
-            FormatChoice::MergeCsr => stats.advice_merge += 1,
-            FormatChoice::Cmrs => stats.advice_cmrs += 1,
-            FormatChoice::SellCSigma => stats.advice_sell += 1,
-        }
-        if let AdvisedBackend::Merge(p) = &self.backend {
-            crate::cache::charge_partition_build(stats, p.build_sim_ms(), &p.partition, &p.fixup);
-        }
-    }
-
-    /// Charge one executed replay to totals and the phase ledger, under
-    /// the chosen kernel's phase so `mps trace` attributes it.
-    pub(crate) fn charge_exec(&self, stats: &mut EngineStats) {
-        match &self.backend {
-            AdvisedBackend::Merge(p) => crate::charge_spmv_exec(stats, p),
-            AdvisedBackend::Cmrs(p) => {
-                let s = p.stats();
-                stats.totals.add(&s.totals);
-                stats
-                    .phases
-                    .charge(Phase::CmrsStrip, s.sim_ms, s.totals.dram_bytes());
-            }
-            AdvisedBackend::Sell(p) => {
-                let s = p.stats();
-                stats.totals.add(&s.totals);
-                stats
-                    .phases
-                    .charge(Phase::SellSlice, s.sim_ms, s.totals.dram_bytes());
-            }
         }
     }
 }

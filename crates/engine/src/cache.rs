@@ -13,32 +13,26 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use mps_core::{SpAddPlan, SpgemmPlan, SpmmPlan, SpmvPlan};
-
-use crate::advisor::AdvisedSpmvPlan;
+use mps_core::{SpgemmPlan, SpmmPlan, SpmvPlan};
 use mps_simt::{LaunchStats, Phase};
 
 use crate::stats::EngineStats;
 
 /// What a cached plan is keyed on. SpMM plans additionally carry their
 /// operand width `k` because the tile loop count is baked in at build.
-/// Binary-operator plans key on both operand fingerprints.
+/// SpGEMM plans key on both operand fingerprints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PlanKey {
+pub(crate) enum PlanKey {
     Spmv { pattern: u64 },
-    AdvisedSpmv { pattern: u64 },
     Spmm { pattern: u64, k: usize },
-    SpAdd { a: u64, b: u64 },
     Spgemm { a: u64, b: u64 },
 }
 
 /// The kernel family a [`CachedPlan`] belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PlanKind {
+pub(crate) enum PlanKind {
     Spmv,
-    Advised,
     Spmm,
-    SpAdd,
     Spgemm,
 }
 
@@ -46,22 +40,19 @@ impl std::fmt::Display for PlanKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match self {
             PlanKind::Spmv => "SpMV",
-            PlanKind::Advised => "AdvisedSpMV",
             PlanKind::Spmm => "SpMM",
-            PlanKind::SpAdd => "SpAdd",
             PlanKind::Spgemm => "SpGEMM",
         };
         f.write_str(name)
     }
 }
 
-/// A plan of any of the four kernel types, shared out of the cache.
+/// A plan of any of the three served kernel types, shared out of the
+/// cache.
 #[derive(Debug, Clone)]
-pub enum CachedPlan {
+pub(crate) enum CachedPlan {
     Spmv(Arc<SpmvPlan>),
-    Advised(Arc<AdvisedSpmvPlan>),
     Spmm(Arc<SpmmPlan>),
-    SpAdd(Arc<SpAddPlan>),
     Spgemm(Arc<SpgemmPlan>),
 }
 
@@ -69,9 +60,7 @@ impl CachedPlan {
     pub fn kind(&self) -> PlanKind {
         match self {
             CachedPlan::Spmv(_) => PlanKind::Spmv,
-            CachedPlan::Advised(_) => PlanKind::Advised,
             CachedPlan::Spmm(_) => PlanKind::Spmm,
-            CachedPlan::SpAdd(_) => PlanKind::SpAdd,
             CachedPlan::Spgemm(_) => PlanKind::Spgemm,
         }
     }
@@ -86,13 +75,8 @@ impl CachedPlan {
             CachedPlan::Spmv(p) => {
                 charge_partition_build(stats, p.build_sim_ms(), &p.partition, &p.fixup)
             }
-            CachedPlan::Advised(p) => p.charge_build(stats),
             CachedPlan::Spmm(p) => {
                 charge_partition_build(stats, p.build_sim_ms(), &p.partition, &p.fixup)
-            }
-            CachedPlan::SpAdd(p) => {
-                stats.plan_build_sim_ms += p.build_sim_ms();
-                crate::charge_spadd_phases(stats, p);
             }
             CachedPlan::Spgemm(p) => {
                 stats.plan_build_sim_ms += p.symbolic_ms();
@@ -102,16 +86,6 @@ impl CachedPlan {
                 stats.totals.add(&p.symbolic_launch_stats().totals);
                 stats.phases.merge(p.symbolic_ledger());
             }
-        }
-    }
-
-    pub(crate) fn expect_advised(self) -> Arc<AdvisedSpmvPlan> {
-        match self {
-            CachedPlan::Advised(p) => p,
-            other => panic!(
-                "plan cache key mismatch: expected AdvisedSpMV, found {}",
-                other.kind()
-            ),
         }
     }
 
@@ -135,16 +109,6 @@ impl CachedPlan {
         }
     }
 
-    pub(crate) fn expect_spadd(self) -> Arc<SpAddPlan> {
-        match self {
-            CachedPlan::SpAdd(p) => p,
-            other => panic!(
-                "plan cache key mismatch: expected SpAdd, found {}",
-                other.kind()
-            ),
-        }
-    }
-
     pub(crate) fn expect_spgemm(self) -> Arc<SpgemmPlan> {
         match self {
             CachedPlan::Spgemm(p) => p,
@@ -158,7 +122,7 @@ impl CachedPlan {
 
 /// SpMV and SpMM plans share a build shape: a merge-path partition plus
 /// an optional empty-row compaction pass.
-pub(crate) fn charge_partition_build(
+fn charge_partition_build(
     stats: &mut EngineStats,
     build_sim_ms: f64,
     partition: &LaunchStats,
@@ -259,10 +223,6 @@ impl PlanCache {
         self.entries.clear();
         dropped
     }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 #[cfg(test)]
@@ -294,7 +254,7 @@ mod tests {
         assert!(!c.get_or_insert_with(key, || spmv_plan(4)).hit);
         let l = c.get_or_insert_with(key, || panic!("must not rebuild"));
         assert!(l.hit);
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.entries.len(), 1);
     }
 
     #[test]
@@ -303,7 +263,7 @@ mod tests {
         c.get_or_insert_with(PlanKey::Spmm { pattern: 1, k: 2 }, || spmv_plan(4));
         let l = c.get_or_insert_with(PlanKey::Spmm { pattern: 1, k: 3 }, || spmv_plan(4));
         assert!(!l.hit);
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.entries.len(), 2);
     }
 
     #[test]
@@ -319,7 +279,7 @@ mod tests {
         c.get_or_insert_with(k1, || panic!("hit")); // refresh k1 → k2 is LRU
         let l = c.get_or_insert_with(k3, || spmv_plan(4));
         assert!(l.evicted);
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.entries.len(), 2);
         assert!(c.get_or_insert_with(k1, || panic!("k1 must survive")).hit);
         assert!(
             !c.get_or_insert_with(k2, || spmv_plan(4)).hit,

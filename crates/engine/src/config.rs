@@ -1,13 +1,13 @@
 //! Engine tuning and its validating builder.
 
-use mps_core::{PlanError, SpAddConfig, SpgemmConfig, SpmmConfig, SpmvConfig};
+use mps_core::SpmmConfig;
 
 use crate::{ChaosConfig, EngineError};
 
-/// Engine tuning. The kernel configs must agree on merge granularity
-/// (`nv = block_threads * items_per_thread`) between SpMV and SpMM —
-/// that shared granularity is what makes a batched SpMM column bitwise
-/// equal to the standalone SpMV it replaces.
+/// Engine tuning. Every plan the engine builds uses its kernel's default
+/// config; the SpMV and SpMM defaults share merge granularity
+/// (`nv = block_threads * items_per_thread`), which is what makes a
+/// batched SpMM column bitwise equal to the standalone SpMV it replaces.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Plans kept live in the LRU cache.
@@ -36,25 +36,16 @@ pub struct EngineConfig {
     /// [`ChaosConfig`] for the injection points and their replay
     /// guarantees.
     pub(crate) chaos: ChaosConfig,
-    pub(crate) spmv: SpmvConfig,
-    pub(crate) spmm: SpmmConfig,
-    pub(crate) spadd: SpAddConfig,
-    pub(crate) spgemm: SpgemmConfig,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        let spmm = SpmmConfig::default();
         EngineConfig {
             plan_capacity: 32,
-            max_batch: spmm.tile(),
+            max_batch: SpmmConfig::default().tile(),
             result_ttl_flushes: 1024,
             delta_replan_threshold: 0.25,
             chaos: ChaosConfig::default(),
-            spmv: SpmvConfig::default(),
-            spmm,
-            spadd: SpAddConfig::default(),
-            spgemm: SpgemmConfig::default(),
         }
     }
 }
@@ -97,23 +88,7 @@ impl EngineConfig {
         &self.chaos
     }
 
-    pub fn spmv(&self) -> &SpmvConfig {
-        &self.spmv
-    }
-
-    pub fn spmm(&self) -> &SpmmConfig {
-        &self.spmm
-    }
-
-    pub fn spadd(&self) -> &SpAddConfig {
-        &self.spadd
-    }
-
-    pub fn spgemm(&self) -> &SpgemmConfig {
-        &self.spgemm
-    }
-
-    /// Check the invariants [`crate::Engine`] construction relies on.
+    /// Check the invariants a [`crate::Service`] shard relies on.
     pub fn validate(&self) -> Result<(), EngineError> {
         if self.plan_capacity == 0 {
             return Err(EngineError::InvalidConfig(
@@ -138,29 +113,14 @@ impl EngineConfig {
                 "chaos probabilities must be finite and within [0, 1]",
             ));
         }
-        for kernel in [
-            self.spmv.validate(),
-            self.spmm.validate(),
-            self.spgemm.validate(),
-        ] {
-            kernel.map_err(|e| match e {
-                PlanError::InvalidConfig(what) => EngineError::InvalidConfig(what),
-                other => EngineError::Plan(other),
-            })?;
-        }
-        if self.spmv.nv() != self.spmm.nv() {
-            return Err(EngineError::InvalidConfig(
-                "SpMV and SpMM must share merge granularity for batching equivalence",
-            ));
-        }
         Ok(())
     }
 }
 
-/// Validating builder for [`EngineConfig`]. Prefer this over filling the
-/// struct by hand: [`EngineConfigBuilder::build`] rejects zero capacities
-/// and mismatched merge granularities with a typed
-/// [`EngineError::InvalidConfig`] instead of panicking later at engine
+/// Validating builder for [`EngineConfig`]: [`EngineConfigBuilder::build`]
+/// rejects zero capacities, a non-positive delta threshold and
+/// out-of-range chaos probabilities with a typed
+/// [`EngineError::InvalidConfig`] instead of panicking later at service
 /// construction.
 #[derive(Debug, Clone)]
 pub struct EngineConfigBuilder {
@@ -200,29 +160,21 @@ impl EngineConfigBuilder {
         self
     }
 
-    pub fn spmv(mut self, cfg: SpmvConfig) -> Self {
-        self.cfg.spmv = cfg;
-        self
-    }
-
-    pub fn spmm(mut self, cfg: SpmmConfig) -> Self {
-        self.cfg.spmm = cfg;
-        self
-    }
-
-    pub fn spadd(mut self, cfg: SpAddConfig) -> Self {
-        self.cfg.spadd = cfg;
-        self
-    }
-
-    pub fn spgemm(mut self, cfg: SpgemmConfig) -> Self {
-        self.cfg.spgemm = cfg;
-        self
-    }
-
     /// Validate and produce the config.
     pub fn build(self) -> Result<EngineConfig, EngineError> {
         self.cfg.validate()?;
         Ok(self.cfg)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use mps_core::{SpmmConfig, SpmvConfig};
+
+    /// A batched SpMM column is bitwise the SpMV it replaces only while
+    /// both kernels' defaults cut the merge path at the same granularity.
+    #[test]
+    fn spmv_and_spmm_defaults_share_merge_granularity() {
+        assert_eq!(SpmvConfig::default().nv(), SpmmConfig::default().nv());
     }
 }

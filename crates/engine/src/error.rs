@@ -50,10 +50,11 @@ pub enum EngineError {
     /// issued, its result was already taken, or its unclaimed result was
     /// evicted after [`crate::EngineConfig::result_ttl_flushes`] flushes.
     UnknownTicket(u64),
-    /// An [`crate::EngineConfig`] value is out of range (zero capacity,
-    /// zero TTL, or mismatched SpMV/SpMM merge granularity). Returned by
-    /// [`crate::EngineConfigBuilder::build`] and
-    /// [`crate::Engine::try_with_config`].
+    /// An [`crate::EngineConfig`] or [`crate::ServiceConfig`] value is
+    /// out of range (zero capacity, zero TTL, zero shards). Returned by
+    /// [`crate::EngineConfigBuilder::build`],
+    /// [`crate::ServiceConfigBuilder::build`] and
+    /// [`crate::Service::try_with_config`].
     InvalidConfig(&'static str),
     /// No registered matrix matches the [`crate::MatrixHandle`] — it was
     /// never issued by this service, or belongs to another tenant.

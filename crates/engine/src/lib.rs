@@ -3,52 +3,59 @@
 //! The plan/execute split in [`mps_core`] makes every structure-dependent
 //! phase a one-time cost, but each caller still owns its own plans and
 //! workspaces and executes alone. This crate adds the layer a serving
-//! system needs on top:
+//! system needs on top, reached through one entry point, the [`Service`]:
 //!
-//! * **Plan cache** — a bounded LRU keyed by
-//!   [`CsrMatrix::pattern_fingerprint`] (plus operand width for SpMM),
-//!   so repeated requests on one sparsity pattern reuse built
-//!   `SpmvPlan`/`SpmmPlan`/`SpAddPlan`/`SpgemmPlan` instances instead of
-//!   re-partitioning.
+//! * **Queue** — the [`Service`] admits requests per tenant (quotas,
+//!   deadlines), routes each to the shard owning its matrix's
+//!   [`CsrMatrix::pattern_fingerprint`], drains shards by weighted
+//!   round-robin and stores every result for [`Service::take_result`].
+//!   It is the only way to run work on an engine.
+//! * **Plan cache** — each shard's engine keeps a bounded LRU of built
+//!   `SpmvPlan`/`SpmmPlan`/`SpgemmPlan` instances keyed by pattern
+//!   fingerprint (plus operand width for SpMM, and the right operand's
+//!   fingerprint for SpGEMM), so repeated requests on one sparsity
+//!   pattern never re-partition.
 //! * **Workspace pool** — checked-out [`Workspace`] arenas, prewarmed to
 //!   the pool's recorded high-water marks, keeping steady-state serving
 //!   zero-alloc.
-//! * **Batching** — a [`Service`] shard hands each drain's requests to its
-//!   engine, which coalesces the SpMV *and* SpMM requests on one matrix
-//!   (one `Arc` allocation, so same-pattern matrices with different
-//!   values never share a traversal), up to [`EngineConfig::max_batch`]
-//!   output columns at a time, into a single column-tiled [`SpmmPlan`]
-//!   traversal; the result columns are split back to the submitters as
-//!   typed [`EngineOutput`]s. Because the tiled SpMM computes each output
-//!   column in exactly the SpMV reduction order (the per-column
-//!   equivalence `tests/plan_equivalence.rs` pins), the batched results
-//!   are **bitwise identical** to running every request alone.
-//! * **Stats** — an [`EngineStats`] snapshot covering cache hit rate,
-//!   batch-size histogram, pool reuse, admission refusals and expiries,
-//!   simt counters, and a per-phase ledger of everything the engine
-//!   simulated.
+//! * **Batching** — a flush coalesces the SpMV *and* SpMM requests on one
+//!   matrix (one `Arc` allocation, so same-pattern matrices with
+//!   different values never share a traversal), up to
+//!   [`EngineConfig::max_batch`] output columns at a time, into a single
+//!   column-tiled [`SpmmPlan`] traversal; the result columns are split
+//!   back to the submitters as typed [`EngineOutput`]s. Because the tiled
+//!   SpMM computes each output column in exactly the SpMV reduction order
+//!   (the per-column equivalence `tests/plan_equivalence.rs` pins), the
+//!   batched results are **bitwise identical** to running every request
+//!   alone through a freshly built [`SpmvPlan`].
+//! * **Stats** — an [`EngineStats`] snapshot per shard covering cache hit
+//!   rate, batch-size histogram, pool reuse, admission refusals and
+//!   expiries, simt counters, and a per-phase ledger of everything the
+//!   shard simulated.
 //!
 //! ```
 //! use std::sync::Arc;
-//! use mps_engine::{Engine, Service, ServiceConfig, TenantId};
+//! use mps_core::{SpmvConfig, SpmvPlan};
+//! use mps_engine::{Service, ServiceConfig, TenantId};
 //! use mps_simt::Device;
 //! use mps_sparse::CsrMatrix;
 //!
-//! let engine = Engine::new(&Device::titan());
+//! let device = Device::titan();
 //! let a = Arc::new(CsrMatrix::identity(64));
 //! let x = vec![1.0; 64];
 //!
-//! // Direct path: plan cached under the pattern fingerprint.
-//! let y = engine.spmv(&a, &x);
-//! assert_eq!(y, x);
-//!
-//! // Queued path: submissions to a (here one-shard) service coalesce into
-//! // one SpMM traversal and redeem as typed outputs.
+//! // Submissions to a (here one-shard) service coalesce into one SpMM
+//! // traversal and redeem as typed outputs.
 //! let cfg = ServiceConfig::builder().shards(1).build().unwrap();
-//! let svc = Service::with_config(&Device::titan(), cfg);
+//! let svc = Service::with_config(&device, cfg);
 //! let t0 = svc.submit_spmv(TenantId(0), &a, x.clone(), None).unwrap();
 //! let t1 = svc.submit_spmv(TenantId(0), &a, x.clone(), None).unwrap();
 //! svc.flush();
+//!
+//! // Each result is bitwise what a freshly built plan computes alone.
+//! let y = SpmvPlan::new(&device, &a, &SpmvConfig::default())
+//!     .execute(&device, &a, &x)
+//!     .y;
 //! assert_eq!(svc.take_result(t0).unwrap().into_vector(), y);
 //! assert_eq!(svc.take_result(t1).unwrap().into_vector(), y);
 //! ```
@@ -69,9 +76,9 @@
 //! assert!(EngineConfig::builder().plan_capacity(0).build().is_err());
 //! ```
 //!
-//! [`Service`] is the one way to queue work: N engine shards keyed by
-//! pattern fingerprint, per-tenant quotas and deadlines, and weighted
-//! fair draining under overload.
+//! The [`FormatAdvisor`] and [`AdvisedSpmvPlan`] pick and build an SpMV
+//! storage format per pattern for callers that own their plans; no
+//! served request reaches them.
 
 pub mod advisor;
 mod batch;
@@ -86,7 +93,6 @@ mod service;
 mod stats;
 
 pub use advisor::{AdvisedSpmvPlan, FormatAdvisor, FormatChoice, FormatDecision};
-pub use cache::{CachedPlan, PlanKey, PlanKind};
 pub use chaos::{ChaosConfig, ChaosCounters};
 pub use config::{EngineConfig, EngineConfigBuilder};
 pub use error::{EngineError, TenantId};
@@ -102,14 +108,14 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use mps_core::{
-    apply_delta, apply_delta_reference, CsrDelta, DeltaApplied, SpAddPlan, SpAddResult, SpgemmPlan,
-    SpgemmResult, SpmmPlan, SpmvPlan, Workspace,
+    apply_delta, apply_delta_reference, CsrDelta, DeltaApplied, SpAddConfig, SpgemmConfig,
+    SpgemmPlan, SpmmConfig, SpmmPlan, SpmvConfig, SpmvPlan, Workspace,
 };
 use mps_simt::{Device, Phase};
 use mps_sparse::{CsrMatrix, DenseBlock};
 
 use batch::Request;
-use cache::PlanCache;
+use cache::{CachedPlan, PlanCache, PlanKey};
 use chaos::ChaosState;
 use pool::WorkspacePool;
 
@@ -266,10 +272,12 @@ impl Inner {
     }
 }
 
-/// The serving engine: one per [`Device`]. Shareable across threads
-/// (`&Engine` is `Sync`); all mutable state sits behind one mutex, while
-/// kernel executions themselves run outside it on `Arc`-shared plans.
-pub struct Engine {
+/// One [`Service`] shard's executor: its plan cache, workspace pool and
+/// stats ledger. Shareable across threads (`&Engine` is `Sync`); all
+/// mutable state sits behind one mutex, while kernel executions
+/// themselves run outside it on `Arc`-shared plans. Every plan it builds
+/// uses its kernel's default config.
+pub(crate) struct Engine {
     device: Device,
     cfg: EngineConfig,
     /// Memoized fingerprints. Lives outside the engine mutex (it is
@@ -281,34 +289,14 @@ pub struct Engine {
 }
 
 impl Engine {
-    pub fn new(device: &Device) -> Engine {
-        Engine::with_config(device, EngineConfig::default())
-    }
-
-    /// Like [`Engine::try_with_config`], but panics on an invalid config
-    /// (the historical behaviour; the panic message is the
-    /// [`EngineError::InvalidConfig`] display text).
-    pub fn with_config(device: &Device, cfg: EngineConfig) -> Engine {
-        Engine::try_with_config(device, cfg).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Construct an engine, rejecting invalid configs with
-    /// [`EngineError::InvalidConfig`] instead of panicking.
-    pub fn try_with_config(device: &Device, cfg: EngineConfig) -> Result<Engine, EngineError> {
-        Engine::try_with_fingerprints(device, cfg, Arc::default())
-    }
-
-    /// Like [`Engine::try_with_config`], memoizing fingerprints in `fp`,
-    /// which other engines may share: a [`Service`] hands its memo to
-    /// every shard, so a pattern hashed to route a request is not hashed
-    /// again by the shard that serves it.
-    pub(crate) fn try_with_fingerprints(
+    /// A shard engine for `cfg`, which the owning [`Service`] has
+    /// validated, memoizing fingerprints in the service's `fp`.
+    pub(crate) fn for_shard(
         device: &Device,
         cfg: EngineConfig,
         fp: Arc<FingerprintCache>,
-    ) -> Result<Engine, EngineError> {
-        cfg.validate()?;
-        Ok(Engine {
+    ) -> Engine {
+        Engine {
             device: device.clone(),
             fp,
             inner: Mutex::new(Inner {
@@ -321,25 +309,17 @@ impl Engine {
                 chaos: ChaosState::new(cfg.chaos.seed),
             }),
             cfg,
-        })
-    }
-
-    pub fn device(&self) -> &Device {
-        &self.device
-    }
-
-    pub fn config(&self) -> &EngineConfig {
-        &self.cfg
+        }
     }
 
     /// Snapshot of the accumulated serving telemetry.
-    pub fn stats(&self) -> EngineStats {
+    pub(crate) fn stats(&self) -> EngineStats {
         self.inner.lock().stats.clone()
     }
 
     /// Zero the telemetry (e.g. after a warm-up phase, so steady-state
     /// rates are not diluted by cold misses).
-    pub fn reset_stats(&self) {
+    pub(crate) fn reset_stats(&self) {
         self.inner.lock().stats = EngineStats::default();
     }
 
@@ -348,168 +328,6 @@ impl Engine {
     /// swaps here, so each shard keeps one ledger.
     pub(crate) fn record(&self, f: impl FnOnce(&mut EngineStats)) {
         f(&mut self.inner.lock().stats)
-    }
-
-    /// Check out a workspace arena from the pool (for callers driving
-    /// plans themselves, e.g. solvers). Return it with
-    /// [`Engine::return_workspace`] so its capacity keeps serving.
-    pub fn checkout_workspace(&self) -> Workspace {
-        self.inner.lock().checkout_ws(&self.cfg.chaos)
-    }
-
-    pub fn return_workspace(&self, ws: Workspace) {
-        self.inner.lock().pool.give_back(ws);
-    }
-
-    /// Plans currently held live by the LRU cache.
-    pub fn cached_plans(&self) -> usize {
-        self.inner.lock().cache.len()
-    }
-
-    /// Byte footprint a fresh pooled workspace is prewarmed to (the
-    /// high-water marks recorded across returned arenas).
-    pub fn pool_high_water_bytes(&self) -> usize {
-        self.inner.lock().pool.high_water_bytes()
-    }
-
-    // ---- plan cache -----------------------------------------------------
-
-    /// Cached SpMV plan for `a`'s sparsity pattern.
-    pub fn spmv_plan(&self, a: &CsrMatrix) -> Arc<SpmvPlan> {
-        let fp = a.pattern_fingerprint();
-        spmv_plan_locked(&self.device, &self.cfg, &mut self.inner.lock(), fp, a)
-    }
-
-    /// Cached format-advised SpMV plan for `a`'s sparsity pattern: the
-    /// first lookup runs the [`FormatAdvisor`] and builds the chosen
-    /// format's plan; every later lookup reuses both decision and plan
-    /// from the LRU (no re-advisal).
-    pub fn spmv_advised_plan(&self, a: &CsrMatrix) -> Arc<AdvisedSpmvPlan> {
-        let fp = a.pattern_fingerprint();
-        advised_plan_locked(&self.device, &self.cfg, &mut self.inner.lock(), fp, a)
-    }
-
-    /// The advisor's verdict for `a`'s pattern (building and caching the
-    /// advised plan if it isn't cached yet).
-    pub fn spmv_advice(&self, a: &CsrMatrix) -> FormatDecision {
-        self.spmv_advised_plan(a).decision().clone()
-    }
-
-    /// Cached SpMM plan for `a`'s pattern at operand width `k`.
-    pub fn spmm_plan(&self, a: &CsrMatrix, k: usize) -> Arc<SpmmPlan> {
-        let fp = a.pattern_fingerprint();
-        spmm_plan_locked(&self.device, &self.cfg, &mut self.inner.lock(), fp, a, k)
-    }
-
-    /// Cached SpAdd plan for the pattern pair `(a, b)`.
-    pub fn spadd_plan(&self, a: &CsrMatrix, b: &CsrMatrix) -> Arc<SpAddPlan> {
-        let key = PlanKey::SpAdd {
-            a: a.pattern_fingerprint(),
-            b: b.pattern_fingerprint(),
-        };
-        cached_plan_locked(&self.cfg, &mut self.inner.lock(), key, || {
-            CachedPlan::SpAdd(Arc::new(SpAddPlan::new(
-                &self.device,
-                a,
-                b,
-                &self.cfg.spadd,
-            )))
-        })
-        .expect_spadd()
-    }
-
-    /// Cached SpGEMM plan for the pattern pair `(a, b)`. A miss builds
-    /// (and charges) the symbolic half only; numeric replay cost is
-    /// charged per execution.
-    pub fn spgemm_plan(&self, a: &CsrMatrix, b: &CsrMatrix) -> Arc<SpgemmPlan> {
-        let fp_a = a.pattern_fingerprint();
-        let fp_b = b.pattern_fingerprint();
-        spgemm_plan_locked(
-            &self.device,
-            &self.cfg,
-            &mut self.inner.lock(),
-            fp_a,
-            fp_b,
-            a,
-            b,
-        )
-    }
-
-    // ---- direct (unbatched) execution -----------------------------------
-
-    /// Execute `a · x` through the cached plan and a pooled workspace.
-    pub fn spmv(&self, a: &CsrMatrix, x: &[f64]) -> Vec<f64> {
-        let plan = self.spmv_plan(a);
-        let mut ws = self.checkout_workspace();
-        let mut y = Vec::new();
-        let ms = plan.execute_into(a, x, &mut y, &mut ws);
-        let mut inner = self.inner.lock();
-        inner.pool.give_back(ws);
-        inner.stats.requests += 1;
-        inner.stats.exec_sim_ms += ms;
-        charge_spmv_exec(&mut inner.stats, &plan);
-        y
-    }
-
-    /// Execute `a · x` through the format-advised cached plan: the
-    /// advisor picks merge-path CSR, CMRS, or SELL-C-σ per pattern; the
-    /// decision and the chosen plan ride the same LRU entry.
-    pub fn spmv_advised(&self, a: &CsrMatrix, x: &[f64]) -> Vec<f64> {
-        let plan = self.spmv_advised_plan(a);
-        let mut ws = self.checkout_workspace();
-        let mut y = Vec::new();
-        let ms = plan.execute_into(a, x, &mut y, &mut ws);
-        let mut inner = self.inner.lock();
-        inner.pool.give_back(ws);
-        inner.stats.requests += 1;
-        inner.stats.exec_sim_ms += ms;
-        plan.charge_exec(&mut inner.stats);
-        y
-    }
-
-    /// Execute `a · x` (dense multi-vector operand) through the cached
-    /// column-tiled plan.
-    pub fn spmm(&self, a: &CsrMatrix, x: &DenseBlock) -> DenseBlock {
-        let plan = self.spmm_plan(a, x.cols);
-        let mut ws = self.checkout_workspace();
-        let mut y = DenseBlock::zeros(0, 0);
-        let ms = plan.execute_into(a, x, &mut y, &mut ws);
-        let mut inner = self.inner.lock();
-        inner.pool.give_back(ws);
-        inner.stats.requests += 1;
-        inner.stats.exec_sim_ms += ms;
-        charge_spmm_exec(&mut inner.stats, &plan);
-        y
-    }
-
-    /// Execute `a + b` through the cached balanced-path plan.
-    pub fn spadd(&self, a: &CsrMatrix, b: &CsrMatrix) -> SpAddResult {
-        let plan = self.spadd_plan(a, b);
-        let result = plan.execute(&self.device, a, b);
-        let mut inner = self.inner.lock();
-        inner.stats.requests += 1;
-        inner.stats.exec_sim_ms += result.sim_ms();
-        inner.stats.totals.add(&result.expand.totals);
-        inner.stats.totals.add(&result.union.totals);
-        charge_spadd_phases(&mut inner.stats, &plan);
-        result
-    }
-
-    /// Execute `a · b` through the cached symbolic plan: the first call on
-    /// a pattern pair builds (and charges) the symbolic half, every call
-    /// pays only the bin-adaptive numeric replay. (Callers that want the
-    /// zero-alloc value-only replay should pair [`Engine::spgemm_plan`]
-    /// with `execute_numeric` themselves; this convenience path assembles
-    /// a full result matrix.)
-    pub fn spgemm(&self, a: &CsrMatrix, b: &CsrMatrix) -> SpgemmResult {
-        let plan = self.spgemm_plan(a, b);
-        let t0 = Instant::now();
-        let result = plan.execute(&self.device, a, b);
-        let host = t0.elapsed();
-        let mut inner = self.inner.lock();
-        inner.stats.requests += 1;
-        charge_spgemm_exec(&mut inner.stats, &plan, host);
-        result
     }
 
     /// Delta-apply a snapshot of a matrix registered with a [`Service`],
@@ -536,7 +354,7 @@ impl Engine {
                 },
             ));
         }
-        let applied = apply_delta(&self.device, arc, delta, &self.cfg.spadd)?;
+        let applied = apply_delta(&self.device, arc, delta, &SpAddConfig::default())?;
         let mut inner = self.inner.lock();
         inner.stats.delta_applies += 1;
         charge_delta_apply(&mut inner.stats, &applied);
@@ -568,7 +386,7 @@ fn record_lookup(stats: &mut EngineStats, hit: bool, evicted: bool) {
 }
 
 /// Accumulate one executed SpMV replay into totals and the phase ledger.
-pub(crate) fn charge_spmv_exec(stats: &mut EngineStats, plan: &SpmvPlan) {
+fn charge_spmv_exec(stats: &mut EngineStats, plan: &SpmvPlan) {
     let r = plan.reduction_stats();
     let u = plan.update_stats();
     stats.totals.add(&r.totals);
@@ -597,32 +415,9 @@ fn charge_spmm_exec(stats: &mut EngineStats, plan: &SpmmPlan) {
         .charge(Phase::TileTraversal, u.sim_ms, u.totals.dram_bytes());
 }
 
-/// Charge an SpAdd plan's phases (expand, then the balanced-path
-/// partition/count/fill of the union) to the ledger. Used at build and —
-/// because execution replays exactly these launches — per execution.
-fn charge_spadd_phases(stats: &mut EngineStats, plan: &SpAddPlan) {
-    let e = plan.expand_stats();
-    stats
-        .phases
-        .charge(Phase::Expand, e.sim_ms, e.totals.dram_bytes());
-    let u = plan.union_stats();
-    stats.phases.charge(
-        Phase::Partition,
-        u.partition.sim_ms,
-        u.partition.totals.dram_bytes(),
-    );
-    stats
-        .phases
-        .charge(Phase::Count, u.count.sim_ms, u.count.totals.dram_bytes());
-    stats
-        .phases
-        .charge(Phase::Fill, u.fill.sim_ms, u.fill.totals.dram_bytes());
-}
-
 /// Charge one balanced-path delta apply ([`Service::submit_delta`]'s
-/// union patch) — the same expand/partition/count/fill launches an
-/// SpAdd execution pays, with the delta's resolved entries as the second
-/// operand.
+/// union patch): the expand, then the balanced-path partition, count and
+/// fill of the union with the delta's resolved entries.
 fn charge_delta_apply(stats: &mut EngineStats, d: &DeltaApplied) {
     stats.exec_sim_ms += d.sim_ms();
     stats
@@ -662,7 +457,7 @@ fn charge_spgemm_exec(stats: &mut EngineStats, plan: &SpgemmPlan, host: Duration
 /// draw, one recency-tracked lookup, and — on a miss — one call into
 /// [`CachedPlan::charge_build`], which knows what every plan kind pays
 /// at build time. The typed wrappers below only choose the key and the
-/// build closure; none of them match on plan variants anymore.
+/// build closure.
 fn cached_plan_locked(
     cfg: &EngineConfig,
     inner: &mut Inner,
@@ -694,7 +489,8 @@ fn spgemm_plan_locked(
     b: &CsrMatrix,
 ) -> Arc<SpgemmPlan> {
     cached_plan_locked(cfg, inner, PlanKey::Spgemm { a: fp_a, b: fp_b }, || {
-        CachedPlan::Spgemm(Arc::new(SpgemmPlan::new(device, a, b, &cfg.spgemm)))
+        let plan = SpgemmPlan::new(device, a, b, &SpgemmConfig::default());
+        CachedPlan::Spgemm(Arc::new(plan))
     })
     .expect_spgemm()
 }
@@ -707,40 +503,9 @@ fn spmv_plan_locked(
     a: &CsrMatrix,
 ) -> Arc<SpmvPlan> {
     cached_plan_locked(cfg, inner, PlanKey::Spmv { pattern: fp }, || {
-        CachedPlan::Spmv(Arc::new(SpmvPlan::new(device, a, &cfg.spmv)))
+        CachedPlan::Spmv(Arc::new(SpmvPlan::new(device, a, &SpmvConfig::default())))
     })
     .expect_spmv()
-}
-
-/// Advised-plan lookup under the engine lock. Mirrors
-/// [`cached_plan_locked`] but keeps the hit/miss split visible so cached
-/// re-uses count as `advice_hits` — the "0 re-advisals at steady state"
-/// signal the format bench gates on.
-fn advised_plan_locked(
-    device: &Device,
-    cfg: &EngineConfig,
-    inner: &mut Inner,
-    fp: u64,
-    a: &CsrMatrix,
-) -> Arc<AdvisedSpmvPlan> {
-    inner.maybe_cache_storm(&cfg.chaos);
-    let l = inner
-        .cache
-        .get_or_insert_with(PlanKey::AdvisedSpmv { pattern: fp }, || {
-            CachedPlan::Advised(Arc::new(AdvisedSpmvPlan::new(
-                device,
-                a,
-                &cfg.spmv,
-                &FormatAdvisor::default(),
-            )))
-        });
-    record_lookup(&mut inner.stats, l.hit, l.evicted);
-    if l.hit {
-        inner.stats.advice_hits += 1;
-    } else {
-        l.plan.charge_build(&mut inner.stats, Duration::ZERO);
-    }
-    l.plan.expect_advised()
 }
 
 fn spmm_plan_locked(
@@ -752,7 +517,8 @@ fn spmm_plan_locked(
     k: usize,
 ) -> Arc<SpmmPlan> {
     cached_plan_locked(cfg, inner, PlanKey::Spmm { pattern: fp, k }, || {
-        CachedPlan::Spmm(Arc::new(SpmmPlan::new(device, a, k, &cfg.spmm)))
+        let plan = SpmmPlan::new(device, a, k, &SpmmConfig::default());
+        CachedPlan::Spmm(Arc::new(plan))
     })
     .expect_spmm()
 }
@@ -760,7 +526,6 @@ fn spmm_plan_locked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mps_core::{SpgemmConfig, SpmmConfig, SpmvConfig};
     use mps_sparse::gen;
 
     fn device() -> Device {
@@ -777,10 +542,30 @@ mod tests {
             .collect()
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `a · x` through a freshly built plan: the bitwise reference for
+    /// every served SpMV.
+    fn fresh_spmv(a: &CsrMatrix, x: &[f64]) -> Vec<f64> {
+        let dev = device();
+        SpmvPlan::new(&dev, a, &SpmvConfig::default())
+            .execute(&dev, a, x)
+            .y
+    }
+
+    /// `a · x` for a dense block through a freshly built plan.
+    fn fresh_spmm(a: &CsrMatrix, x: &DenseBlock) -> DenseBlock {
+        let dev = device();
+        SpmmPlan::new(&dev, a, x.cols, &SpmmConfig::default())
+            .execute(&dev, a, x)
+            .y
+    }
+
     const T: TenantId = TenantId(0);
 
-    /// The queued path: a one-shard service whose engine is built from
-    /// `cfg` and also serves the tests' direct calls.
+    /// A one-shard service whose engine is built from `cfg`.
     fn service(cfg: EngineConfig) -> Service {
         let cfg = ServiceConfig::builder()
             .shards(1)
@@ -790,35 +575,41 @@ mod tests {
         Service::with_config(&device(), cfg)
     }
 
+    /// Submit one SpMV alone, flush, and redeem it.
+    fn serve_spmv(svc: &Service, a: &Arc<CsrMatrix>, x: &[f64]) -> Vec<f64> {
+        let t = svc.submit_spmv(T, a, x.to_vec(), None).expect("admitted");
+        svc.flush();
+        svc.take_result(t).expect("completed").into_vector()
+    }
+
+    /// The shard's one ledger (a one-shard service's aggregate).
+    fn stats(svc: &Service) -> EngineStats {
+        svc.stats().aggregate()
+    }
+
     #[test]
-    fn direct_spmv_hits_cache_on_repeat() {
-        let e = Engine::new(&device());
+    fn served_spmv_hits_cache_on_repeat() {
+        let svc = service(EngineConfig::default());
         let a = matrix();
         let x = operand(a.num_cols, 3);
-        let y1 = e.spmv(&a, &x);
-        let y2 = e.spmv(&a, &x);
-        assert_eq!(y1, y2);
-        let s = e.stats();
+        let y1 = serve_spmv(&svc, &a, &x);
+        let y2 = serve_spmv(&svc, &a, &x);
+        assert_eq!(bits(&y1), bits(&y2));
+        let s = stats(&svc);
         assert_eq!((s.cache_hits, s.cache_misses), (1, 1));
         assert_eq!(s.pool_checkouts, 2);
         assert_eq!(s.pool_reuses, 1);
         assert_eq!(s.requests, 2);
         assert!(s.exec_sim_ms > 0.0);
         assert!(s.plan_build_sim_ms > 0.0);
-        assert_eq!(e.cached_plans(), 1);
-        assert!(
-            e.pool_high_water_bytes() > 0,
-            "returned arena recorded marks"
-        );
     }
 
     #[test]
     fn batched_results_are_bitwise_equal_to_sequential() {
         let svc = service(EngineConfig::default());
-        let e = svc.shard_engine(0);
         let a = matrix();
         let sequential: Vec<Vec<f64>> = (0..5)
-            .map(|s| e.spmv(&a, &operand(a.num_cols, s)))
+            .map(|s| fresh_spmv(&a, &operand(a.num_cols, s)))
             .collect();
         let tickets: Vec<ServiceTicket> = (0..5)
             .map(|s| {
@@ -831,11 +622,9 @@ mod tests {
         assert_eq!(svc.pending_requests(), 0);
         for (t, want) in tickets.into_iter().zip(&sequential) {
             let got = svc.take_result(t).expect("completed").into_vector();
-            let got_bits: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
-            let want_bits: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got_bits, want_bits);
+            assert_eq!(bits(&got), bits(want));
         }
-        let s = e.stats();
+        let s = stats(&svc);
         assert_eq!(s.batches, 1);
         assert_eq!(s.batched_requests, 5);
         assert!(s.totals.dram_wide_bytes > 0, "batched path is column-tiled");
@@ -859,7 +648,7 @@ mod tests {
         for t in tickets {
             svc.take_result(t).expect("completed");
         }
-        let s = svc.shard_engine(0).stats();
+        let s = stats(&svc);
         assert_eq!(s.batches, 3);
         assert_eq!(s.batch_histogram, vec![0, 1, 0, 0, 2]); // 4 + 4 + 1
     }
@@ -885,7 +674,7 @@ mod tests {
             Err(EngineError::DeadlineExceeded { tenant: Some(T) })
         );
         assert!(svc.take_result(t_live).is_ok());
-        assert_eq!(svc.stats().aggregate().rejected_deadline, 1);
+        assert_eq!(stats(&svc).rejected_deadline, 1);
     }
 
     #[test]
@@ -920,7 +709,7 @@ mod tests {
             vec![2.0, 4.0, 6.0, 8.0]
         );
         // Distinct queues → two single-request batches, one shared plan.
-        let s = svc.shard_engine(0).stats();
+        let s = stats(&svc);
         assert_eq!(s.batches, 2);
         assert_eq!((s.cache_misses, s.cache_hits), (1, 1));
     }
@@ -952,10 +741,10 @@ mod tests {
         // The unclaimed result stays redeemable until `result_ttl_flushes`
         // further flushes have completed…
         svc.flush();
-        assert_eq!(svc.stats().aggregate().results_evicted, 0);
+        assert_eq!(stats(&svc).results_evicted, 0);
         // …then ages out.
         svc.flush();
-        assert_eq!(svc.stats().aggregate().results_evicted, 1);
+        assert_eq!(stats(&svc).results_evicted, 1);
         assert_eq!(svc.take_result(t), Err(EngineError::UnknownTicket(t.raw())));
     }
 
@@ -980,28 +769,30 @@ mod tests {
             b.num_rows
         );
         // Separate queues → separate single-request batches.
-        assert_eq!(svc.stats().aggregate().batches, 2);
+        assert_eq!(stats(&svc).batches, 2);
     }
 
     #[test]
-    fn spmm_spadd_spgemm_share_the_cache() {
-        let e = Engine::new(&device());
-        let a = gen::random_uniform(120, 120, 6.0, 2.0, 3);
-        let b = gen::random_uniform(120, 120, 6.0, 2.0, 4);
+    fn spmm_and_spgemm_share_the_cache() {
+        let svc = service(EngineConfig::default());
+        let a = Arc::new(gen::random_uniform(120, 120, 6.0, 2.0, 3));
+        let b = Arc::new(gen::random_uniform(120, 120, 6.0, 2.0, 4));
         let x = DenseBlock::from_fn(120, 3, |r, c| (r * 3 + c) as f64);
-        let y1 = e.spmm(&a, &x);
-        let y2 = e.spmm(&a, &x);
-        assert_eq!(y1, y2);
-        let c1 = e.spadd(&a, &b);
-        let c2 = e.spadd(&a, &b);
-        assert_eq!(c1.c, c2.c);
-        let g1 = e.spgemm(&a, &b);
-        let g2 = e.spgemm(&a, &b);
-        assert_eq!(g1.c, g2.c);
-        let s = e.stats();
-        assert_eq!(s.cache_misses, 3);
-        assert_eq!(s.cache_hits, 3);
-        assert_eq!(s.requests, 6);
+        let mut blocks = Vec::new();
+        let mut products = Vec::new();
+        for _ in 0..2 {
+            let tm = svc.submit_spmm(T, &a, x.clone(), None).expect("admitted");
+            let tg = svc.submit_spgemm(T, &a, &b, None).expect("admitted");
+            assert_eq!(svc.flush(), 2);
+            blocks.push(svc.take_result(tm).expect("block").into_block());
+            products.push(svc.take_result(tg).expect("matrix").into_matrix());
+        }
+        assert_eq!(blocks[0], blocks[1]);
+        assert_eq!(products[0], products[1]);
+        let s = stats(&svc);
+        assert_eq!(s.cache_misses, 2);
+        assert_eq!(s.cache_hits, 2);
+        assert_eq!(s.requests, 4);
     }
 
     #[test]
@@ -1034,115 +825,28 @@ mod tests {
                 other => panic!("expected InvalidConfig for {what}, got {other:?}"),
             }
         }
-        // Every kernel tile that cannot run is rejected at the builder.
-        let spmv = SpmvConfig::default();
-        let spmm = SpmmConfig::default();
-        let spgemm = SpgemmConfig::default();
-        for (built, what) in [
-            (
-                EngineConfig::builder()
-                    .spmv(SpmvConfig {
-                        block_threads: 0,
-                        ..spmv
-                    })
-                    .spmm(SpmmConfig {
-                        block_threads: 0,
-                        ..spmm
-                    })
-                    .build(),
-                "block_threads",
-            ),
-            (
-                EngineConfig::builder()
-                    .spmv(SpmvConfig {
-                        items_per_thread: 0,
-                        ..spmv
-                    })
-                    .build(),
-                "items_per_thread",
-            ),
-            (
-                EngineConfig::builder()
-                    .spmm(SpmmConfig { tile_k: 0, ..spmm })
-                    .build(),
-                "tile_k",
-            ),
-            (
-                EngineConfig::builder()
-                    .spgemm(SpgemmConfig {
-                        block_threads: 0,
-                        ..spgemm
-                    })
-                    .build(),
-                "block_threads",
-            ),
-            (
-                EngineConfig::builder()
-                    .spgemm(SpgemmConfig {
-                        items_per_thread: 0,
-                        ..spgemm
-                    })
-                    .build(),
-                "items_per_thread",
-            ),
-            (
-                EngineConfig::builder()
-                    .spgemm(SpgemmConfig {
-                        items_per_thread: 1000,
-                        ..spgemm
-                    })
-                    .build(),
-                "65536",
-            ),
-            (
-                EngineConfig::builder()
-                    .spgemm(SpgemmConfig {
-                        global_sort_nv: 0,
-                        ..spgemm
-                    })
-                    .build(),
-                "global_sort_nv",
-            ),
-            (
-                EngineConfig::builder()
-                    .spgemm(SpgemmConfig {
-                        bin_tiny_max: 1000,
-                        ..spgemm
-                    })
-                    .build(),
-                "bin_tiny_max",
-            ),
-        ] {
-            match built {
-                Err(EngineError::InvalidConfig(msg)) => {
-                    assert!(msg.contains(what), "{msg} should mention {what}")
-                }
-                other => panic!("expected InvalidConfig for {what}, got {other:?}"),
-            }
-        }
-        // Construction re-validates too (defense in depth — the struct
-        // literal is only reachable inside this crate).
-        assert!(Engine::try_with_config(
-            &device(),
-            EngineConfig {
+        // Service construction re-validates its engine template too
+        // (defense in depth — the struct literal is only reachable inside
+        // this crate).
+        let cfg = ServiceConfig {
+            engine: EngineConfig {
                 max_batch: 0,
                 ..EngineConfig::default()
-            }
-        )
-        .is_err());
+            },
+            ..ServiceConfig::default()
+        };
+        assert!(Service::try_with_config(&device(), cfg).is_err());
     }
 
     #[test]
     fn submit_spmm_coalesces_with_vectors_bitwise_identically() {
         let svc = service(EngineConfig::default());
-        let e = svc.shard_engine(0);
         let a = matrix();
         let block =
             DenseBlock::from_fn(a.num_cols, 3, |r, c| operand(a.num_cols, 20 + c as u64)[r]);
         let xv = operand(a.num_cols, 5);
-        // Standalone references (and plan warm-up) first.
-        let want_block = e.spmm(&a, &block);
-        let want_vec = e.spmv(&a, &xv);
+        let want_block = fresh_spmm(&a, &block);
+        let want_vec = fresh_spmv(&a, &xv);
         let tb = svc
             .submit_spmm(T, &a, block.clone(), None)
             .expect("admitted");
@@ -1150,11 +854,10 @@ mod tests {
         assert_eq!(svc.flush(), 2);
         let got_block = svc.take_result(tb).expect("block result").into_block();
         let got_vec = svc.take_result(tv).expect("vector result").into_vector();
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         assert_eq!(bits(&got_block.data), bits(&want_block.data));
         assert_eq!(bits(&got_vec), bits(&want_vec));
         // One coalesced traversal of 4 output columns, two requests.
-        let s = e.stats();
+        let s = stats(&svc);
         assert_eq!(s.batches, 1);
         assert_eq!(s.batched_requests, 2);
     }
@@ -1180,7 +883,7 @@ mod tests {
             svc.take_result(t).expect("completed");
         }
         // Budget of 4 columns: [block(3) + vector(1)] then [vector(1)].
-        let s = svc.shard_engine(0).stats();
+        let s = stats(&svc);
         assert_eq!(s.batches, 2);
         assert_eq!(s.batch_histogram, vec![0, 1, 1]);
     }
@@ -1192,33 +895,33 @@ mod tests {
             .build()
             .expect("valid config");
         let svc = service(cfg);
-        let e = svc.shard_engine(0);
         let a = matrix();
         let block = DenseBlock::from_fn(a.num_cols, 5, |r, c| (r + c) as f64 / 11.0);
-        let want = e.spmm(&a, &block);
+        let want = fresh_spmm(&a, &block);
         let t = svc.submit_spmm(T, &a, block, None).expect("admitted");
         assert_eq!(svc.flush(), 1);
         assert_eq!(svc.take_result(t).expect("completed").into_block(), want);
-        assert_eq!(e.stats().batches, 1);
+        assert_eq!(stats(&svc).batches, 1);
     }
 
     #[test]
     fn phase_ledger_reconciles_with_sim_time_totals() {
         let svc = service(EngineConfig::default());
-        let e = svc.shard_engine(0);
         let a = matrix();
         let b = Arc::new(gen::random_uniform(300, 300, 7.0, 2.0, 19));
-        e.spmv(&a, &operand(a.num_cols, 1));
-        e.spmm(&a, &DenseBlock::from_fn(a.num_cols, 2, |r, _| r as f64));
-        e.spadd(&a, &b);
-        e.spgemm(&a, &b);
+        // A lone SpMV (the SpMV plan), a lone 2-column block (an SpMM
+        // plan), then three coalesced SpMVs beside an SpGEMM.
+        serve_spmv(&svc, &a, &operand(a.num_cols, 1));
+        let blk = DenseBlock::from_fn(a.num_cols, 2, |r, _| r as f64);
+        svc.submit_spmm(T, &a, blk, None).expect("admitted");
+        svc.flush();
         for s in 0..3 {
             svc.submit_spmv(T, &a, operand(a.num_cols, s), None)
                 .expect("admitted");
         }
         svc.submit_spgemm(T, &a, &b, None).expect("admitted");
         svc.flush();
-        let s = e.stats();
+        let s = stats(&svc);
         let ledger_ms = s.phases.total_ms();
         let sim_ms = s.plan_build_sim_ms + s.exec_sim_ms;
         assert!(
@@ -1237,19 +940,21 @@ mod tests {
     }
 
     #[test]
-    fn submit_spgemm_matches_direct_bitwise() {
+    fn submit_spgemm_matches_a_fresh_plan_bitwise() {
+        let dev = device();
         let svc = service(EngineConfig::default());
-        let e = svc.shard_engine(0);
         let a = matrix();
         let b = Arc::new(gen::random_uniform(300, 280, 6.0, 2.0, 23));
-        let want = e.spgemm(&a, &b);
-        let t = svc.submit_spgemm(T, &a, &b, None).expect("admitted");
-        assert_eq!(svc.pending_requests(), 1);
-        assert_eq!(svc.take_result(t), Err(EngineError::NotReady(t.raw())));
-        assert_eq!(svc.flush(), 1);
-        let got = svc.take_result(t).expect("completed").into_matrix();
-        assert_eq!(got, want.c, "flushed SpGEMM must be bitwise identical");
-        let s = e.stats();
+        let want = SpgemmPlan::new(&dev, &a, &b, &SpgemmConfig::default()).execute(&dev, &a, &b);
+        for _ in 0..2 {
+            let t = svc.submit_spgemm(T, &a, &b, None).expect("admitted");
+            assert_eq!(svc.pending_requests(), 1);
+            assert_eq!(svc.take_result(t), Err(EngineError::NotReady(t.raw())));
+            assert_eq!(svc.flush(), 1);
+            let got = svc.take_result(t).expect("completed").into_matrix();
+            assert_eq!(got, want.c, "flushed SpGEMM must be bitwise identical");
+        }
+        let s = stats(&svc);
         assert_eq!(s.spgemm_symbolic_builds, 1, "one symbolic build shared");
         assert_eq!(s.spgemm_numeric_execs, 2);
         assert_eq!((s.cache_misses, s.cache_hits), (1, 1));
@@ -1262,7 +967,6 @@ mod tests {
         // round as a numeric-only replay — 100% symbolic-cache hit rate,
         // zero symbolic builds — and say so in the rendered stats.
         let svc = service(EngineConfig::default());
-        let e = svc.shard_engine(0);
         let a0 = gen::random_uniform(200, 200, 6.0, 2.0, 31);
         let b0 = gen::random_uniform(200, 200, 5.0, 2.0, 32);
         let warm = svc
@@ -1270,7 +974,7 @@ mod tests {
             .expect("admitted");
         svc.flush();
         svc.take_result(warm).expect("warmed");
-        e.reset_stats();
+        svc.reset_stats();
 
         let rounds = 5;
         for round in 0..rounds {
@@ -1282,11 +986,11 @@ mod tests {
             let t = svc.submit_spgemm(T, &a, &b, None).expect("admitted");
             assert_eq!(svc.flush(), 1);
             let got = svc.take_result(t).expect("completed").into_matrix();
-            let fresh = mps_core::merge_spgemm(&device(), &a, &b, e.config().spgemm());
+            let fresh = mps_core::merge_spgemm(&device(), &a, &b, &SpgemmConfig::default());
             assert_eq!(got, fresh.c, "replay must match a fresh one-shot");
         }
 
-        let s = e.stats();
+        let s = stats(&svc);
         assert_eq!(s.cache_misses, 0, "steady state never rebuilds");
         assert_eq!(s.cache_hits, rounds as u64);
         assert!((s.cache_hit_rate() - 1.0).abs() < 1e-15);
@@ -1316,7 +1020,7 @@ mod tests {
             Err(EngineError::DeadlineExceeded { tenant: Some(T) })
         );
         assert!(svc.take_result(t_live).is_ok());
-        assert_eq!(svc.stats().aggregate().rejected_deadline, 1);
+        assert_eq!(stats(&svc).rejected_deadline, 1);
     }
 
     #[test]
@@ -1342,7 +1046,7 @@ mod tests {
         let err = svc.take_result(t).expect_err("expired");
         assert_eq!(err, EngineError::DeadlineExceeded { tenant: Some(bob) });
         assert_eq!(err.tenant(), Some(bob));
-        let s = svc.shard_engine(0).stats();
+        let s = stats(&svc);
         let ca = s.tenants.get(alice);
         assert_eq!((ca.requests, ca.hits), (2, 1));
         let cb = s.tenants.get(bob);
@@ -1350,36 +1054,31 @@ mod tests {
         assert!(s.render().contains("tenant#1"), "{}", s.render());
     }
 
-    fn bits(v: &[f64]) -> Vec<u64> {
-        v.iter().map(|x| x.to_bits()).collect()
-    }
-
     #[test]
     fn value_update_reuses_cached_plans_and_matches_a_fresh_plan_bitwise() {
         let svc = service(EngineConfig::default());
-        let e = svc.shard_engine(0);
         let a = matrix();
         let h = svc.register(T, &a);
         let x = operand(a.num_cols, 5);
-        let y0 = e.spmv(&a, &x);
-        let misses = e.stats().cache_misses;
+        let y0 = serve_spmv(&svc, &a, &x);
+        let misses = stats(&svc).cache_misses;
         let vals: Vec<f64> = (0..a.nnz())
             .map(|i| (i as f64).mul_add(0.25, -3.0))
             .collect();
         let snap = svc.submit_update(T, h, vals.clone()).expect("valid update");
         assert!(Arc::ptr_eq(&snap, &svc.matrix(h).expect("registered")));
-        // Reference: a fresh engine plans the mutated matrix from scratch.
+        // Reference: a fresh plan of the mutated matrix.
         let mut fresh = (*a).clone();
         fresh.values = vals;
-        let want = Engine::new(&device()).spmv(&fresh, &x);
-        let got = e.spmv(&snap, &x);
+        let want = fresh_spmv(&fresh, &x);
+        let got = serve_spmv(&svc, &snap, &x);
         assert_eq!(bits(&got), bits(&want), "numeric-only round must be exact");
-        let s = e.stats();
+        let s = stats(&svc);
         assert_eq!(s.cache_misses, misses, "value swap must not replan");
         assert_eq!(s.value_updates, 1);
         assert!(s.render().contains("1 value updates"), "{}", s.render());
         // The caller's pre-update snapshot still holds the old values.
-        assert_eq!(bits(&e.spmv(&a, &x)), bits(&y0));
+        assert_eq!(bits(&serve_spmv(&svc, &a, &x)), bits(&y0));
     }
 
     #[test]
@@ -1407,7 +1106,7 @@ mod tests {
         oob.upsert(a.num_rows as u32, 0, 1.0);
         let err = svc.submit_delta(T, h, &oob).expect_err("row out of bounds");
         assert!(matches!(err, EngineError::Plan(_)), "{err}");
-        let s = svc.stats().aggregate();
+        let s = stats(&svc);
         assert_eq!(s.value_updates, 0);
         assert_eq!(s.delta_applies, 0);
     }
@@ -1455,7 +1154,7 @@ mod tests {
         assert!(out.fallback);
         let after = svc.matrix(h).expect("advanced");
         assert_eq!(*after, want);
-        let s = svc.stats().aggregate();
+        let s = stats(&svc);
         assert_eq!((s.delta_applies, s.delta_fallbacks), (1, 1));
         assert!(s.render().contains("1 deltas applied"), "{}", s.render());
     }
@@ -1463,7 +1162,6 @@ mod tests {
     #[test]
     fn value_only_delta_preserves_the_pattern_fingerprint() {
         let svc = service(EngineConfig::default());
-        let e = svc.shard_engine(0);
         let a = matrix();
         let h = svc.register(T, &a);
         let (r0, c0) = (0u32, a.col_idx[a.row_offsets[0]]);
@@ -1475,15 +1173,14 @@ mod tests {
         let got = svc.matrix(h).expect("advanced");
         assert_eq!(got.pattern_fingerprint(), a.pattern_fingerprint());
         // Same fingerprint → the plan built pre-mutation keeps serving.
-        e.spmv(&a, &operand(a.num_cols, 1));
-        let misses = e.stats().cache_misses;
-        e.spmv(&got, &operand(a.num_cols, 1));
-        assert_eq!(e.stats().cache_misses, misses);
+        serve_spmv(&svc, &a, &operand(a.num_cols, 1));
+        let misses = stats(&svc).cache_misses;
+        serve_spmv(&svc, &got, &operand(a.num_cols, 1));
+        assert_eq!(stats(&svc).cache_misses, misses);
     }
 
     #[test]
     fn value_swaps_and_value_only_deltas_never_rehash() {
-        let dev = device();
         let svc = service(EngineConfig::default());
         let a = matrix();
         let h = svc.register(T, &a);
@@ -1491,13 +1188,10 @@ mod tests {
         drop(a);
         let check = |snap: &Arc<CsrMatrix>, seed: u64| {
             let x = operand(snap.num_cols, seed);
-            let t = svc.submit_spmv(T, snap, x.clone(), None).expect("admitted");
-            svc.flush();
-            let got = svc.take_result(t).expect("completed").into_vector();
-            let want = SpmvPlan::new(&dev, snap, &SpmvConfig::default())
-                .execute(&dev, snap, &x)
-                .y;
-            assert_eq!(bits(&got), bits(&want));
+            assert_eq!(
+                bits(&serve_spmv(&svc, snap, &x)),
+                bits(&fresh_spmv(snap, &x))
+            );
         };
         for round in 0..4u64 {
             let nnz = svc.matrix(h).expect("registered").nnz();
@@ -1517,51 +1211,7 @@ mod tests {
         );
         check(&svc.matrix(h).expect("registered"), 9);
         assert_eq!(hashes(), 1, "a value-only delta carries too");
-        assert_eq!(svc.stats().aggregate().cache_misses, 1);
-    }
-
-    #[test]
-    fn advised_spmv_advises_once_and_serves_from_cache() {
-        // The decision is keyed by pattern fingerprint: one build, then
-        // every repeat is a cache hit with zero re-advisals.
-        let e = Engine::new(&device());
-        let a = gen::stencil_5pt(96, 64);
-        let x = operand(a.num_cols, 5);
-        let first = e.spmv_advised(&a, &x);
-        for _ in 0..4 {
-            assert_eq!(e.spmv_advised(&a, &x), first);
-        }
-        let s = e.stats();
-        assert_eq!(s.advice_builds, 1, "one advisal for one pattern");
-        assert_eq!(s.advice_hits, 4, "steady state re-uses the decision");
-        assert_eq!(s.advice_cmrs, 1, "a stencil routes to the strip kernel");
-        assert_eq!((s.cache_hits, s.cache_misses), (4, 1));
-        assert_eq!(s.requests, 5);
-        assert_eq!(e.cached_plans(), 1);
-        let mut want = vec![0.0; a.num_rows];
-        mps_core::spmv_rowwise(&a, &x, &mut want);
-        assert_eq!(first, want, "cmrs numerics are the row-wise dot");
-        assert!(s.render().contains("advisor"));
-    }
-
-    #[test]
-    fn advised_merge_choice_is_bitwise_the_plain_spmv_path() {
-        // Heavy skew keeps the advisor on merge; the advised entry point
-        // must then produce exactly what the direct merge path produces.
-        let mut coo = mps_sparse::CooMatrix::new(2048, 2048);
-        for r in 0..2048u32 {
-            let len = if r % 256 == 0 { 2000usize } else { 2 };
-            for k in 0..len {
-                coo.push(r, ((r as usize * 17 + k * 29) % 2048) as u32, 0.5);
-            }
-        }
-        let a = coo.to_csr();
-        let x = operand(a.num_cols, 9);
-        let e = Engine::new(&device());
-        let advised = e.spmv_advised(&a, &x);
-        assert_eq!(e.stats().advice_merge, 1);
-        let direct = Engine::new(&device()).spmv(&a, &x);
-        assert_eq!(advised, direct);
+        assert_eq!(stats(&svc).cache_misses, 1);
     }
 
     #[test]
@@ -1570,14 +1220,12 @@ mod tests {
             .plan_capacity(2)
             .build()
             .expect("valid config");
-        let e = Engine::with_config(&device(), cfg);
-        let mats: Vec<CsrMatrix> = (0..4)
-            .map(|s| gen::random_uniform(80, 80, 4.0, 1.5, 100 + s))
-            .collect();
-        for m in &mats {
-            e.spmv_plan(m);
+        let svc = service(cfg);
+        for s in 0..4 {
+            let m = Arc::new(gen::random_uniform(80, 80, 4.0, 1.5, 100 + s));
+            serve_spmv(&svc, &m, &operand(m.num_cols, s));
         }
-        let s = e.stats();
+        let s = stats(&svc);
         assert_eq!(s.cache_misses, 4);
         assert_eq!(s.cache_evictions, 2);
     }

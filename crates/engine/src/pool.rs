@@ -66,12 +66,6 @@ impl WorkspacePool {
         self.carry_high = 0;
         dropped
     }
-
-    /// High-water byte footprint the pool would prewarm a fresh arena to.
-    pub fn high_water_bytes(&self) -> usize {
-        self.f64_high * std::mem::size_of::<f64>()
-            + self.carry_high * std::mem::size_of::<(usize, f64)>()
-    }
 }
 
 #[cfg(test)]
@@ -97,7 +91,7 @@ mod tests {
         buf.resize(5000, 0.0);
         ws.put_f64(buf);
         p.give_back(ws);
-        assert!(p.high_water_bytes() >= 5000 * 8);
+        assert!(p.f64_high >= 5000);
         // Drain the pool, then mint a fresh arena: it must start at the
         // recorded capacity, not empty.
         let _held = p.checkout();

@@ -1,7 +1,8 @@
 //! Sharded multi-tenant serving service: the one way to queue work.
 //!
-//! A [`crate::Engine`] plans and executes; this module queues requests
-//! for it across threads and tenants:
+//! Each shard owns a private engine that plans and executes; this module
+//! queues requests for it across threads and tenants, and is the only way
+//! to run work on an engine:
 //!
 //! * **Shards** — N independent engines, each with its own plan cache,
 //!   workspace pool, stats ledger and chaos stream (seeds derived per
@@ -103,7 +104,6 @@ pub struct ServiceConfig {
     pub(crate) tenants: BTreeMap<TenantId, TenantSpec>,
     pub(crate) default_spec: TenantSpec,
     pub(crate) drain_budget: usize,
-    pub(crate) drain_quantum: u32,
 }
 
 impl Default for ServiceConfig {
@@ -114,7 +114,6 @@ impl Default for ServiceConfig {
             tenants: BTreeMap::new(),
             default_spec: TenantSpec::default(),
             drain_budget: 256,
-            drain_quantum: 1,
         }
     }
 }
@@ -145,11 +144,6 @@ impl ServiceConfig {
         self.drain_budget
     }
 
-    /// Credits a weight-1 tenant earns per DRR round.
-    pub fn drain_quantum(&self) -> u32 {
-        self.drain_quantum
-    }
-
     /// The QoS spec for `tenant` (the default spec when unregistered).
     pub fn spec(&self, tenant: TenantId) -> TenantSpec {
         self.tenants
@@ -168,11 +162,6 @@ impl ServiceConfig {
         if self.drain_budget == 0 {
             return Err(EngineError::InvalidConfig(
                 "drain_budget must be at least 1",
-            ));
-        }
-        if self.drain_quantum == 0 {
-            return Err(EngineError::InvalidConfig(
-                "drain_quantum must be at least 1",
             ));
         }
         for spec in self
@@ -230,13 +219,6 @@ impl ServiceConfigBuilder {
     /// ([`ServiceConfig::drain_budget`]).
     pub fn drain_budget(mut self, n: usize) -> Self {
         self.cfg.drain_budget = n;
-        self
-    }
-
-    /// Credits a weight-1 tenant earns per DRR round
-    /// ([`ServiceConfig::drain_quantum`]).
-    pub fn drain_quantum(mut self, n: u32) -> Self {
-        self.cfg.drain_quantum = n;
         self
     }
 
@@ -299,12 +281,12 @@ impl Service {
                     .chaos
                     .seed
                     .wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                Ok(Shard {
-                    engine: Engine::try_with_fingerprints(device, ec, Arc::clone(&fp))?,
+                Shard {
+                    engine: Engine::for_shard(device, ec, Arc::clone(&fp)),
                     state: Mutex::new(ShardState::new()),
-                })
+                }
             })
-            .collect::<Result<Vec<_>, EngineError>>()?;
+            .collect();
         Ok(Service {
             cfg,
             shards,
@@ -327,12 +309,6 @@ impl Service {
     /// The shard a pattern fingerprint routes to.
     pub fn shard_of(&self, fingerprint: u64) -> usize {
         (fingerprint % self.shards.len() as u64) as usize
-    }
-
-    /// Direct access to one shard's engine: its direct calls and plan
-    /// accessors share the shard's plan cache and workspace pool.
-    pub fn shard_engine(&self, shard: usize) -> &Engine {
-        &self.shards[shard].engine
     }
 
     /// Requests waiting across all shard injectors.
@@ -564,9 +540,7 @@ impl Service {
                 if budget == 0 {
                     break;
                 }
-                let credit =
-                    u64::from(self.cfg.spec(tn).weight) * u64::from(self.cfg.drain_quantum);
-                if !st.refill(tn, credit) {
+                if !st.refill(tn, u64::from(self.cfg.spec(tn).weight)) {
                     continue;
                 }
                 while budget > 0 {
@@ -696,9 +670,8 @@ mod tests {
     }
 
     #[test]
-    fn service_results_match_engine_bitwise() {
+    fn service_results_match_fresh_plans_bitwise() {
         let svc = Service::new(&device());
-        let engine = Engine::new(&device());
         let mats: Vec<Arc<CsrMatrix>> = (0..6)
             .map(|s| Arc::new(gen::random_uniform(200, 200, 6.0, 2.0, 50 + s)))
             .collect();
@@ -706,14 +679,13 @@ mod tests {
         let mut pairs = Vec::new();
         for (i, m) in mats.iter().enumerate() {
             let x = operand(m.num_cols, i as u64);
-            let want = engine.spmv(m, &x);
+            let want = fresh_spmv(m, &x);
             let t = svc.submit_spmv(tenant, m, x, None).expect("admitted");
             pairs.push((t, want));
         }
         assert_eq!(svc.flush(), 6);
         for (t, want) in pairs {
             let got = svc.take_result(t).expect("completed").into_vector();
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
             assert_eq!(bits(&got), bits(&want));
         }
         // Six distinct patterns spread across the default four shards.
@@ -923,13 +895,16 @@ mod tests {
 
     #[test]
     fn spgemm_and_spmm_route_through_the_service() {
-        let svc = Service::new(&device());
-        let engine = Engine::new(&device());
+        let dev = device();
+        let svc = Service::new(&dev);
         let a = Arc::new(gen::random_uniform(150, 150, 5.0, 2.0, 11));
         let b = Arc::new(gen::random_uniform(150, 150, 4.0, 2.0, 12));
         let blk = DenseBlock::from_fn(a.num_cols, 3, |r, c| (r * 3 + c) as f64 / 7.0);
-        let want_mm = engine.spmm(&a, &blk);
-        let want_gm = engine.spgemm(&a, &b);
+        let want_mm = mps_core::SpmmPlan::new(&dev, &a, 3, &mps_core::SpmmConfig::default())
+            .execute(&dev, &a, &blk)
+            .y;
+        let want_gm = mps_core::SpgemmPlan::new(&dev, &a, &b, &mps_core::SpgemmConfig::default())
+            .execute(&dev, &a, &b);
         let tn = TenantId(0);
         let t_mm = svc
             .submit_spmm(tn, &a, blk.clone(), None)
@@ -1035,11 +1010,10 @@ mod tests {
             .all(|s| Arc::ptr_eq(&s.engine.fp, &svc.fp)));
         svc.reset_stats();
         // Mutation rounds: swap values, resubmit, check against a fresh
-        // engine planning the mutated matrix from scratch. The first
-        // swap clones (`handles` still holds each original), the second
-        // moves the sole registered copy; both carry the fingerprint.
+        // plan of the mutated matrix. The first swap clones (`handles`
+        // still holds each original), the second moves the sole
+        // registered copy; both carry the fingerprint.
         for round in 2..4u64 {
-            let reference = Engine::new(&device());
             let mut expected = Vec::new();
             for (h, a) in &handles {
                 let vals: Vec<f64> = (0..a.nnz())
@@ -1047,7 +1021,7 @@ mod tests {
                     .collect();
                 let snap = svc.submit_update(tn, *h, vals).expect("owner update");
                 let x = operand(a.num_cols, round);
-                expected.push(reference.spmv(&snap, &x));
+                expected.push(fresh_spmv(&snap, &x));
                 tickets.push(svc.submit_spmv(tn, &snap, x, None).expect("admitted"));
             }
             svc.flush();
@@ -1243,10 +1217,6 @@ mod tests {
             (
                 ServiceConfig::builder().drain_budget(0).build(),
                 "drain_budget",
-            ),
-            (
-                ServiceConfig::builder().drain_quantum(0).build(),
-                "drain_quantum",
             ),
             (
                 ServiceConfig::builder()

@@ -5,7 +5,7 @@
 //! request of the shard resolves into.
 //!
 //! Draining uses deficit round-robin: every round each backlogged tenant
-//! earns `weight × quantum` credits, and one credit admits one request to
+//! earns `weight` credits, and one credit admits one request to
 //! the engine. Under overload (drain budget smaller than the backlog)
 //! completed-request shares therefore converge to quota-weight shares,
 //! which is the fairness property `tests/service_serving.rs` pins.

@@ -10,8 +10,7 @@ use crate::error::TenantId;
 /// Per-tenant serving counters. One row of the [`TenantTable`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantCounters {
-    /// Requests completed for this tenant (through [`crate::Service`]
-    /// submissions; direct engine calls are never attributed).
+    /// Requests completed for this tenant.
     pub requests: u64,
     /// Of those, how many were served from an already-cached plan (the
     /// plan lookup for the flush group carrying the request was a hit).
@@ -118,11 +117,11 @@ impl TenantTable {
     }
 }
 
-/// Snapshot of everything the engine has done since construction (or the
-/// last [`crate::Engine::reset_stats`]); for a [`crate::Service`] shard,
-/// also everything its injector refused, expired or evicted. Cheap to
-/// clone; all counters are plain integers plus the simt [`Counters`]
-/// accumulated over executed kernel phases.
+/// Snapshot of everything one [`crate::Service`] shard has done since
+/// construction (or the last [`crate::Service::reset_stats`]): what its
+/// engine planned and executed, and what its injector refused, expired or
+/// evicted. Cheap to clone; all counters are plain integers plus the simt
+/// [`Counters`] accumulated over executed kernel phases.
 #[derive(Debug, Clone, Default)]
 pub struct EngineStats {
     /// Plan-cache lookups that found a live plan.
@@ -135,7 +134,7 @@ pub struct EngineStats {
     pub pool_checkouts: u64,
     /// Checkouts satisfied by a previously returned arena (no new arena).
     pub pool_reuses: u64,
-    /// Requests completed (direct calls plus flushed submissions).
+    /// Requests completed by flushes.
     pub requests: u64,
     /// Flushed SpMV/SpMM groups, each run as one traversal.
     pub batches: u64,
@@ -163,8 +162,8 @@ pub struct EngineStats {
     /// repeated-pattern steady state this stays at its warm-up value
     /// while [`EngineStats::spgemm_numeric_execs`] keeps climbing.
     pub spgemm_symbolic_builds: u64,
-    /// SpGEMM numeric executions served (direct calls plus flushed
-    /// submissions) — each one a value-only replay of a cached plan.
+    /// SpGEMM numeric executions served — each one a value-only replay
+    /// of a cached plan.
     pub spgemm_numeric_execs: u64,
     /// Simulated milliseconds of SpGEMM symbolic builds (also counted in
     /// [`EngineStats::plan_build_sim_ms`]).
@@ -180,19 +179,6 @@ pub struct EngineStats {
     /// ([`crate::Service::submit_update`]) — numeric-only rounds that kept
     /// every cached plan for the pattern valid.
     pub value_updates: u64,
-    /// Format-advised plans built ([`crate::Engine::spmv_advised`] cache
-    /// misses) — each one ran the advisor's cost comparison once.
-    pub advice_builds: u64,
-    /// Advised lookups served from an already-cached decision + plan; at
-    /// steady state this climbs while [`EngineStats::advice_builds`]
-    /// stays at its warm-up value (0 re-advisals).
-    pub advice_hits: u64,
-    /// Advised plans that chose the merge-path CSR kernel.
-    pub advice_merge: u64,
-    /// Advised plans that chose the CMRS strip kernel.
-    pub advice_cmrs: u64,
-    /// Advised plans that chose the SELL-C-σ slice kernel.
-    pub advice_sell: u64,
     /// Pattern deltas applied through the balanced-path union
     /// ([`crate::Service::submit_delta`]), fallbacks excluded.
     pub delta_applies: u64,
@@ -211,8 +197,7 @@ pub struct EngineStats {
     /// Faults injected by the [`crate::ChaosConfig`] schedule (all zero
     /// when chaos is disabled).
     pub chaos: ChaosCounters,
-    /// Per-tenant ledger of [`crate::Service`] submissions (empty for an
-    /// engine that served only direct calls).
+    /// Per-tenant ledger of [`crate::Service`] submissions.
     pub tenants: TenantTable,
 }
 
@@ -275,11 +260,6 @@ impl EngineStats {
         self.spgemm_symbolic_host_ms += other.spgemm_symbolic_host_ms;
         self.spgemm_numeric_host_ms += other.spgemm_numeric_host_ms;
         self.value_updates += other.value_updates;
-        self.advice_builds += other.advice_builds;
-        self.advice_hits += other.advice_hits;
-        self.advice_merge += other.advice_merge;
-        self.advice_cmrs += other.advice_cmrs;
-        self.advice_sell += other.advice_sell;
         self.delta_applies += other.delta_applies;
         self.delta_fallbacks += other.delta_fallbacks;
         self.totals.add(&other.totals);
@@ -346,16 +326,6 @@ impl EngineStats {
                 self.spgemm_symbolic_host_ms,
                 self.spgemm_numeric_sim_ms,
                 self.spgemm_numeric_host_ms,
-            ));
-        }
-        if self.advice_builds + self.advice_hits > 0 {
-            out.push_str(&format!(
-                "advisor       {} decisions ({} merge / {} cmrs / {} sell-c-sigma), {} cached re-uses\n",
-                self.advice_builds,
-                self.advice_merge,
-                self.advice_cmrs,
-                self.advice_sell,
-                self.advice_hits,
             ));
         }
         if self.value_updates + self.delta_applies + self.delta_fallbacks > 0 {
@@ -472,32 +442,6 @@ mod tests {
         assert_eq!(a.chaos.cache_storms, 1);
         assert_eq!(a.tenants.get(TenantId(0)).requests, 2);
         assert_eq!(a.tenants.get(TenantId(0)).hits, 1);
-    }
-
-    #[test]
-    fn render_shows_advisor_line_once_advised() {
-        let mut s = EngineStats::default();
-        assert!(!s.render().contains("advisor"));
-        s.advice_builds = 2;
-        s.advice_merge = 1;
-        s.advice_sell = 1;
-        s.advice_hits = 10;
-        let r = s.render();
-        assert!(
-            r.contains(
-                "advisor       2 decisions (1 merge / 0 cmrs / 1 sell-c-sigma), 10 cached re-uses"
-            ),
-            "{r}"
-        );
-
-        let other = EngineStats {
-            advice_hits: 5,
-            advice_cmrs: 3,
-            ..Default::default()
-        };
-        s.merge(&other);
-        assert_eq!(s.advice_hits, 15);
-        assert_eq!(s.advice_cmrs, 3);
     }
 
     #[test]

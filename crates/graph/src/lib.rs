@@ -27,9 +27,7 @@ pub mod triangles;
 
 pub use bfs::bfs_levels;
 pub use components::connected_components;
-pub use pagerank::{
-    pagerank, pagerank_multi, pagerank_multi_with_engine, MultiPageRankResult, PageRankResult,
-};
+pub use pagerank::{pagerank, pagerank_multi, MultiPageRankResult, PageRankResult};
 pub use semiring::{semiring_spmv, Semiring};
 pub use stream::{edge_stream, sliding_pagerank, RoundReport, StreamConfig, StreamReport};
 pub use triangles::count_triangles;

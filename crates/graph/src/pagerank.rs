@@ -11,10 +11,7 @@
 //! instead of `k` SpMVs, so the transition matrix is streamed
 //! `⌈k / TILE_K⌉` times per iteration rather than `k` times.
 
-use std::sync::Arc;
-
 use mps_core::{SpmmConfig, SpmmPlan, SpmvConfig, SpmvPlan, Workspace};
-use mps_engine::Engine;
 use mps_simt::Device;
 use mps_sparse::{CsrMatrix, DenseBlock};
 
@@ -143,52 +140,6 @@ pub fn pagerank_multi(
     tolerance: f64,
     max_iterations: usize,
 ) -> MultiPageRankResult {
-    pagerank_multi_impl(
-        device,
-        graph,
-        sources,
-        damping,
-        tolerance,
-        max_iterations,
-        None,
-    )
-}
-
-/// [`pagerank_multi`] sourcing its SpMM plan and workspace from a serving
-/// engine. The transition operator derived from `graph` is deterministic,
-/// so repeated computations on one graph hit the engine's plan cache (the
-/// fingerprint covers the transpose's pattern) and reuse pooled arenas.
-/// Numerically identical to [`pagerank_multi`]; the partition cost moves
-/// to the engine's ledger.
-pub fn pagerank_multi_with_engine(
-    engine: &Engine,
-    graph: &CsrMatrix,
-    sources: &[u32],
-    damping: f64,
-    tolerance: f64,
-    max_iterations: usize,
-) -> MultiPageRankResult {
-    pagerank_multi_impl(
-        engine.device(),
-        graph,
-        sources,
-        damping,
-        tolerance,
-        max_iterations,
-        Some(engine),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn pagerank_multi_impl(
-    device: &Device,
-    graph: &CsrMatrix,
-    sources: &[u32],
-    damping: f64,
-    tolerance: f64,
-    max_iterations: usize,
-    engine: Option<&Engine>,
-) -> MultiPageRankResult {
     assert_eq!(
         graph.num_rows, graph.num_cols,
         "PageRank needs a square graph"
@@ -209,20 +160,9 @@ fn pagerank_multi_impl(
         };
     }
     let (t, dangling) = transition_transpose(graph);
-    let (plan, mut sim_ms): (Arc<SpmmPlan>, f64) = match engine {
-        // The cached plan amortizes partitioning across computations; its
-        // build cost sits on the engine's ledger, not this run's clock.
-        Some(e) => (e.spmm_plan(&t, k), 0.0),
-        None => {
-            let plan = SpmmPlan::new(device, &t, k, &SpmmConfig::default());
-            let partition_ms = plan.partition.sim_ms;
-            (Arc::new(plan), partition_ms)
-        }
-    };
-    let mut ws = match engine {
-        Some(e) => e.checkout_workspace(),
-        None => Workspace::new(),
-    };
+    let plan = SpmmPlan::new(device, &t, k, &SpmmConfig::default());
+    let mut sim_ms = plan.partition.sim_ms;
+    let mut ws = Workspace::new();
     let mut y = DenseBlock::zeros(0, 0);
 
     // Start each column at its personalization vector.
@@ -270,9 +210,6 @@ fn pagerank_multi_impl(
         if converged.iter().all(|&c| c) {
             break;
         }
-    }
-    if let Some(e) = engine {
-        e.return_workspace(ws);
     }
     MultiPageRankResult {
         scores: r,
@@ -414,28 +351,6 @@ mod tests {
         }
         // The seed keeps the largest share of its own column.
         assert!(pr.scores.get(0, 0) > pr.scores.get(2, 0) - 1e-12);
-    }
-
-    #[test]
-    fn engine_backed_multi_matches_standalone_bitwise() {
-        let g = adjacency_from_edges(
-            10,
-            &[(0, 1), (1, 2), (2, 3), (3, 0), (2, 7), (7, 8), (8, 9)],
-        );
-        let sources = [1u32, 7, 9];
-        let plain = run_multi(&g, &sources);
-        let engine = Engine::new(&dev());
-        let served1 = pagerank_multi_with_engine(&engine, &g, &sources, 0.85, 1e-12, 500);
-        let served2 = pagerank_multi_with_engine(&engine, &g, &sources, 0.85, 1e-12, 500);
-        let bits = |d: &DenseBlock| d.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&plain.scores), bits(&served1.scores));
-        assert_eq!(bits(&served1.scores), bits(&served2.scores));
-        // The derived transition operator fingerprints identically across
-        // calls, so the second run re-planned nothing.
-        let s = engine.stats();
-        assert_eq!((s.cache_misses, s.cache_hits), (1, 1));
-        assert_eq!(s.pool_reuses, 1);
-        assert!(served2.sim_ms < plain.sim_ms);
     }
 
     #[test]

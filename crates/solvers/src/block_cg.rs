@@ -10,11 +10,9 @@
 //! Converged (or broken-down) columns are masked out of the vector updates
 //! and their iterates freeze, while the remaining columns keep iterating.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use mps_core::{SpmmConfig, SpmmPlan};
-use mps_engine::Engine;
 use mps_simt::{Device, Phase};
 use mps_sparse::{CsrMatrix, DenseBlock};
 
@@ -58,51 +56,16 @@ pub fn block_cg(
     b: &DenseBlock,
     opts: &SolverOptions,
 ) -> BlockSolveReport {
-    block_cg_impl(device, a, b, opts, None)
-}
-
-/// [`block_cg`] sourcing its SpMM plan and workspace from a serving
-/// engine: the plan comes from the engine's fingerprint-keyed cache (so
-/// repeated solves on one operator re-plan nothing) and the scratch arena
-/// is checked out of — and returned to — the engine's pool. Numerically
-/// identical to [`block_cg`]; the partition cost is charged to the
-/// engine's ledger at plan build instead of to every solve's `sim_ms`.
-pub fn block_cg_with_engine(
-    engine: &Engine,
-    a: &CsrMatrix,
-    b: &DenseBlock,
-    opts: &SolverOptions,
-) -> BlockSolveReport {
-    block_cg_impl(engine.device(), a, b, opts, Some(engine))
-}
-
-fn block_cg_impl(
-    device: &Device,
-    a: &CsrMatrix,
-    b: &DenseBlock,
-    opts: &SolverOptions,
-    engine: Option<&Engine>,
-) -> BlockSolveReport {
     assert_eq!(a.num_rows, a.num_cols, "block CG needs a square system");
     assert_eq!(b.rows, a.num_rows, "right-hand side block height mismatch");
     let host_start = Instant::now();
     let n = a.num_rows;
     let k = b.cols;
     let mut clock = SimClock::default();
-    // The operator and block width are fixed across iterations: plan once
-    // (or fetch the cached plan when an engine serves this operator).
-    let plan: Arc<SpmmPlan> = match engine {
-        Some(e) => e.spmm_plan(a, k),
-        None => {
-            let plan = SpmmPlan::new(device, a, k, &SpmmConfig::default());
-            clock.charge(Phase::Partition, &plan.partition);
-            Arc::new(plan)
-        }
-    };
-    let mut ws = match engine {
-        Some(e) => e.checkout_workspace(),
-        None => Default::default(),
-    };
+    // The operator and block width are fixed across iterations: plan once.
+    let plan = SpmmPlan::new(device, a, k, &SpmmConfig::default());
+    clock.charge(Phase::Partition, &plan.partition);
+    let mut ws = Default::default();
     let mut ap = DenseBlock::zeros(0, 0);
 
     let mut x = DenseBlock::zeros(n, k);
@@ -188,10 +151,6 @@ fn block_cg_impl(
             }
         })
         .collect();
-
-    if let Some(e) = engine {
-        e.return_workspace(ws);
-    }
 
     BlockSolveReport {
         x,
@@ -292,26 +251,6 @@ mod tests {
         assert!(report.converged[0]);
         assert!(report.converged[1]);
         assert_eq!(report.x.column(0), vec![0.0; a.num_rows]);
-    }
-
-    #[test]
-    fn engine_backed_solve_matches_standalone_bitwise() {
-        let a = gen::stencil_5pt(16, 16);
-        let b = multi_source(a.num_rows, 3);
-        let plain = block_cg(&dev(), &a, &b, &SolverOptions::default());
-        let engine = Engine::new(&dev());
-        let served1 = block_cg_with_engine(&engine, &a, &b, &SolverOptions::default());
-        let served2 = block_cg_with_engine(&engine, &a, &b, &SolverOptions::default());
-        let bits = |d: &DenseBlock| d.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&plain.x), bits(&served1.x));
-        assert_eq!(bits(&served1.x), bits(&served2.x));
-        // Second solve re-planned nothing and reused the pooled arena.
-        let s = engine.stats();
-        assert_eq!((s.cache_misses, s.cache_hits), (1, 1));
-        assert_eq!(s.pool_reuses, 1);
-        // The engine ledger, not the solve, carries the partition charge.
-        assert!(s.plan_build_sim_ms > 0.0);
-        assert!(served2.sim_ms < plain.sim_ms);
     }
 
     #[test]

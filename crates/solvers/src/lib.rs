@@ -31,7 +31,7 @@ pub mod smoothers;
 mod unfused;
 
 pub use amg::{AmgHierarchy, AmgOptions};
-pub use block_cg::{block_cg, block_cg_with_engine, BlockSolveReport};
+pub use block_cg::{block_cg, BlockSolveReport};
 pub use krylov::{bicgstab, cg, SolveReport, SolverOptions};
 pub use pcg::{pcg, JacobiPreconditioner, Preconditioner};
 

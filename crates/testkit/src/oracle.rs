@@ -6,19 +6,18 @@
 //!
 //! * **bitwise** (`f64::to_bits` equality) within the merge plan family —
 //!   the one-shot kernel, the reusable plan's `execute` and
-//!   `execute_into`, and the serving engine's direct and batched paths
-//!   all replay the identical reduction order, so any difference at all
-//!   is a bug;
+//!   `execute_into`, and the serving service's batched path all replay
+//!   the identical reduction order, so any difference at all is a bug;
 //! * **bitwise** between a fused SpMV epilogue and its host formula
 //!   applied to the plain planned execute, for every epilogue form and
 //!   the folded dot; the fused launches' price from the plan's cached
 //!   counters must equal a full simulation of them, cycle for cycle;
 //! * **bitwise** across every SpAdd implementation — each output value is
-//!   a single `a + b` with no reassociation anywhere, so all five
-//!   implementations must agree exactly;
+//!   a single `a + b` with no reassociation anywhere, so all of them must
+//!   agree exactly;
 //! * **bitwise** within the row-wise family — the sequential reference,
 //!   the CMRS strip kernel, the SELL-C-σ slice kernel, their planned
-//!   counterparts, and the advised path when it picks one of them — all
+//!   counterparts, and the advised plan when it picks one of them — all
 //!   accumulate each row in CSR entry order from the `-0.0` sum identity;
 //! * **relative tolerance** ([`REL_TOL`]) across summation-order families
 //!   (merge kernels vs. the sequential reference vs. the Cusp /
@@ -47,8 +46,8 @@ use mps_core::{
     SpgemmConfig, SpgemmPlan, SpmmConfig, SpmmPlan, SpmvConfig, SpmvPlan, Workspace,
 };
 use mps_engine::{
-    Engine, EngineError, EngineOutput, FormatChoice, Service, ServiceConfig, ServiceTicket,
-    TenantId,
+    AdvisedSpmvPlan, EngineError, EngineOutput, FormatAdvisor, FormatChoice, Service,
+    ServiceConfig, ServiceTicket, TenantId,
 };
 use mps_simt::grid::LaunchStats;
 use mps_simt::Device;
@@ -150,9 +149,9 @@ impl ConformanceReport {
 }
 
 /// The differential runner: owns a device and a long-lived one-shard
-/// serving service, whose engine serves the direct paths and whose queue
-/// the batched ones (so sweeping also exercises the engine's plan cache
-/// and workspace reuse across cases).
+/// serving service, whose queue serves the batched and submitted paths
+/// (so sweeping also exercises the shard engine's plan cache and
+/// workspace reuse across cases).
 pub struct Oracle {
     device: Device,
     service: Service,
@@ -168,11 +167,6 @@ impl Oracle {
             device: device.clone(),
             service: Service::with_config(device, cfg),
         }
-    }
-
-    /// The service's one shard engine.
-    fn engine(&self) -> &Engine {
-        self.service.shard_engine(0)
     }
 
     /// Submit one request to the service, flush, and redeem it.
@@ -313,9 +307,6 @@ impl Oracle {
         let mut ws = Workspace::new();
         plan.execute_into(a, &x, &mut y, &mut ws);
         check_vec_bitwise(report, case, K, "plan execute_into", &y, &anchor);
-
-        let direct = self.engine().spmv(a, &x);
-        check_vec_bitwise(report, case, K, "engine direct", &direct, &anchor);
 
         self.check_spmv_epilogues(case, a, &x, report);
 
@@ -531,8 +522,15 @@ impl Oracle {
 
         // Advised: whatever format the advisor picked, the result must be
         // bitwise identical to that family's anchor.
-        let advised = self.engine().spmv_advised(a, x);
-        match self.engine().spmv_advice(a).choice {
+        let plan = AdvisedSpmvPlan::new(
+            &self.device,
+            a,
+            &SpmvConfig::default(),
+            &FormatAdvisor::default(),
+        );
+        let mut advised = Vec::new();
+        plan.execute_into(a, x, &mut advised, &mut Workspace::new());
+        match plan.choice() {
             FormatChoice::MergeCsr => check_vec_bitwise(
                 report,
                 case,
@@ -568,9 +566,6 @@ impl Oracle {
         let mut ws = Workspace::new();
         plan.execute_into(a, &x, &mut y, &mut ws);
         check_block_bitwise(report, case, K, "plan execute_into", &y, &anchor);
-
-        let direct = self.engine().spmm(a, &x);
-        check_block_bitwise(report, case, K, "engine direct", &direct, &anchor);
 
         match self.engine_batched_spmm(a, &x) {
             Ok(batched) => {
@@ -611,9 +606,6 @@ impl Oracle {
         check_csr_exact(report, case, K, "cusparse-like", &row_merge, &want);
         let (host, _) = cpu::spadd(&cpu::CpuModel::i7_3820(), a, &b);
         check_csr_exact(report, case, K, "cpu model", &host, &want);
-
-        let engine_out = self.engine().spadd(a, &b).c;
-        check_csr_exact(report, case, K, "engine direct", &engine_out, &anchor);
     }
 
     /// SpGEMM (as `A · Aᵀ`, always conformable) through every
@@ -641,8 +633,10 @@ impl Oracle {
         let (host, _) = cpu::spgemm(&cpu::CpuModel::i7_3820(), a, &b);
         check_csr_rel(report, case, K, "cpu model", &host, &want);
 
-        let engine_out = self.engine().spgemm(a, &b).c;
-        check_csr_bitwise(report, case, K, "engine direct", &engine_out, &anchor);
+        match self.engine_submitted_spgemm(a, &b) {
+            Ok(c) => check_csr_bitwise(report, case, K, "engine submitted", &c, &anchor),
+            Err(e) => report.diverge(case, K, "engine submitted", e),
+        }
     }
 
     /// Repeated-pattern numeric re-execution (as `A · Aᵀ`): build the

@@ -33,10 +33,11 @@
 //!   by the merge-path kernels;
 //! * [`graph`] — graph analytics over a generic-semiring flat SpMV (BFS,
 //!   connected components, PageRank, triangle counting);
-//! * [`engine`] — the serving layer: a plan cache keyed by pattern
-//!   fingerprint, a workspace pool, and a sharded multi-tenant
-//!   [`engine::Service`] with per-tenant QoS whose flushes coalesce
-//!   concurrent SpMV requests into column-tiled SpMM traversals.
+//! * [`engine`] — the serving layer: a sharded multi-tenant
+//!   [`engine::Service`] with per-tenant QoS, the one way to run work on
+//!   its shards' engines, whose plan caches are keyed by pattern
+//!   fingerprint and whose flushes coalesce concurrent SpMV requests into
+//!   column-tiled SpMM traversals.
 
 pub use mps_baselines as baselines;
 pub use mps_core as core;
@@ -142,14 +143,12 @@ pub mod prelude {
         SpmvConfig, SpmvPlan, Workspace,
     };
     pub use mps_engine::{
-        AdvisedSpmvPlan, Engine, EngineConfig, EngineConfigBuilder, EngineError, EngineOutput,
-        EngineStats, FormatAdvisor, FormatChoice, FormatDecision, Service, ServiceConfig,
-        ServiceConfigBuilder, ServiceStats, ServiceTicket, TenantId, TenantSpec,
+        AdvisedSpmvPlan, EngineConfig, EngineConfigBuilder, EngineError, EngineOutput, EngineStats,
+        FormatAdvisor, FormatChoice, FormatDecision, Service, ServiceConfig, ServiceConfigBuilder,
+        ServiceStats, ServiceTicket, TenantId, TenantSpec,
     };
     pub use mps_simt::{Device, Phase, PhaseLedger, PhaseReport};
-    pub use mps_solvers::{
-        block_cg, block_cg_with_engine, cg, AmgHierarchy, AmgOptions, SolverOptions,
-    };
+    pub use mps_solvers::{block_cg, cg, AmgHierarchy, AmgOptions, SolverOptions};
     pub use mps_sparse::{
         gen, suite::SuiteMatrix, CmrsMatrix, CooError, CooMatrix, CsrMatrix, DenseBlock,
         MatrixStats, SellCSigmaMatrix,

@@ -11,8 +11,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use merge_path_sparse::engine::{
-    ChaosConfig, Engine, EngineConfig, EngineError, Service, ServiceConfig, ServiceTicket,
-    TenantId, TenantSpec,
+    ChaosConfig, EngineConfig, EngineError, Service, ServiceConfig, ServiceTicket, TenantId,
+    TenantSpec,
 };
 use merge_path_sparse::prelude::*;
 use mps_testkit::strategies::sprinkled;
@@ -240,50 +240,73 @@ fn unclaimed_results_age_out() {
 /// Pool exhaustion and cache-eviction storms at high probability: the
 /// engine rebuilds plans and reallocates workspaces constantly, the
 /// fault counters prove the schedule fired, and every completed result
-/// is still bitwise identical to a chaos-free engine's.
+/// is still bitwise identical to a chaos-free service's.
 #[test]
 fn resource_churn_never_corrupts_results() {
     let dev = device();
-    let clean = Engine::new(&dev);
+    let clean = service_with(EngineConfig::default(), 64);
     let svc = chaos_service(ChaosConfig {
         seed: 0xC0FFEE,
         pool_exhaust_p: 0.8,
         cache_storm_p: 0.7,
         ..ChaosConfig::default()
     });
-    let chaotic = svc.shard_engine(0);
-
-    for round in 0..6u64 {
-        let a = matrix(round % 3); // cycle patterns to stress the plan cache
-        let xs: Vec<Vec<f64>> = (0..5).map(|s| operand(a.num_cols, s)).collect();
-        let want: Vec<Vec<f64>> = xs.iter().map(|x| clean.spmv(&a, x)).collect();
-
-        // Direct path under churn.
-        for (x, w) in xs.iter().zip(&want) {
-            let got = chaotic.spmv(&a, x);
-            let got_bits: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
-            let want_bits: Vec<u64> = w.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got_bits, want_bits, "direct spmv diverged under chaos");
-        }
-
-        // Batched path under churn.
+    // Submit `xs` on `a` in one flush and redeem them in order.
+    let serve = |svc: &Service, a: &Arc<CsrMatrix>, xs: &[Vec<f64>]| -> Vec<Vec<u64>> {
         let tickets: Vec<ServiceTicket> = xs
             .iter()
             .map(|x| {
-                svc.submit_spmv(T, &a, x.clone(), None)
+                svc.submit_spmv(T, a, x.clone(), None)
                     .expect("admission chaos is off in this test")
             })
             .collect();
         assert_eq!(svc.flush(), xs.len());
-        for (t, w) in tickets.into_iter().zip(&want) {
-            let got = svc.take_result(t).expect("completed").into_vector();
-            let got_bits: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
-            let want_bits: Vec<u64> = w.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got_bits, want_bits, "batched spmv diverged under chaos");
+        tickets
+            .into_iter()
+            .map(|t| {
+                let got = svc.take_result(t).expect("completed").into_vector();
+                got.iter().map(|v| v.to_bits()).collect()
+            })
+            .collect()
+    };
+
+    for round in 0..6u64 {
+        let a = matrix(round % 3); // cycle patterns to stress the plan cache
+        let xs: Vec<Vec<f64>> = (0..5).map(|s| operand(a.num_cols, s)).collect();
+        let plan = SpmvPlan::new(&dev, &a, &SpmvConfig::default());
+        let want: Vec<Vec<u64>> = xs
+            .iter()
+            .map(|x| {
+                plan.execute(&dev, &a, x)
+                    .y
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect()
+            })
+            .collect();
+
+        // One request per flush under churn (the SpMV plan path), on both
+        // services.
+        for (x, w) in xs.iter().zip(&want) {
+            let alone = std::slice::from_ref(x);
+            assert_eq!(
+                &serve(&svc, &a, alone)[0],
+                w,
+                "lone spmv diverged under chaos"
+            );
+            assert_eq!(&serve(&clean, &a, alone)[0], w, "lone spmv diverged");
         }
+
+        // Batched path under churn.
+        assert_eq!(
+            serve(&svc, &a, &xs),
+            want,
+            "batched spmv diverged under chaos"
+        );
+        assert_eq!(serve(&clean, &a, &xs), want, "batched spmv diverged");
     }
 
-    let stats = chaotic.stats();
+    let stats = svc.stats().aggregate();
     assert!(
         stats.chaos.pool_exhaustions > 0,
         "exhaustion schedule never fired: {:?}",
@@ -294,8 +317,8 @@ fn resource_churn_never_corrupts_results() {
         "storm schedule never fired: {:?}",
         stats.chaos
     );
-    // Storms force rebuilds, so the chaotic engine must miss more.
-    assert!(stats.cache_misses > clean.stats().cache_misses);
+    // Storms force rebuilds, so the chaotic service must miss more.
+    assert!(stats.cache_misses > clean.stats().aggregate().cache_misses);
     let rendered = stats.render();
     assert!(rendered.contains("faults injected"), "{rendered}");
 }

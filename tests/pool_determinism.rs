@@ -17,8 +17,7 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// A one-shard service: the queued path, whose engine also serves the
-/// direct calls.
+/// A one-shard service, so every request meets the same plan cache.
 fn service(device: &Device) -> Service {
     let cfg = ServiceConfig::builder()
         .shards(1)
@@ -125,11 +124,17 @@ fn degenerate_one_column_block_takes_the_spmv_plan_bitwise() {
     let device = Device::titan();
     let a = Arc::new(gen::random_uniform(1200, 1200, 8.0, 3.0, 23));
     let svc = service(&device);
-    let engine = svc.shard_engine(0);
     let x = operand(a.num_cols, 5);
 
-    // Reference: the direct SpMV path on the same engine (same cache).
-    let want = engine.spmv(&a, &x);
+    // Reference: a lone vector request on the same service, which builds
+    // and caches the SpMV plan.
+    let tv = svc
+        .submit_spmv(TenantId(0), &a, x.clone(), None)
+        .expect("admitted");
+    svc.flush();
+    let want = svc.take_result(tv).expect("resolved").into_vector();
+    let fresh = SpmvPlan::new(&device, &a, &SpmvConfig::default()).execute(&device, &a, &x);
+    assert_eq!(bits(&want), bits(&fresh.y));
 
     // A single one-column block submission must dispatch through the
     // cached SpMV plan — same bits, no k=1 SpMM plan built.
@@ -141,6 +146,8 @@ fn degenerate_one_column_block_takes_the_spmv_plan_bitwise() {
     let got = svc.take_result(t).expect("resolved").into_block();
     assert_eq!((got.rows, got.cols), (a.num_rows, 1));
     assert_eq!(bits(&got.data), bits(&want));
-    // One plan total: the SpMV plan, shared by both paths.
-    assert_eq!(engine.cached_plans(), 1, "no k=1 SpMM plan may be built");
+    // One plan total: the SpMV plan, shared by both requests.
+    let s = svc.stats().aggregate();
+    assert_eq!(s.cache_misses, 1, "no k=1 SpMM plan may be built");
+    assert_eq!(s.cache_hits, 1);
 }

@@ -1,7 +1,8 @@
 //! Serving-service contracts: sharded, multi-threaded, multi-tenant
-//! submission must be observationally identical to a single-threaded
-//! [`Engine`] — every completed result **bitwise** equal (`f64::to_bits`)
-//! regardless of shard count, interleaving, or which thread submitted —
+//! submission must be observationally identical to running each request
+//! alone on one thread through a freshly built [`SpmvPlan`] — every
+//! completed result **bitwise** equal (`f64::to_bits`) regardless of
+//! shard count, interleaving, or which thread submitted —
 //! and the QoS layer must keep tenants inside their quotas and weights:
 //! under overload, completed shares track DRR weights within a bounded
 //! factor, and every refusal ([`EngineError::Overloaded`]) or expiry
@@ -11,9 +12,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use merge_path_sparse::engine::{
-    Engine, EngineError, Service, ServiceConfig, TenantId, TenantSpec,
-};
+use merge_path_sparse::engine::{EngineError, Service, ServiceConfig, TenantId, TenantSpec};
 use merge_path_sparse::prelude::*;
 use mps_testkit::strategies::sprinkled;
 use proptest::prelude::*;
@@ -32,15 +31,21 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// The bits of `a · x` through a freshly built plan.
+fn fresh_spmv_bits(dev: &Device, a: &CsrMatrix, x: &[f64]) -> Vec<u64> {
+    let plan = SpmvPlan::new(dev, a, &SpmvConfig::default());
+    bits(&plan.execute(dev, a, x).y)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Any shard count, any mix of patterns and request counts: the
-    /// service's results are bitwise those of a single-threaded engine
-    /// serving the same `(matrix, operand)` pairs. This is PR 2's
-    /// per-column equivalence surfacing one more layer up — sharding and
-    /// grouping can change which traversal computes a column, never its
-    /// bits.
+    /// service's results are bitwise those of fresh plans executing the
+    /// same `(matrix, operand)` pairs one at a time. This is the plan
+    /// layer's per-column equivalence surfacing one more layer up —
+    /// sharding and grouping can change which traversal computes a
+    /// column, never its bits.
     #[test]
     fn sharded_service_matches_single_engine_bitwise(
         shards in 1usize..6,
@@ -54,7 +59,6 @@ proptest! {
         let mats: Vec<Arc<CsrMatrix>> = (0..patterns)
             .map(|p| Arc::new(sprinkled(rows, cols, 2, 4, seed + p as u64)))
             .collect();
-        let engine = Engine::new(&dev);
         let svc = Service::with_config(
             &dev,
             ServiceConfig::builder().shards(shards).build().expect("valid"),
@@ -64,7 +68,7 @@ proptest! {
         for (p, a) in mats.iter().enumerate() {
             for s in 0..per_pattern {
                 let x = operand(cols, p * 7 + s);
-                expected.push(bits(&engine.spmv(a, &x)));
+                expected.push(fresh_spmv_bits(&dev, a, &x));
                 tickets.push(
                     svc.submit_spmv(TenantId(p as u32), a, x, None).expect("admitted"),
                 );
@@ -81,8 +85,8 @@ proptest! {
 
 /// Genuinely concurrent submission: one thread per tenant hammering the
 /// service (submit → flush → redeem, closed loop) while the others do the
-/// same. Every redeemed result must match the single-threaded reference
-/// engine bit-for-bit, and the per-tenant ledgers must account for every
+/// same. Every redeemed result must match a fresh plan's single-threaded
+/// result bit-for-bit, and the per-tenant ledgers must account for every
 /// request.
 #[test]
 fn multi_threaded_submission_is_bitwise_equal_to_single_engine() {
@@ -92,12 +96,11 @@ fn multi_threaded_submission_is_bitwise_equal_to_single_engine() {
     let mats: Vec<Arc<CsrMatrix>> = (0..workers)
         .map(|w| Arc::new(sprinkled(100, 90, 2, 4, 77 + w as u64)))
         .collect();
-    let reference = Engine::new(&dev);
     let want: Vec<Vec<Vec<u64>>> = mats
         .iter()
         .map(|a| {
             (0..4)
-                .map(|s| bits(&reference.spmv(a, &operand(a.num_cols, s))))
+                .map(|s| fresh_spmv_bits(&dev, a, &operand(a.num_cols, s)))
                 .collect()
         })
         .collect();

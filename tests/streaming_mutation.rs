@@ -9,12 +9,12 @@
 use std::sync::Arc;
 
 use merge_path_sparse::core::{apply_delta_reference, CsrDelta};
-use merge_path_sparse::engine::{Engine, EngineConfig, Service, ServiceConfig, TenantId};
+use merge_path_sparse::engine::{EngineConfig, Service, ServiceConfig, TenantId};
 
 const T: TenantId = TenantId(0);
 
 /// A one-shard service over an engine built from `cfg`: its registry
-/// holds the handles, its engine serves the direct calls.
+/// holds the handles, its queue serves the requests.
 fn service(cfg: EngineConfig) -> Service {
     let cfg = ServiceConfig::builder()
         .shards(1)
@@ -33,6 +33,21 @@ fn device() -> Device {
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `a · x` through a freshly built plan: what any snapshot must serve.
+fn fresh_spmv(a: &CsrMatrix, x: &[f64]) -> Vec<f64> {
+    let dev = device();
+    SpmvPlan::new(&dev, a, &SpmvConfig::default())
+        .execute(&dev, a, x)
+        .y
+}
+
+/// Submit `a · x` alone, flush, and redeem it.
+fn serve_spmv(svc: &Service, a: &Arc<CsrMatrix>, x: &[f64]) -> Vec<f64> {
+    let t = svc.submit_spmv(T, a, x.to_vec(), None).expect("admitted");
+    svc.flush();
+    svc.take_result(t).expect("completed").into_vector()
 }
 
 /// Deterministic replacement values: one per stored nonzero, varying
@@ -101,9 +116,9 @@ proptest! {
     }
 
     /// The service's handle registry serves updated values through its
-    /// engine's cached plans: every post-update submission matches a cold
-    /// engine planning the mutated matrix from scratch, without a single
-    /// additional plan build.
+    /// shard engine's cached plans: every post-update submission matches a
+    /// fresh plan of the mutated matrix, without a single additional plan
+    /// build.
     #[test]
     fn engine_value_updates_replay_cached_plans_bitwise(
         rows in 4usize..100,
@@ -111,26 +126,24 @@ proptest! {
         rounds in 1usize..5,
         seed in 0u64..1000,
     ) {
-        let dev = device();
         let a = Arc::new(sprinkled(rows, cols, 2, 4, seed));
         let nnz = a.nnz();
         let x: Vec<f64> = (0..cols).map(|i| 1.0 + (i % 5) as f64 * 0.5).collect();
 
         let svc = service(EngineConfig::default());
-        let engine = svc.shard_engine(0);
         let h = svc.register(T, &a);
         drop(a);
-        let _ = engine.spmv(&svc.matrix(h).expect("registered"), &x); // warm the plan
-        let misses = engine.stats().cache_misses;
+        serve_spmv(&svc, &svc.matrix(h).expect("registered"), &x); // warm the plan
+        let misses = svc.stats().aggregate().cache_misses;
 
         for round in 0..rounds as u64 {
             let snapshot = svc.submit_update(T, h, round_values(nnz, round)).expect("same nnz");
-            let got = engine.spmv(&snapshot, &x);
-            let cold = Engine::new(&dev);
-            prop_assert_eq!(bits(&got), bits(&cold.spmv(&snapshot, &x)));
+            let got = serve_spmv(&svc, &snapshot, &x);
+            prop_assert_eq!(bits(&got), bits(&fresh_spmv(&snapshot, &x)));
         }
-        prop_assert_eq!(engine.stats().cache_misses, misses, "updates must not replan");
-        prop_assert_eq!(engine.stats().value_updates, rounds as u64);
+        let s = svc.stats().aggregate();
+        prop_assert_eq!(s.cache_misses, misses, "updates must not replan");
+        prop_assert_eq!(s.value_updates, rounds as u64);
     }
 
     /// The same contract through a sharded service: tenant-scoped
@@ -171,7 +184,6 @@ proptest! {
         }
         svc.reset_stats();
 
-        let reference = Engine::new(&dev);
         for round in 0..rounds as u64 {
             for (p, &h) in handles.iter().enumerate() {
                 let tn = TenantId(p as u32);
@@ -183,7 +195,7 @@ proptest! {
                 let t = svc.submit_spmv(tn, &snapshot, x.clone(), None).expect("admitted");
                 svc.flush();
                 let got = svc.take_result(t).expect("completed").into_vector();
-                prop_assert_eq!(bits(&got), bits(&reference.spmv(&snapshot, &x)));
+                prop_assert_eq!(bits(&got), bits(&fresh_spmv(&snapshot, &x)));
             }
         }
         let stats = svc.stats();
@@ -258,11 +270,10 @@ fn pre_update_snapshots_keep_their_values() {
     let nnz = a.nnz();
     let x = vec![1.0; 40];
     let svc = service(EngineConfig::default());
-    let engine = svc.shard_engine(0);
     let h = svc.register(T, &a);
 
     let old = svc.matrix(h).expect("registered");
-    let want_old = engine.spmv(&old, &x);
+    let want_old = serve_spmv(&svc, &old, &x);
     let new = svc
         .submit_update(T, h, round_values(nnz, 3))
         .expect("same nnz");
@@ -272,7 +283,7 @@ fn pre_update_snapshots_keep_their_values() {
         "update must change values"
     );
     assert_eq!(
-        bits(&engine.spmv(&old, &x)),
+        bits(&serve_spmv(&svc, &old, &x)),
         bits(&want_old),
         "pinned snapshots are immutable"
     );
