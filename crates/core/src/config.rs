@@ -67,7 +67,7 @@ pub struct SpmmConfig {
     /// Nonzeros processed per thread.
     pub items_per_thread: usize,
     /// Output columns produced per traversal of `A`'s nonzeros (one
-    /// reduction+update launch pair per tile). Wider tiles amortize the CSR
+    /// single-pass launch per tile). Wider tiles amortize the CSR
     /// traversal across more columns but hold more state per thread.
     pub tile_k: usize,
     /// When true, always run the raw row-offsets path even if the matrix

@@ -187,6 +187,77 @@ impl MergePartition {
             .collect()
     }
 
+    /// How each CTA of a single-pass launch over this partition meets its
+    /// neighbours (see [`TileLink`]), in CTA order. A row is finished by
+    /// the CTA holding its last nonzero; a row with none (an empty row,
+    /// compacted away or not) by the CTA holding the next nonzero after
+    /// it, or by the last CTA when none follows, so each CTA finishes one
+    /// contiguous run of physical rows. An operator with no nonzeros gets
+    /// one CTA finishing every row (the one an epilogue launches), none
+    /// when it has no rows either. O(rows + CTAs), structure only.
+    pub(crate) fn tile_links(&self) -> Vec<TileLink> {
+        if self.nnz == 0 {
+            return (self.num_rows > 0)
+                .then_some(TileLink {
+                    rows_start: 0,
+                    rows_end: self.num_rows as u32,
+                    fold_from: 0,
+                })
+                .into_iter()
+                .collect();
+        }
+        let ctas = self.num_ctas();
+        let nv = self.nv;
+        let mut finished = vec![0u32; ctas];
+        // The CTA holding an item (the last CTA past the last item),
+        // walked forward: the items asked about never decrease, so the
+        // walk costs O(rows + CTAs) and no division.
+        let (mut owner, mut owner_end) = (0, nv);
+        let mut owner_of = |item: usize| {
+            while item >= owner_end && owner + 1 < ctas {
+                owner += 1;
+                owner_end += nv;
+            }
+            owner
+        };
+        let mut next_physical = 0;
+        for r in 0..self.logical_rows() {
+            let (start, end) = (self.offsets[r], self.offsets[r + 1]);
+            let physical = self.to_physical(r);
+            if physical > next_physical {
+                // The empty rows compaction dropped before this one sit
+                // where its first nonzero does.
+                finished[owner_of(start)] += (physical - next_physical) as u32;
+            }
+            finished[owner_of(end.max(start + 1) - 1)] += 1;
+            next_physical = physical + 1;
+        }
+        finished[ctas - 1] += (self.num_rows - next_physical) as u32;
+
+        // A CTA whose first row started in an earlier tile and ends in
+        // its own folds the partials of the CTAs since the row's start.
+        let mut rows_start = 0u32;
+        (0..ctas)
+            .map(|c| {
+                let (lo, hi) = (c * nv, ((c + 1) * nv).min(self.nnz));
+                let row = self.tile_segments(c).next().map_or(0, |seg| seg.row);
+                let (start, end) = (self.offsets[row], self.offsets[row + 1]);
+                let fold_from = if start < lo && end <= hi {
+                    start / nv
+                } else {
+                    c
+                };
+                let link = TileLink {
+                    rows_start,
+                    rows_end: rows_start + finished[c],
+                    fold_from: fold_from as u32,
+                };
+                rows_start = link.rows_end;
+                link
+            })
+            .collect()
+    }
+
     /// Row range `[start, end]` a CTA's nonzeros fall into (logical rows).
     #[inline]
     pub fn cta_row_range(&self, cta_id: usize) -> (usize, usize) {
@@ -218,6 +289,30 @@ impl MergePartition {
             item: lo,
             hi: (lo + self.nv).min(self.nnz),
         }
+    }
+}
+
+/// How one CTA of a single-pass launch (SpMV's reduction, an SpMM column
+/// tile) meets its neighbours: which rows it finishes and whose trailing
+/// partials it folds in. Every CTA but the last publishes its own
+/// trailing partial.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TileLink {
+    /// The CTA finishes physical rows `rows_start..rows_end`: it stores
+    /// them, epilogue applied. Consecutive CTAs' runs tile the rows.
+    pub(crate) rows_start: u32,
+    pub(crate) rows_end: u32,
+    /// The CTA folds the trailing partials of CTAs `fold_from..` itself
+    /// into its first row, in CTA order: that row started in CTA
+    /// `fold_from`'s tile and ends in this one. Equal to the CTA's own id
+    /// when there is nothing to fold.
+    pub(crate) fold_from: u32,
+}
+
+impl TileLink {
+    /// Rows the CTA finishes.
+    pub(crate) fn rows(&self) -> usize {
+        (self.rows_end - self.rows_start) as usize
     }
 }
 

@@ -32,6 +32,7 @@ use crate::assemble;
 use crate::config::{SpAddConfig, SpgemmConfig, SpmmConfig, SpmvConfig};
 use crate::delta::{CsrDelta, DeltaApplied};
 use crate::error::PlanError;
+use crate::partition::{MergePartition, TileLink};
 use crate::spadd::{expand_keys, NONE};
 use crate::spgemm::bins::BinClass;
 use crate::spgemm::block_sort::{bits_for, TileReduced};
@@ -39,28 +40,25 @@ use crate::spgemm::plan::{charge_bins, BuildStages, NumericInputs};
 use crate::spgemm::product::BinProducts;
 use crate::spgemm::setup::Expansion;
 use crate::spgemm::{PhaseTimes, SpgemmPlan};
-use crate::spmm::{column_tiles, SpmmPlan};
-use crate::spmv::{charge_exchange, Epilogue, NumericCharge, SpmvPlan};
+use crate::spmm::{column_tiles, finish_tile_rows, SpmmPlan};
+use crate::spmv::{charge_exchange, finish_rows, Epilogue, NumericCharge, SpmvPlan};
 use crate::HashAccumulator;
 
-/// [`SpmvPlan::new`] charging the numeric phases through a per-CTA row-id
-/// expansion and [`block_segmented_reduce`] over a zero tile.
+/// [`SpmvPlan::new`] charging the reduction launch through a per-CTA
+/// row-id expansion and [`block_segmented_reduce`] over a zero tile, with
+/// the tile links derived per nonzero.
 pub fn spmv_plan(device: &Device, a: &CsrMatrix, cfg: &SpmvConfig) -> SpmvPlan {
     SpmvPlan::build(device, a, cfg, spmv_numeric_charge)
 }
 
 /// [`SpmvPlan::simulate_fused`] through the reference charge.
-pub fn spmv_simulate_fused(
-    plan: &SpmvPlan,
-    a: &CsrMatrix,
-    epilogue: &Epilogue,
-) -> (LaunchStats, LaunchStats) {
-    let charge = spmv_numeric_charge(plan, &plan.device, a, Some(epilogue));
-    (charge.reduction, charge.update)
+pub fn spmv_simulate_fused(plan: &SpmvPlan, a: &CsrMatrix, epilogue: &Epilogue) -> LaunchStats {
+    spmv_numeric_charge(plan, &plan.device, a, Some(epilogue)).reduction
 }
 
 /// [`SpmmPlan::new`] charging each column tile through a per-CTA row-id
-/// expansion and [`block_segmented_reduce`] over a zero tile.
+/// expansion and [`block_segmented_reduce`] over a zero tile, with the
+/// tile links derived per nonzero.
 pub fn spmm_plan(device: &Device, a: &CsrMatrix, k: usize, cfg: &SpmmConfig) -> SpmmPlan {
     SpmmPlan::build(device, a, k, cfg, spmm_tiled_charge)
 }
@@ -87,9 +85,58 @@ pub fn spgemm_plan(
     )
 }
 
-/// The SpMV reduction and update launches, each reduction CTA expanding
-/// a row id per nonzero and running [`block_segmented_reduce`] over a
-/// zero tile to learn its complete rows and carry.
+/// [`MergePartition::tile_links`] derived per nonzero, from the physical
+/// rows: a row id expanded for every nonzero, each row's finishing CTA
+/// read off its last nonzero, each row with none given to the CTA of the
+/// next nonzero (the last CTA after the last one), each fold walked back
+/// nonzero by nonzero to its row's first.
+fn tile_links(part: &MergePartition, a: &CsrMatrix) -> Vec<TileLink> {
+    let (nnz, nv) = (part.nnz, part.nv);
+    let ctas = part.num_ctas().max(usize::from(a.num_rows > 0));
+    if ctas == 0 {
+        return Vec::new();
+    }
+    let mut row_of = Vec::with_capacity(nnz);
+    for row in 0..a.num_rows {
+        row_of.extend(std::iter::repeat_n(row, a.row_len(row)));
+    }
+    let mut owner = vec![ctas - 1; a.num_rows];
+    let mut next_row = 0;
+    for (item, &row) in row_of.iter().enumerate() {
+        // Rows without nonzeros before this one.
+        owner[next_row.min(row)..row].fill(item / nv);
+        if row_of.get(item + 1) != Some(&row) {
+            owner[row] = item / nv;
+        }
+        next_row = row + 1;
+    }
+    let mut finished = vec![0u32; ctas];
+    for &cta in &owner {
+        finished[cta] += 1;
+    }
+    let continued = |c: usize| c > 0 && c * nv < nnz && row_of[c * nv - 1] == row_of[c * nv];
+    let mut rows_start = 0;
+    (0..ctas)
+        .map(|c| {
+            let mut first = c * nv;
+            if continued(c) && owner[row_of[first]] == c {
+                while first > 0 && row_of[first - 1] == row_of[c * nv] {
+                    first -= 1;
+                }
+            }
+            let link = TileLink {
+                rows_start,
+                rows_end: rows_start + finished[c],
+                fold_from: (first / nv) as u32,
+            };
+            rows_start = link.rows_end;
+            link
+        })
+        .collect()
+}
+
+/// The SpMV reduction launch, each CTA expanding a row id per nonzero and
+/// running [`block_segmented_reduce`] over a zero tile.
 fn spmv_numeric_charge(
     plan: &SpmvPlan,
     device: &Device,
@@ -98,133 +145,90 @@ fn spmv_numeric_charge(
 ) -> NumericCharge {
     let nnz = plan.part.nnz;
     let nv = plan.cfg.nv();
-    let num_ctas = plan.part.num_ctas();
     let offsets_ref = &plan.part.offsets;
     let part = &plan.part;
-
-    // ---- Phase 2: reduction -----------------------------------------
-    let (outputs, reduction) = if nnz == 0 {
-        (Vec::new(), LaunchStats::default())
-    } else {
-        let cfg_red = LaunchConfig::new(num_ctas, plan.cfg.block_threads);
-        launch_map_phased(device, "spmv_reduce", Phase::Reduction, cfg_red, |cta| {
-            let lo = cta.cta_id * nv;
-            let hi = (lo + nv).min(nnz);
-            let count = hi - lo;
-            let (row_lo, row_hi) = part.cta_row_range(cta.cta_id);
-
-            // Row offsets for the CTA's rows into shared memory.
-            cta.read_coalesced(row_hi - row_lo + 2, 8);
-            cta.shmem((row_hi - row_lo + 2) as u64);
-
-            // Strided loads of column indices and values (coalesced).
-            cta.read_coalesced(count, 4); // col_idx
-            cta.read_coalesced(count, 8); // values
-
-            // Gather x by column index: the data-dependent access.
-            cta.gather(a.col_idx[lo..hi].iter().map(|&c| c as usize), 8);
-
-            // Form products (one multiply per item — the 2·nnz flops
-            // together with the adds inside the segmented reduction).
-            cta.alu(count as u64);
-
-            // Expand logical row ids by walking the shared offsets.
-            let mut rows = Vec::with_capacity(count);
-            let mut r = row_lo;
-            cta.alu(count as u64);
-            for item in lo..hi {
-                while r < row_hi && offsets_ref[r + 1] <= item {
-                    r += 1;
-                }
-                rows.push(r);
-            }
-
-            // On hardware the strided register tile is transposed to
-            // blocked order through shared memory before the scan; the
-            // exchange covers two tiles (products and row indices).
-            charge_exchange(cta, 2 * count);
-
-            // Values are irrelevant to both structure and cost; segment
-            // layout comes from the row expansion alone.
-            let zeros = vec![0.0f64; count];
-            let seg = block_segmented_reduce(cta, &zeros, &rows);
-
-            // Complete rows go straight to y (contiguous rows: coalesced-ish).
-            cta.write_coalesced(seg.complete.len(), 8);
-
-            // Of those, the rows that also start in this tile are
-            // finished here; a row continued from an earlier tile
-            // still waits for its carries.
-            let own = seg
-                .complete
-                .iter()
-                .filter(|&&(row, _)| offsets_ref[row] >= lo)
-                .count();
-            if let Some(e) = epilogue {
-                e.charge_reduction(cta, own);
-            }
-            (seg.carry.map(|(row, _)| row), *cta.counters(), own as u32)
-        })
-    };
-
-    let mut carry_rows = Vec::with_capacity(outputs.len());
-    let mut reduction_ctas = Vec::with_capacity(outputs.len());
-    for (carry, counters, own) in outputs {
-        carry_rows.extend(carry.map(|row| row as u32));
-        reduction_ctas.push((counters, own));
+    let links = tile_links(part, a);
+    if nnz == 0 && (epilogue.is_none() || links.is_empty()) {
+        return NumericCharge {
+            reduction: LaunchStats::default(),
+            heads: vec![Counters::default(); links.len()],
+            links,
+        };
     }
+    let links_ref = &links;
+    let cfg_red = LaunchConfig::new(links.len(), plan.cfg.block_threads);
+    let (heads, reduction) =
+        launch_map_phased(device, "spmv_reduce", Phase::Reduction, cfg_red, |cta| {
+            if nnz > 0 {
+                let lo = cta.cta_id * nv;
+                let hi = (lo + nv).min(nnz);
+                let count = hi - lo;
+                let (row_lo, row_hi) = part.cta_row_range(cta.cta_id);
 
-    // ---- Phase 3: update --------------------------------------------
-    let epilogue_rows = epilogue.map(|_| plan.update_rows(&carry_rows));
-    let (update, update_counters) = if plan.update_runs(epilogue_rows.as_deref()) {
-        let carries_ref = &carry_rows;
-        let cfg_upd = LaunchConfig::new(1, plan.cfg.block_threads);
-        let (mut counters, update) =
-            launch_map_phased(device, "spmv_update", Phase::Update, cfg_upd, |cta| {
-                cta.read_coalesced(carries_ref.len(), 12);
-                cta.alu(2 * carries_ref.len() as u64);
-                cta.scatter(carries_ref.iter().map(|&row| row as usize), 8);
-                if let (Some(e), Some(rows)) = (epilogue, &epilogue_rows) {
-                    e.charge_update(cta, rows, num_ctas);
+                // Row offsets for the CTA's rows into shared memory.
+                cta.read_coalesced(row_hi - row_lo + 2, 8);
+                cta.shmem((row_hi - row_lo + 2) as u64);
+
+                // Strided loads of column indices and values (coalesced).
+                cta.read_coalesced(count, 4); // col_idx
+                cta.read_coalesced(count, 8); // values
+
+                // Gather x by column index: the data-dependent access.
+                cta.gather(a.col_idx[lo..hi].iter().map(|&c| c as usize), 8);
+
+                // Form products (one multiply per item — the 2·nnz flops
+                // together with the adds inside the segmented reduction).
+                cta.alu(count as u64);
+
+                // Expand logical row ids by walking the shared offsets.
+                let mut rows = Vec::with_capacity(count);
+                let mut r = row_lo;
+                cta.alu(count as u64);
+                for item in lo..hi {
+                    while r < row_hi && offsets_ref[r + 1] <= item {
+                        r += 1;
+                    }
+                    rows.push(r);
                 }
-                *cta.counters()
-            });
-        (update, counters.pop().unwrap_or_default())
-    } else {
-        (LaunchStats::default(), Counters::default())
-    };
+
+                // On hardware the strided register tile is transposed to
+                // blocked order through shared memory before the scan; the
+                // exchange covers two tiles (products and row indices).
+                charge_exchange(cta, 2 * count);
+
+                // Values are irrelevant to both structure and cost; segment
+                // layout comes from the row expansion alone.
+                let zeros = vec![0.0f64; count];
+                block_segmented_reduce(cta, &zeros, &rows);
+            }
+            let head = *cta.counters();
+            finish_rows(cta, &links_ref[cta.cta_id], epilogue);
+            head
+        });
     NumericCharge {
         reduction,
-        update,
-        reduction_ctas,
-        update_counters,
-        carry_rows,
+        heads,
+        links,
     }
 }
 
-/// The SpMM reduction and update launches of every column tile, each
-/// reduction CTA expanding a row id per nonzero and running
-/// [`block_segmented_reduce`] over a zero tile.
+/// The SpMM launch of every column tile, each CTA expanding a row id per
+/// nonzero and running [`block_segmented_reduce`] over a zero tile.
 fn spmm_tiled_charge(plan: &mut SpmmPlan, device: &Device, a: &CsrMatrix) {
     let nnz = plan.part.nnz;
     let nv = plan.cfg.nv();
     let k = plan.k;
-    let num_ctas = plan.part.num_ctas();
     let part = &plan.part;
     let offsets = &plan.part.offsets;
+    let links = tile_links(part, a);
 
-    let mut reduce_bufs: LaunchBuffers<Option<usize>> = LaunchBuffers::new();
-    let mut update_bufs: LaunchBuffers<()> = LaunchBuffers::new();
-    let mut carry_opts: Vec<Option<usize>> = Vec::new();
+    let mut bufs: LaunchBuffers<()> = LaunchBuffers::new();
     let mut unit_out: Vec<()> = Vec::new();
-    let mut carry_rows: Vec<usize> = Vec::new();
     let mut tile_stats = LaunchStats::default();
     let mut reduction = LaunchStats::default();
-    let mut update = LaunchStats::default();
 
     for (col0, w) in column_tiles(k, plan.cfg.tile()) {
-        // ---- Phase 2: reduction over one column tile ----------------
-        let cfg_red = LaunchConfig::new(num_ctas, plan.cfg.block_threads);
+        let cfg_red = LaunchConfig::new(links.len(), plan.cfg.block_threads);
         launch_map_into_phased(
             device,
             "spmm_reduce",
@@ -275,58 +279,20 @@ fn spmm_tiled_charge(plan: &mut SpmmPlan, device: &Device, a: &CsrMatrix) {
                 // lane; the remaining w-1 lanes share the segment
                 // bookkeeping and add only their adds and staging.
                 let zeros = vec![0.0f64; count];
-                let seg = block_segmented_reduce(cta, &zeros, &rows);
+                block_segmented_reduce(cta, &zeros, &rows);
                 cta.alu((3 * count * (w - 1)) as u64);
                 cta.shmem((2 * count * (w - 1)) as u64);
 
-                // Complete rows store w consecutive doubles each.
-                cta.scatter_wide(
-                    seg.complete
-                        .iter()
-                        .map(|&(row, _)| part.to_physical(row) * k + col0),
-                    8,
-                    w,
-                );
-                seg.carry.map(|(row, _)| row)
+                finish_tile_rows(cta, &links[cta.cta_id], k, col0, w);
             },
-            &mut reduce_bufs,
-            &mut carry_opts,
-            &mut tile_stats,
-        );
-        reduction.add(&tile_stats);
-
-        carry_rows.clear();
-        carry_rows.extend(carry_opts.iter().flatten());
-
-        // ---- Phase 3: update over the tile's carries ----------------
-        let carries_ref = &carry_rows;
-        let cfg_upd = LaunchConfig::new(1, plan.cfg.block_threads);
-        launch_map_into_phased(
-            device,
-            "spmm_update",
-            Phase::TileTraversal,
-            cfg_upd,
-            |cta| {
-                cta.read_coalesced(carries_ref.len(), 4);
-                cta.read_coalesced(carries_ref.len() * w, 8);
-                cta.alu((2 * carries_ref.len() * w) as u64);
-                cta.scatter_wide(
-                    carries_ref
-                        .iter()
-                        .map(|&row| part.to_physical(row) * k + col0),
-                    8,
-                    w,
-                );
-            },
-            &mut update_bufs,
+            &mut bufs,
             &mut unit_out,
             &mut tile_stats,
         );
-        update.add(&tile_stats);
+        reduction.add(&tile_stats);
     }
 
     plan.reduction = reduction;
-    plan.update = update;
 }
 
 /// The block sort expanding, sorting and scanning one product at a time.

@@ -170,8 +170,11 @@ fn seg_dot_wide_impl<const W: usize>(
 }
 
 /// One segment's `out.len()`-wide lane sums, dispatched to a const-width
-/// kernel for the widths the tiler produces in practice; any other width
-/// takes the generic runtime-width loop (bitwise identical, just slower).
+/// kernel for every width from 2 to 16 (the widths request coalescing
+/// forms, up to its 16-request batches) and for 32 and 64; any other
+/// width takes the generic runtime-width loop (bitwise identical, just
+/// slower: it ran odd widths at about twice the time of the next power of
+/// two).
 ///
 /// Callers dispatch at the tile-walk level (see `SpmmPlan`), so this body
 /// inlines into whichever feature context the walk was compiled under.
@@ -184,21 +187,26 @@ pub(crate) fn seg_dot_impl(
     col0: usize,
     out: &mut [f64],
 ) {
-    match out.len() {
-        2 => out.copy_from_slice(&seg_dot_wide_impl::<2>(vals, cols, x, k, col0)),
-        4 => out.copy_from_slice(&seg_dot_wide_impl::<4>(vals, cols, x, k, col0)),
-        8 => out.copy_from_slice(&seg_dot_wide_impl::<8>(vals, cols, x, k, col0)),
-        16 => out.copy_from_slice(&seg_dot_wide_impl::<16>(vals, cols, x, k, col0)),
-        32 => out.copy_from_slice(&seg_dot_wide_impl::<32>(vals, cols, x, k, col0)),
-        64 => out.copy_from_slice(&seg_dot_wide_impl::<64>(vals, cols, x, k, col0)),
-        w => {
-            out.fill(0.0);
-            for (&v, &c) in vals.iter().zip(cols) {
-                let xrow = &x[c as usize * k + col0..][..w];
-                for (s, &xj) in out.iter_mut().zip(xrow) {
-                    *s += v * xj;
-                }
+    macro_rules! const_widths {
+        ($($w:literal)*) => {
+            match out.len() {
+                $($w => out.copy_from_slice(&seg_dot_wide_impl::<$w>(vals, cols, x, k, col0)),)*
+                _ => seg_dot_runtime(vals, cols, x, k, col0, out),
             }
+        };
+    }
+    const_widths!(2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 32 64)
+}
+
+/// [`seg_dot_impl`] for a width with no const kernel.
+#[inline(always)]
+fn seg_dot_runtime(vals: &[f64], cols: &[u32], x: &[f64], k: usize, col0: usize, out: &mut [f64]) {
+    let w = out.len();
+    out.fill(0.0);
+    for (&v, &c) in vals.iter().zip(cols) {
+        let xrow = &x[c as usize * k + col0..][..w];
+        for (s, &xj) in out.iter_mut().zip(xrow) {
+            *s += v * xj;
         }
     }
 }
@@ -283,13 +291,18 @@ mod tests {
     fn seg_dot_widths_agree_with_scalar_lanes() {
         // Every lane of the wide kernel must equal the strided scalar dot
         // on that lane — the invariant the SpMM tile walk is built on.
-        for w in [2usize, 4, 5, 8, 16, 64] {
-            let (vals, cols, x) = fixture(29, w, 999 + w as u64);
-            let mut wide = vec![0.0f64; w];
-            seg_dot_impl(&vals, &cols, &x, w, 0, &mut wide);
-            for (t, &got) in wide.iter().enumerate() {
-                let lane = dot_gather_strided_impl(&vals, &cols, &x, w, t);
-                assert_eq!(got.to_bits(), lane.to_bits(), "w={w} lane {t}");
+        // Widths 2..=16 and 32, 64 have const kernels; 17 and 33 take
+        // the runtime-width loop. Each also runs as a column pass inside a
+        // wider block (k = w + 3, col0 = 2).
+        for w in (2usize..=17).chain([32, 33, 64]) {
+            for (k, col0) in [(w, 0), (w + 3, 2)] {
+                let (vals, cols, x) = fixture(29, k, 999 + w as u64);
+                let mut wide = vec![f64::NAN; w];
+                seg_dot_impl(&vals, &cols, &x, k, col0, &mut wide);
+                for (t, &got) in wide.iter().enumerate() {
+                    let lane = dot_gather_strided_impl(&vals, &cols, &x, k, col0 + t);
+                    assert_eq!(got.to_bits(), lane.to_bits(), "w={w} k={k} lane {t}");
+                }
             }
         }
     }

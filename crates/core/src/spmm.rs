@@ -15,8 +15,11 @@
 //!   scalar, and the CTA-wide segmented scan carries `TILE_K` partial sums
 //!   per segment. A's column indices and values are streamed once per tile
 //!   rather than once per column.
-//! * The **update** phase folds `TILE_K`-wide carries into `Y` with wide
-//!   scatters.
+//! * There is no separate **update** launch: as in
+//!   [`crate::spmv::SpmvPlan`], every CTA but the last publishes its
+//!   `TILE_K`-wide trailing partial, and the CTA that finishes a row folds its
+//!   predecessors' partials by look-back inside the tile's launch, then
+//!   stores every row it finishes with wide scatters.
 //!
 //! The payoff over `k` independent SpMVs is twofold and the cost model sees
 //! both: A's CSR arrays are read `⌈k / TILE_K⌉` times instead of `k` times,
@@ -33,15 +36,16 @@
 //! `c` of the operand, bit for bit.
 
 use mps_simt::block::charge_segmented_reduce;
+use mps_simt::cta::Cta;
 use mps_simt::grid::{launch_map_into_phased, LaunchBuffers, LaunchConfig, LaunchStats};
 use mps_simt::{Device, Phase};
 use mps_sparse::{CsrMatrix, DenseBlock};
 
 use crate::config::SpmmConfig;
 use crate::error::PlanError;
-use crate::partition::MergePartition;
+use crate::partition::{MergePartition, TileLink};
 use crate::simd::{dot_gather_strided_impl, seg_dot_impl};
-use crate::spmv::{charge_exchange, spmv_segment_walk};
+use crate::spmv::{charge_exchange, spmv_segment_walk, CARRY_SLOT};
 use crate::workspace::Workspace;
 
 /// Column tiles of a `k`-wide block at width `tile`: `(first_col, width)`.
@@ -51,13 +55,30 @@ pub(crate) fn column_tiles(k: usize, tile: usize) -> impl Iterator<Item = (usize
         .map(move |col0| (col0, tile.min(k - col0)))
 }
 
+/// The single-pass part of an SpMM tile CTA's program over column tile
+/// `[col0, col0 + w)` of a `k`-wide block, after its segmented scan: as
+/// [`crate::spmv::finish_rows`] without an epilogue, with `w`-wide
+/// partials and each finished row stored as a `w`-wide run.
+pub(crate) fn finish_tile_rows(cta: &mut Cta, link: &TileLink, k: usize, col0: usize, w: usize) {
+    let id = cta.cta_id;
+    if id + 1 < cta.grid_dim {
+        cta.publish(CARRY_SLOT, 8 * w);
+    }
+    cta.look_back(link.fold_from as usize..id, CARRY_SLOT, 8 * w);
+    cta.alu(((id - link.fold_from as usize) * w) as u64);
+    cta.scatter_wide(
+        (link.rows_start as usize..link.rows_end as usize).map(|row| row * k + col0),
+        8,
+        w,
+    );
+}
+
 /// Result of a merge SpMM: the product block plus per-phase simulated cost.
 #[derive(Debug, Clone)]
 pub struct SpmmResult {
     pub y: DenseBlock,
     pub partition: LaunchStats,
     pub reduction: LaunchStats,
-    pub update: LaunchStats,
     /// Whether the adaptive empty-row compaction path ran.
     pub compacted: bool,
 }
@@ -65,7 +86,7 @@ pub struct SpmmResult {
 impl SpmmResult {
     /// Total simulated kernel time in milliseconds.
     pub fn sim_ms(&self) -> f64 {
-        self.partition.sim_ms + self.reduction.sim_ms + self.update.sim_ms
+        self.partition.sim_ms + self.reduction.sim_ms
     }
 
     /// Achieved double-precision GFLOP/s under simulated time, counting
@@ -80,13 +101,13 @@ impl SpmmResult {
 
 /// Precomputed SpMM state for a fixed matrix and block width `k`: the
 /// shared merge-path partition plus the cached simulated cost of the
-/// per-tile reduction/update launches.
+/// per-tile single-pass launches.
 ///
 /// Block solvers apply the same operator to the same `k` right-hand sides
 /// every iteration, so the plan charges the full tiled pipeline once —
-/// `⌈k / TILE_K⌉` reduction/update launch pairs, staged through one reused
-/// [`LaunchBuffers`] — and each [`SpmmPlan::execute_into`] afterwards is
-/// flat numeric work with no allocation in steady state.
+/// `⌈k / TILE_K⌉` launches, staged through one reused [`LaunchBuffers`] —
+/// and each [`SpmmPlan::execute_into`] afterwards is flat numeric work with
+/// no allocation in steady state.
 #[derive(Debug, Clone)]
 pub struct SpmmPlan {
     pub(crate) cfg: SpmmConfig,
@@ -99,10 +120,8 @@ pub struct SpmmPlan {
     /// Cost of the empty-row compaction pass (zero on the raw path), paid
     /// at plan build alongside the partition.
     pub fixup: LaunchStats,
-    /// Cached cost of all reduction-phase tile launches.
+    /// Cached cost of all tile launches.
     pub(crate) reduction: LaunchStats,
-    /// Cached cost of all update-phase tile launches.
-    pub(crate) update: LaunchStats,
     /// Physical rows the walk never assigns (empty or carry-only); the
     /// executor zeroes exactly these rows of `y` instead of the whole
     /// block.
@@ -123,7 +142,7 @@ impl SpmmPlan {
     }
 
     /// Build the partition for `a` and charge the value-independent cost of
-    /// the tiled reduction/update phases for a `k`-column operand block.
+    /// the tile launches for a `k`-column operand block.
     pub fn new(device: &Device, a: &CsrMatrix, k: usize, cfg: &SpmmConfig) -> SpmmPlan {
         Self::build(device, a, k, cfg, SpmmPlan::charge_tiled_phases)
     }
@@ -148,7 +167,6 @@ impl SpmmPlan {
             partition,
             fixup,
             reduction: LaunchStats::default(),
-            update: LaunchStats::default(),
             prezero,
         };
         if plan.part.nnz > 0 && k > 0 {
@@ -177,20 +195,15 @@ impl SpmmPlan {
         &self.part
     }
 
-    /// Cached simulated cost of the reduction-phase tile launches.
+    /// Cached simulated cost of the tile launches.
     pub fn reduction_stats(&self) -> &LaunchStats {
         &self.reduction
     }
 
-    /// Cached simulated cost of the update-phase tile launches.
-    pub fn update_stats(&self) -> &LaunchStats {
-        &self.update
-    }
-
     /// Simulated milliseconds of one planned execution (all tiles'
-    /// reduction + update launches).
+    /// launches).
     pub fn execute_sim_ms(&self) -> f64 {
-        self.reduction.sim_ms + self.update.sim_ms
+        self.reduction.sim_ms
     }
 
     /// Simulated milliseconds paid once at plan build (partition searches
@@ -199,28 +212,23 @@ impl SpmmPlan {
         self.partition.sim_ms + self.fixup.sim_ms
     }
 
-    /// Simulate one reduction/update launch pair per column tile, staging
-    /// every launch through the same [`LaunchBuffers`]. The numeric outputs
-    /// are discarded — only the cost survives in the plan.
+    /// Simulate one single-pass launch per column tile, staging every
+    /// launch through the same [`LaunchBuffers`]. The numeric outputs are
+    /// discarded — only the cost survives in the plan.
     pub(crate) fn charge_tiled_phases(&mut self, device: &Device, a: &CsrMatrix) {
         let nnz = self.part.nnz;
         let nv = self.cfg.nv();
         let k = self.k;
-        let num_ctas = self.part.num_ctas();
         let part = &self.part;
+        let links = part.tile_links();
 
-        let mut reduce_bufs: LaunchBuffers<Option<usize>> = LaunchBuffers::new();
-        let mut update_bufs: LaunchBuffers<()> = LaunchBuffers::new();
-        let mut carry_opts: Vec<Option<usize>> = Vec::new();
+        let mut bufs: LaunchBuffers<()> = LaunchBuffers::new();
         let mut unit_out: Vec<()> = Vec::new();
-        let mut carry_rows: Vec<usize> = Vec::new();
         let mut tile_stats = LaunchStats::default();
         let mut reduction = LaunchStats::default();
-        let mut update = LaunchStats::default();
 
         for (col0, w) in column_tiles(k, self.cfg.tile()) {
-            // ---- Phase 2: reduction over one column tile ----------------
-            let cfg_red = LaunchConfig::new(num_ctas, self.cfg.block_threads);
+            let cfg_red = LaunchConfig::new(links.len(), self.cfg.block_threads);
             launch_map_into_phased(
                 device,
                 "spmm_reduce",
@@ -266,63 +274,16 @@ impl SpmmPlan {
                     cta.alu((3 * count * (w - 1)) as u64);
                     cta.shmem((2 * count * (w - 1)) as u64);
 
-                    // The scan's segments are the tile's row segments,
-                    // walked from the offsets. Complete rows store w
-                    // consecutive doubles each; the last segment is the
-                    // carry.
-                    let mut carry = None;
-                    cta.scatter_wide(
-                        part.tile_segments(cta.cta_id).filter_map(|seg| {
-                            if seg.end == hi {
-                                carry = Some(seg.row);
-                                None
-                            } else {
-                                Some(part.to_physical(seg.row) * k + col0)
-                            }
-                        }),
-                        8,
-                        w,
-                    );
-                    carry
+                    finish_tile_rows(cta, &links[cta.cta_id], k, col0, w);
                 },
-                &mut reduce_bufs,
-                &mut carry_opts,
-                &mut tile_stats,
-            );
-            reduction.add(&tile_stats);
-
-            carry_rows.clear();
-            carry_rows.extend(carry_opts.iter().flatten());
-
-            // ---- Phase 3: update over the tile's carries ----------------
-            let carries_ref = &carry_rows;
-            let cfg_upd = LaunchConfig::new(1, self.cfg.block_threads);
-            launch_map_into_phased(
-                device,
-                "spmm_update",
-                Phase::TileTraversal,
-                cfg_upd,
-                |cta| {
-                    cta.read_coalesced(carries_ref.len(), 4);
-                    cta.read_coalesced(carries_ref.len() * w, 8);
-                    cta.alu((2 * carries_ref.len() * w) as u64);
-                    cta.scatter_wide(
-                        carries_ref
-                            .iter()
-                            .map(|&row| part.to_physical(row) * k + col0),
-                        8,
-                        w,
-                    );
-                },
-                &mut update_bufs,
+                &mut bufs,
                 &mut unit_out,
                 &mut tile_stats,
             );
-            update.add(&tile_stats);
+            reduction.add(&tile_stats);
         }
 
         self.reduction = reduction;
-        self.update = update;
     }
 
     /// The numeric phases as pure flat loops, tile by tile. Within a tile
@@ -585,7 +546,7 @@ impl SpmmPlan {
         );
     }
 
-    /// Run the tiled reduction + update phases against the planned matrix.
+    /// Run the tile launches against the planned matrix.
     ///
     /// Convenience wrapper over [`SpmmPlan::execute_into`] that allocates
     /// the output block and clones the cached phase stats. `device` is
@@ -604,14 +565,13 @@ impl SpmmPlan {
             y,
             partition: LaunchStats::default(),
             reduction: self.reduction.clone(),
-            update: self.update.clone(),
             compacted: self.compacted(),
         }
     }
 
     /// Steady-state execution: write `Y = A·X` into a caller-owned block
     /// using workspace scratch, returning the simulated milliseconds of the
-    /// numeric phases (from the plan's cached stats).
+    /// tile launches (from the plan's cached stats).
     ///
     /// After one warm-up call with the same `y`/`ws`, this performs no heap
     /// allocation.
@@ -842,7 +802,6 @@ mod tests {
         let m = gen::stencil_5pt(40, 40);
         let plan = SpmmPlan::new(&dev(), &m, 16, &SpmmConfig::default());
         assert!(plan.reduction_stats().totals.dram_wide_bytes > 0);
-        assert!(plan.update_stats().totals.dram_wide_bytes > 0);
         // The SpMV plan never issues wide accesses.
         let spmv = SpmvPlan::new(&dev(), &m, &SpmvConfig::default());
         assert_eq!(spmv.reduction_stats().totals.dram_wide_bytes, 0);

@@ -5,7 +5,7 @@
 //! The selection problem is the one Yang, Buluç & Owens formalize for GPU
 //! SpMM: no single format wins everywhere. Merge-path CSR is insensitive
 //! to row-length skew but pays shared-memory exchange, barriers, and a
-//! second carry-update launch on every matrix; SELL-C-σ is barrier-free
+//! carry look-back between CTAs on every matrix; SELL-C-σ is barrier-free
 //! and perfectly streamed but pays padding and permutation scatter; CMRS
 //! stores exactly `nnz` entries but pays a per-entry row tag and strip
 //! imbalance. The advisor builds an [`SpmvWorkload`] for each candidate
@@ -250,8 +250,8 @@ impl FormatAdvisor {
 
     /// Workload of the merge-path CSR kernel: flat decomposition (no
     /// imbalance), but per-item shared-memory segmented reduce, two
-    /// barriers per CTA, and the dependent carry-update launch. `gathers`
-    /// is the [`FormatAdvisor::merge_gather_tx`] replay.
+    /// barriers per CTA, and the carry look-back. `gathers` is the
+    /// [`FormatAdvisor::merge_gather_tx`] replay.
     pub fn merge_workload(a: &CsrMatrix, cfg: &SpmvConfig, gathers: u64) -> SpmvWorkload {
         let nnz = a.nnz() as u64;
         let rows = a.num_rows as u64;
@@ -259,18 +259,19 @@ impl FormatAdvisor {
         SpmvWorkload {
             ctas,
             // Row-offset windows + column stream + value stream + output
-            // stores + the carry records the fixup launch re-reads.
-            streamed_bytes: (rows + 2 * ctas) * 8 + nnz * 12 + rows * 8 + ctas * 12,
+            // stores + each CTA's published carry (value and flag), written
+            // once and read once by the look-back that folds it.
+            streamed_bytes: (rows + 2 * ctas) * 8 + nnz * 12 + rows * 8 + 2 * ctas * 12,
             gathers,
             // Per item: product + row expansion, then the 3-op segmented
-            // reduce; plus the carry fixup.
+            // reduce; plus the carry fold.
             alu_ops: 5 * nnz + 2 * ctas,
             // Striped→blocked exchange of two register tiles (4 ops/item),
             // reduce staging (2 ops/item), and the row-offset window.
             shmem_ops: 6 * nnz + rows + 2 * ctas,
-            // Two barriers in the exchange, two in the reduce.
-            syncs: 4 * ctas,
-            extra_launches: 1,
+            // Two barriers in the exchange, two in the reduce, and at most
+            // one look-back spin.
+            syncs: 5 * ctas,
             imbalance: 1.0,
         }
     }
@@ -293,7 +294,6 @@ impl FormatAdvisor {
             alu_ops: 2 * nnz,
             shmem_ops: 2 * nnz,
             syncs: 0,
-            extra_launches: 0,
             imbalance: group_imbalance(&lens, strips_per_cta * CMRS_DEFAULT_STRIP_HEIGHT),
         }
     }
@@ -321,7 +321,6 @@ impl FormatAdvisor {
             alu_ops: 2 * slots,
             shmem_ops: 0,
             syncs: 0,
-            extra_launches: 0,
             imbalance: group_imbalance(&per_cta_slots, 1),
         }
     }

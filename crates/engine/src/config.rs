@@ -16,7 +16,7 @@ pub struct EngineConfig {
     /// payloads (one column per SpMV submission, `x.cols` per SpMM
     /// submission) are packed until the next request would exceed this
     /// many columns. Defaults to the SpMM column tile width, so a full
-    /// batch is exactly one reduction+update launch pair. A single
+    /// batch is exactly one single-pass tile launch. A single
     /// request wider than the budget still runs (alone).
     pub(crate) max_batch: usize,
     /// Unclaimed results (and deadline expiries) are dropped from a

@@ -388,31 +388,20 @@ fn record_lookup(stats: &mut EngineStats, hit: bool, evicted: bool) {
 /// Accumulate one executed SpMV replay into totals and the phase ledger.
 fn charge_spmv_exec(stats: &mut EngineStats, plan: &SpmvPlan) {
     let r = plan.reduction_stats();
-    let u = plan.update_stats();
     stats.totals.add(&r.totals);
-    stats.totals.add(&u.totals);
     stats
         .phases
         .charge(Phase::Reduction, r.sim_ms, r.totals.dram_bytes());
-    stats
-        .phases
-        .charge(Phase::Update, u.sim_ms, u.totals.dram_bytes());
 }
 
-/// Accumulate one executed SpMM replay into totals and the phase ledger.
-/// Both launches of the column-tiled traversal are charged to the SpMM
-/// tile-traversal phase.
+/// Accumulate one executed SpMM replay into totals and the phase ledger,
+/// charged to the SpMM tile-traversal phase.
 fn charge_spmm_exec(stats: &mut EngineStats, plan: &SpmmPlan) {
     let r = plan.reduction_stats();
-    let u = plan.update_stats();
     stats.totals.add(&r.totals);
-    stats.totals.add(&u.totals);
     stats
         .phases
         .charge(Phase::TileTraversal, r.sim_ms, r.totals.dram_bytes());
-    stats
-        .phases
-        .charge(Phase::TileTraversal, u.sim_ms, u.totals.dram_bytes());
 }
 
 /// Charge one balanced-path delta apply ([`Service::submit_delta`]'s

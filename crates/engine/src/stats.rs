@@ -191,7 +191,7 @@ pub struct EngineStats {
     pub totals: Counters,
     /// Per-phase ledger of everything the engine simulated: plan builds
     /// (Partition, Empty-Row Fixup, the SpGEMM pipeline) and executed
-    /// numeric phases (Reduction, Update, Tile Traversal, ...). The
+    /// numeric phases (Reduction, Tile Traversal, ...). The
     /// ledger's total equals `plan_build_sim_ms + exec_sim_ms`.
     pub phases: PhaseLedger,
     /// Faults injected by the [`crate::ChaosConfig`] schedule (all zero

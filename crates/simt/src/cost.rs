@@ -135,10 +135,6 @@ pub struct SpmvWorkload {
     pub shmem_ops: u64,
     /// Block-wide barriers for the whole launch.
     pub syncs: u64,
-    /// Additional dependent kernel launches the format needs per execute
-    /// (e.g. merge SpMV's carry-update pass); each costs one launch
-    /// overhead on the critical path.
-    pub extra_launches: u64,
     /// Work of the busiest CTA as a multiple of the mean (≥ 1). Flat
     /// decompositions are 1.0 by construction; row-split formats inherit
     /// the row-length skew here, which is exactly what the makespan
@@ -163,7 +159,6 @@ impl CostModel {
             + self.launch_overhead as f64;
         let waves = (ctas / concurrent_ctas.max(1) as f64).ceil();
         waves * per_cta * w.imbalance.max(1.0)
-            + w.extra_launches as f64 * self.launch_overhead as f64
     }
 }
 
@@ -221,7 +216,7 @@ mod tests {
     }
 
     #[test]
-    fn predicted_spmv_punishes_imbalance_and_extra_launches() {
+    fn predicted_spmv_punishes_imbalance_and_barriers() {
         let model = CostModel::default();
         let base = SpmvWorkload {
             ctas: 64,
@@ -230,7 +225,6 @@ mod tests {
             alu_ops: 200_000,
             shmem_ops: 50_000,
             syncs: 128,
-            extra_launches: 0,
             imbalance: 1.0,
         };
         let flat = model.predict_spmv(&base, 32);
@@ -245,14 +239,16 @@ mod tests {
             skewed > 3.0 * flat,
             "skew must dominate: {skewed} vs {flat}"
         );
-        let chained = model.predict_spmv(
+        // One more barrier per CTA (a look-back's spin) costs one barrier
+        // per wave.
+        let spun = model.predict_spmv(
             &SpmvWorkload {
-                extra_launches: 1,
+                syncs: base.syncs + base.ctas,
                 ..base
             },
             32,
         );
-        assert_eq!(chained, flat + model.launch_overhead as f64);
+        assert_eq!(spun, flat + 2.0 * model.sync_cost as f64);
     }
 
     #[test]
@@ -265,7 +261,6 @@ mod tests {
             alu_ops: 300_000,
             shmem_ops: 0,
             syncs: 0,
-            extra_launches: 0,
             imbalance: 1.0,
         };
         let padded = SpmvWorkload {

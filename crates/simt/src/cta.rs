@@ -10,11 +10,15 @@
 
 use std::ops::Range;
 
-use crate::cost::{coalesced_transactions, Counters, TX_BYTES};
+use crate::cost::{coalesced_transactions, CostModel, Counters, TX_BYTES};
+use crate::sched::{SyncPoint, PUBLISH_SLOTS};
 
 /// Widest warp the coalescing model counts: its per-warp scratch is
 /// fixed-size, so a warp holds at most this many lanes.
 pub const MAX_WARP_LANES: usize = 64;
+
+/// Bytes of the ready flag stored beside each published value.
+pub const FLAG_BYTES: usize = 4;
 
 /// Execution context for a single cooperative thread array.
 #[derive(Debug)]
@@ -28,11 +32,23 @@ pub struct Cta {
     /// Warp width of the device.
     pub warp_size: usize,
     counters: Counters,
+    /// Publishes and look-backs so far, each with the counters at its
+    /// point. Empty, and unallocated, in a CTA that links to no other.
+    sync_points: Vec<(Counters, SyncPoint)>,
+}
+
+/// What a launch keeps of one finished CTA.
+#[derive(Debug)]
+pub(crate) struct CtaCost {
+    pub(crate) counters: Counters,
+    pub(crate) cycles: u64,
+    pub(crate) sync_points: Vec<(Counters, SyncPoint)>,
 }
 
 impl Cta {
     /// # Panics
     /// Panics if `warp_size` is zero or above [`MAX_WARP_LANES`].
+    #[inline]
     pub fn new(cta_id: usize, grid_dim: usize, threads: usize, warp_size: usize) -> Self {
         assert!(
             (1..=MAX_WARP_LANES).contains(&warp_size),
@@ -44,6 +60,7 @@ impl Cta {
             threads,
             warp_size,
             counters: Counters::default(),
+            sync_points: Vec::new(),
         }
     }
 
@@ -52,9 +69,69 @@ impl Cta {
         &self.counters
     }
 
-    /// Take the accumulated counters (used by the launcher).
-    pub(crate) fn into_counters(self) -> Counters {
-        self.counters
+    /// Price the finished CTA under `cost` (used by the launcher).
+    #[inline]
+    pub(crate) fn into_cost(self, cost: &CostModel) -> CtaCost {
+        CtaCost {
+            counters: self.counters,
+            cycles: cost.cta_cycles(&self.counters),
+            sync_points: self.sync_points,
+        }
+    }
+
+    /// Add counters charged elsewhere: a kernel re-priced from the
+    /// counters it kept at build starts from them.
+    pub fn charge(&mut self, counters: &Counters) {
+        self.counters.add(counters);
+    }
+
+    // ---- links between CTAs ----------------------------------------------------
+
+    fn record(&mut self, point: SyncPoint) {
+        self.sync_points.push((self.counters, point));
+    }
+
+    /// Publish a value of `value_bytes` bytes in `slot` for later CTAs of
+    /// the grid (a carry, a partial): one coalesced write of the value and
+    /// its ready flag. The value is visible from this point of the CTA's
+    /// program on, so a [`Cta::look_back`] at it waits until here, not
+    /// until this CTA ends.
+    ///
+    /// # Panics
+    /// Panics if `slot` is not below [`PUBLISH_SLOTS`].
+    pub fn publish(&mut self, slot: usize, value_bytes: usize) {
+        assert!(slot < PUBLISH_SLOTS, "publish slot {slot} out of range");
+        self.write_coalesced(1, FLAG_BYTES + value_bytes);
+        self.record(SyncPoint::Publish { slot: slot as u8 });
+    }
+
+    /// Read the values CTAs `ctas` published in `slot`: the rest of this
+    /// CTA starts no earlier than the latest of those publishes (the wave
+    /// scheduler holds it in its slot until then). Priced with the
+    /// model's existing terms: the flags and values as one coalesced read,
+    /// the spin on the flags as one barrier. An empty range reads nothing
+    /// and waits for nothing.
+    ///
+    /// # Panics
+    /// Panics if `ctas` reaches this CTA or past it, or `slot` is not
+    /// below [`PUBLISH_SLOTS`].
+    pub fn look_back(&mut self, ctas: Range<usize>, slot: usize, value_bytes: usize) {
+        if ctas.is_empty() {
+            return;
+        }
+        assert!(
+            ctas.end <= self.cta_id,
+            "CTA {} can look back only at earlier CTAs, not {ctas:?}",
+            self.cta_id
+        );
+        assert!(slot < PUBLISH_SLOTS, "publish slot {slot} out of range");
+        self.record(SyncPoint::LookBack {
+            slot: slot as u8,
+            first: ctas.start as u32,
+            end: ctas.end as u32,
+        });
+        self.read_coalesced(ctas.len(), FLAG_BYTES + value_bytes);
+        self.sync();
     }
 
     // ---- on-chip cost charging -------------------------------------------------

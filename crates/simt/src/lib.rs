@@ -18,11 +18,16 @@
 //! * a **wave scheduler** that assigns CTAs to streaming multiprocessors and
 //!   reports the simulated kernel time. Load imbalance between CTAs — the
 //!   central subject of the paper — shows up in the makespan exactly as it
-//!   does on hardware.
+//!   does on hardware;
+//! * **look-back links** for single-pass kernels: a CTA publishes a value
+//!   part-way through its program and a later CTA waits for it
+//!   ([`Cta::publish`], [`Cta::look_back`]); the scheduler delays the
+//!   reader until the publish.
 //!
 //! CTAs of a grid execute in parallel on the host via rayon; results are
-//! deterministic because CTAs are independent and reductions over their
-//! outputs are performed in CTA order.
+//! deterministic because a CTA body never reads another CTA's output (a
+//! look-back only prices the wait) and reductions over their outputs are
+//! performed in CTA order.
 
 pub mod block;
 pub mod cost;
@@ -38,6 +43,6 @@ pub use cta::Cta;
 pub use device::{Device, DeviceProps};
 pub use grid::{
     launch_map, launch_map_into, launch_map_into_phased, launch_map_named, launch_map_phased,
-    LaunchBuffers, LaunchConfig, LaunchStats,
+    price_ctas, LaunchBuffers, LaunchConfig, LaunchStats,
 };
 pub use trace::{with_phase, KernelRecord, Phase, PhaseEntry, PhaseLedger, PhaseReport, Tracer};

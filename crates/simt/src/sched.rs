@@ -7,17 +7,43 @@
 //! monstrous row in a row-wise decomposition) stretches the whole kernel,
 //! which is precisely the imbalance pathology the paper's flat
 //! decompositions eliminate.
+//!
+//! **Look-back.** A single-pass kernel links its CTAs: one publishes a
+//! value (a carry, a partial) part-way through its program, and a later
+//! one spins until that value is there ([`crate::Cta::publish`],
+//! [`crate::Cta::look_back`]). `makespan_synced` follows those links: a
+//! CTA's program after a look-back starts no earlier than the latest
+//! publish it reads, and the CTA holds its slot while it waits. CTAs only
+//! look back at CTAs issued before them, which the issue-order greedy
+//! schedule has already placed, so the schedule never deadlocks.
 
 use std::cell::RefCell;
 
 use crate::device::DeviceProps;
+
+/// Distinct values one CTA can publish (a carry, a dot partial).
+pub const PUBLISH_SLOTS: usize = 2;
+
+/// A point in a CTA's program where it joins other CTAs of its grid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SyncPoint {
+    /// The CTA's value in `slot` becomes visible to later CTAs.
+    Publish { slot: u8 },
+    /// The CTA waits for the values CTAs `first..end` published in `slot`.
+    LookBack { slot: u8, first: u32, end: u32 },
+}
 
 thread_local! {
     /// Reusable slot heap: `makespan` runs once per launch on the host hot
     /// path, and a per-call `BinaryHeap` allocation was the last allocating
     /// step of a warm launch.
     static SLOT_HEAP: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    /// Reusable publish times of a linked launch, [`PUBLISH_SLOTS`] per CTA.
+    static PUBLISHED: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
+
+/// A publish time no CTA has reached.
+const UNPUBLISHED: u64 = u64::MAX;
 
 /// Restore the min-heap property for the root of `heap` (sift-down).
 fn sift_down(heap: &mut [u64]) {
@@ -59,6 +85,66 @@ pub fn makespan(props: &DeviceProps, per_cta_cycles: &[u64]) -> u64 {
             sift_down(&mut heap);
         }
         heap.iter().copied().max().unwrap_or(0)
+    })
+}
+
+/// [`makespan`] of a grid whose CTAs publish and look back: `points`
+/// holds `(cta, at, point)` for every sync point, in CTA order and each
+/// CTA's in program order, `at` being the cycles into the CTA (had it
+/// never waited) where it reaches the point. Each CTA starts in the
+/// earliest-free slot as before; a look-back holds it until the latest
+/// publish among the CTAs it reads, and everything after the look-back
+/// shifts by that wait. With no points this is [`makespan`].
+///
+/// # Panics
+/// Panics if a CTA looks back at a CTA that is not earlier in the grid or
+/// publishes nothing in the slot read.
+#[inline]
+pub(crate) fn makespan_synced(
+    props: &DeviceProps,
+    per_cta_cycles: &[u64],
+    points: &[(usize, u64, SyncPoint)],
+) -> u64 {
+    if points.is_empty() {
+        return makespan(props, per_cta_cycles);
+    }
+    let slots = (props.num_sms * props.max_ctas_per_sm).max(1);
+    SLOT_HEAP.with(|heap| {
+        PUBLISHED.with(|published| {
+            let (mut heap, mut published) = (heap.borrow_mut(), published.borrow_mut());
+            heap.clear();
+            heap.resize(slots, 0u64);
+            published.clear();
+            published.resize(per_cta_cycles.len() * PUBLISH_SLOTS, UNPUBLISHED);
+            let mut points = points.iter().peekable();
+            for (cta, &cycles) in per_cta_cycles.iter().enumerate() {
+                let mut clock = heap[0];
+                let mut reached = 0;
+                while let Some(&(_, at, point)) = points.next_if(|(id, ..)| *id == cta) {
+                    clock += at - reached;
+                    reached = at;
+                    match point {
+                        SyncPoint::Publish { slot } => {
+                            published[cta * PUBLISH_SLOTS + slot as usize] = clock;
+                        }
+                        SyncPoint::LookBack { slot, first, end } => {
+                            assert!(end as usize <= cta, "CTA {cta} looks back at a later CTA");
+                            for j in first as usize..end as usize {
+                                let t = published[j * PUBLISH_SLOTS + slot as usize];
+                                assert!(
+                                    t != UNPUBLISHED,
+                                    "CTA {cta} looks back at CTA {j}, which publishes nothing in slot {slot}"
+                                );
+                                clock = clock.max(t);
+                            }
+                        }
+                    }
+                }
+                heap[0] = clock + (cycles - reached);
+                sift_down(&mut heap);
+            }
+            heap.iter().copied().max().unwrap_or(0)
+        })
     })
 }
 
@@ -104,6 +190,74 @@ mod tests {
         // at 3) gets 2 → 5, then A (free at 4) gets 1 → 5. Makespan 5.
         let cycles = vec![4, 3, 2, 1];
         assert_eq!(makespan(&small_device(2), &cycles), 5);
+    }
+
+    const PUBLISH: SyncPoint = SyncPoint::Publish { slot: 0 };
+    const READ_CTA0: SyncPoint = SyncPoint::LookBack {
+        slot: 0,
+        first: 0,
+        end: 1,
+    };
+
+    #[test]
+    fn unlinked_grid_schedules_as_before() {
+        let cycles = vec![4, 3, 2, 1];
+        assert_eq!(makespan_synced(&small_device(2), &cycles, &[]), 5);
+    }
+
+    #[test]
+    fn look_back_waits_for_a_late_publish() {
+        // Two slots: CTA 1 reaches its look-back at 100 but CTA 0
+        // publishes at 900, so its last 200 cycles run 900..1100.
+        let points = [(0, 900, PUBLISH), (1, 100, READ_CTA0)];
+        assert_eq!(
+            makespan_synced(&small_device(2), &[1000, 300], &points),
+            1100
+        );
+        // An early publish costs the reader nothing.
+        let early = [(0, 50, PUBLISH), points[1]];
+        assert_eq!(
+            makespan_synced(&small_device(2), &[1000, 300], &early),
+            1000
+        );
+    }
+
+    #[test]
+    fn a_wait_delays_the_waiters_own_publish_and_its_slot() {
+        // One slot per CTA: CTA 1 waits 100..900 for CTA 0, so its
+        // publish at offset 150 lands at 950 and it ends at 1100; CTA 2
+        // (reading CTA 1) waits for that publish and ends at 960.
+        let read_cta1 = SyncPoint::LookBack {
+            slot: 0,
+            first: 1,
+            end: 2,
+        };
+        let points = [
+            (0, 900, PUBLISH),
+            (1, 100, READ_CTA0),
+            (1, 150, PUBLISH),
+            (2, 10, read_cta1),
+        ];
+        let cycles = [1000, 300, 20];
+        assert_eq!(makespan_synced(&small_device(3), &cycles, &points), 1100);
+        // On one slot each CTA starts after the last ends, by which time
+        // everything it reads is published: the serial sum.
+        assert_eq!(makespan_synced(&small_device(1), &cycles, &points), 1320);
+    }
+
+    #[test]
+    #[should_panic(expected = "publishes nothing in slot 1")]
+    fn reading_an_unpublished_slot_panics() {
+        let read_slot1 = SyncPoint::LookBack {
+            slot: 1,
+            first: 0,
+            end: 1,
+        };
+        makespan_synced(
+            &small_device(2),
+            &[20, 20],
+            &[(0, 10, PUBLISH), (1, 5, read_slot1)],
+        );
     }
 
     #[test]

@@ -41,9 +41,9 @@ pub struct SolveReport {
     pub relative_residual: f64,
     /// Accumulated simulated device time (SpMV + vector kernels), ms.
     pub sim_ms: f64,
-    /// `sim_ms` split by phase: planned products under Reduction and
-    /// Update, vector launches and coarse substitutions under Blas1, a
-    /// plan the solve builds under Partition.
+    /// `sim_ms` split by phase: planned products under Reduction, vector
+    /// launches and coarse substitutions under Blas1, a plan the solve
+    /// builds under Partition.
     pub ledger: PhaseLedger,
     /// Measured host wall-clock of the whole solve, ms. Unlike `sim_ms`
     /// (the cost model's estimate of device time), this is real time spent

@@ -40,9 +40,9 @@ use mps_simt::grid::LaunchStats;
 use mps_simt::{Phase, PhaseLedger};
 
 /// Accumulated simulated device time of a composite operation, with its
-/// split by [`Phase`]: planned products charge Reduction and Update,
-/// BLAS-1 launches and the coarse substitution charge Blas1, plan builds
-/// charge Partition. `ms` is the running sum in charge order, so it equals
+/// split by [`Phase`]: planned products charge Reduction (their one
+/// launch), BLAS-1 launches and the coarse substitution charge Blas1,
+/// plan builds charge Partition. `ms` is the running sum in charge order, so it equals
 /// `ledger.total_ms()` up to rounding.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimClock {
@@ -67,26 +67,16 @@ impl SimClock {
         self.charge(Phase::Blas1, stats);
     }
 
-    /// Charge one planned SpMV execute: the Reduction and Update launches
-    /// its plan priced at build.
+    /// Charge one planned SpMV execute: the reduction launch its plan
+    /// priced at build.
     pub fn add_spmv(&mut self, plan: &SpmvPlan) {
-        self.ms += plan.execute_sim_ms();
-        for (phase, stats) in [
-            (Phase::Reduction, plan.reduction_stats()),
-            (Phase::Update, plan.update_stats()),
-        ] {
-            if !stats.per_cta_cycles.is_empty() {
-                self.ledger
-                    .charge(phase, stats.sim_ms, stats.totals.dram_bytes());
-            }
-        }
+        self.charge(Phase::Reduction, plan.reduction_stats());
     }
 
-    /// Charge one fused planned SpMV execute: its Reduction and Update
-    /// launches, priced with their epilogue.
+    /// Charge one fused planned SpMV execute: its reduction launch, priced
+    /// with its epilogue.
     pub fn add_fused(&mut self, fused: &FusedExecute) {
         self.charge(Phase::Reduction, fused.reduction);
-        self.charge(Phase::Update, fused.update);
     }
 
     /// Charge a composite cost that carries no launch breakdown (the

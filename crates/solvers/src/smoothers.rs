@@ -183,8 +183,8 @@ mod tests {
 
     #[test]
     fn fused_sweep_matches_the_unfused_update_bitwise() {
-        // Small tiles: rows end on tile boundaries and span CTAs, so the
-        // update launch finishes many rows.
+        // Small tiles: rows end on tile boundaries and span CTAs, so many
+        // rows are finished after a look-back fold.
         let a = gen::random_uniform(300, 300, 7.0, 3.0, 5);
         let inv_diag: Vec<f64> = (0..a.num_rows)
             .map(|i| 0.1 + (i % 3) as f64 * 0.05)

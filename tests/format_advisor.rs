@@ -20,7 +20,7 @@ fn expected(m: SuiteMatrix) -> FormatChoice {
     match m {
         // Regular meshes with strong cross-row column locality: the
         // strip-interleaved gather coalesces across rows and the advisor's
-        // replay sees it (measured 1.5×–1.8× over merge).
+        // replay sees it (measured 1.4×–1.7× over single-pass merge).
         SuiteMatrix::Cantilever | SuiteMatrix::WindTunnel | SuiteMatrix::Ship => FormatChoice::Cmrs,
         // Everything else stays on merge: either the row lengths are too
         // skewed for row-split formats (Webbase, LP, Circuit), the gather
