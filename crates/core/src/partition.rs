@@ -163,41 +163,28 @@ impl MergePartition {
         }
     }
 
-    /// Physical rows the segment walk never *assigns*: empty rows, plus
-    /// rows whose nonzeros end exactly on a CTA-tile boundary (every
-    /// segment of such a row is a trailing carry, folded into `y` with
-    /// `+=`). Executors pre-zero exactly these rows instead of
-    /// zero-filling the whole output — every other row is overwritten by
-    /// a complete-segment assignment, so the result is identical for any
-    /// prior buffer contents. Structure-only, computed once at plan build.
-    pub fn unassigned_physical_rows(&self) -> Vec<u32> {
-        let mut assigned = vec![false; self.num_rows];
-        for r in 0..self.logical_rows() {
-            let (s, e) = (self.offsets[r], self.offsets[r + 1]);
-            // The final segment assigns iff it ends strictly inside its
-            // CTA tile: `e % nv == 0` or `e == nnz` means `seg_end == hi`
-            // there, i.e. the row only ever carries.
-            let carry_only = e % self.nv == 0 || e == self.nnz;
-            if e > s && !carry_only {
-                assigned[self.to_physical(r)] = true;
-            }
-        }
-        (0..self.num_rows as u32)
-            .filter(|&i| !assigned[i as usize])
-            .collect()
-    }
-
-    /// How each CTA of a single-pass launch over this partition meets its
-    /// neighbours (see [`TileLink`]), in CTA order. A row is finished by
-    /// the CTA holding its last nonzero; a row with none (an empty row,
-    /// compacted away or not) by the CTA holding the next nonzero after
-    /// it, or by the last CTA when none follows, so each CTA finishes one
-    /// contiguous run of physical rows. An operator with no nonzeros gets
-    /// one CTA finishing every row (the one an epilogue launches), none
-    /// when it has no rows either. O(rows + CTAs), structure only.
-    pub(crate) fn tile_links(&self) -> Vec<TileLink> {
+    /// One walk over the rows, yielding what a plan keeps of them:
+    ///
+    /// - the physical rows the segment walk never *assigns*: empty rows,
+    ///   plus rows whose nonzeros end exactly on a CTA-tile boundary
+    ///   (every segment of such a row is a trailing carry, folded into `y`
+    ///   with `+=`). Executors pre-zero exactly these rows instead of
+    ///   zero-filling the whole output — every other row is overwritten by
+    ///   a complete-segment assignment, so the result is identical for any
+    ///   prior buffer contents;
+    /// - how each CTA of a single-pass launch over this partition meets
+    ///   its neighbours (see [`TileLink`]), in CTA order. A row is
+    ///   finished by the CTA holding its last nonzero; a row with none (an
+    ///   empty row, compacted away or not) by the CTA holding the next
+    ///   nonzero after it, or by the last CTA when none follows, so each
+    ///   CTA finishes one contiguous run of physical rows. An operator
+    ///   with no nonzeros gets one CTA finishing every row (the one an
+    ///   epilogue launches), none when it has no rows either.
+    ///
+    /// O(rows + CTAs), structure only, computed once at plan build.
+    pub(crate) fn walk_rows(&self) -> (Vec<u32>, Vec<TileLink>) {
         if self.nnz == 0 {
-            return (self.num_rows > 0)
+            let links = (self.num_rows > 0)
                 .then_some(TileLink {
                     rows_start: 0,
                     rows_end: self.num_rows as u32,
@@ -205,9 +192,11 @@ impl MergePartition {
                 })
                 .into_iter()
                 .collect();
+            return ((0..self.num_rows as u32).collect(), links);
         }
         let ctas = self.num_ctas();
         let nv = self.nv;
+        let mut unassigned = Vec::new();
         let mut finished = vec![0u32; ctas];
         // The CTA holding an item (the last CTA past the last item),
         // walked forward: the items asked about never decrease, so the
@@ -228,16 +217,25 @@ impl MergePartition {
                 // The empty rows compaction dropped before this one sit
                 // where its first nonzero does.
                 finished[owner_of(start)] += (physical - next_physical) as u32;
+                unassigned.extend(next_physical as u32..physical as u32);
             }
             finished[owner_of(end.max(start + 1) - 1)] += 1;
+            // The final segment assigns iff it ends strictly inside its
+            // CTA tile: `end % nv == 0` or `end == nnz` means it ends at
+            // the tile's end, i.e. the row only ever carries.
+            let carry_only = end % nv == 0 || end == self.nnz;
+            if end == start || carry_only {
+                unassigned.push(physical as u32);
+            }
             next_physical = physical + 1;
         }
         finished[ctas - 1] += (self.num_rows - next_physical) as u32;
+        unassigned.extend(next_physical as u32..self.num_rows as u32);
 
         // A CTA whose first row started in an earlier tile and ends in
         // its own folds the partials of the CTAs since the row's start.
         let mut rows_start = 0u32;
-        (0..ctas)
+        let links = (0..ctas)
             .map(|c| {
                 let (lo, hi) = (c * nv, ((c + 1) * nv).min(self.nnz));
                 let row = self.tile_segments(c).next().map_or(0, |seg| seg.row);
@@ -255,7 +253,8 @@ impl MergePartition {
                 rows_start = link.rows_end;
                 link
             })
-            .collect()
+            .collect();
+        (unassigned, links)
     }
 
     /// Row range `[start, end]` a CTA's nonzeros fall into (logical rows).
@@ -425,11 +424,7 @@ mod tests {
         let a = CooMatrix::from_triplets(4, 10, trips).to_csr();
         for force_raw in [false, true] {
             let p = MergePartition::build(&dev(), &a, 4, force_raw);
-            assert_eq!(
-                p.unassigned_physical_rows(),
-                vec![0, 2, 3],
-                "force_raw={force_raw}"
-            );
+            assert_eq!(p.walk_rows().0, vec![0, 2, 3], "force_raw={force_raw}");
         }
     }
 
@@ -437,6 +432,6 @@ mod tests {
     fn all_rows_unassigned_when_empty() {
         let a = CsrMatrix::zeros(3, 3);
         let p = MergePartition::build(&dev(), &a, 896, false);
-        assert_eq!(p.unassigned_physical_rows(), vec![0, 1, 2]);
+        assert_eq!(p.walk_rows().0, vec![0, 1, 2]);
     }
 }

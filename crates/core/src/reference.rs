@@ -85,7 +85,7 @@ pub fn spgemm_plan(
     )
 }
 
-/// [`MergePartition::tile_links`] derived per nonzero, from the physical
+/// The tile links of [`MergePartition::walk_rows`] derived per nonzero, from the physical
 /// rows: a row id expanded for every nonzero, each row's finishing CTA
 /// read off its last nonzero, each row with none given to the CTA of the
 /// next nonzero (the last CTA after the last one), each fold walked back
@@ -152,7 +152,7 @@ fn spmv_numeric_charge(
         return NumericCharge {
             reduction: LaunchStats::default(),
             heads: vec![Counters::default(); links.len()],
-            links,
+            links: Some(links),
         };
     }
     let links_ref = &links;
@@ -208,13 +208,14 @@ fn spmv_numeric_charge(
     NumericCharge {
         reduction,
         heads,
-        links,
+        links: Some(links),
     }
 }
 
 /// The SpMM launch of every column tile, each CTA expanding a row id per
-/// nonzero and running [`block_segmented_reduce`] over a zero tile.
-fn spmm_tiled_charge(plan: &mut SpmmPlan, device: &Device, a: &CsrMatrix) {
+/// nonzero and running [`block_segmented_reduce`] over a zero tile, over
+/// tile links derived per nonzero rather than the build's walked ones.
+fn spmm_tiled_charge(plan: &mut SpmmPlan, device: &Device, a: &CsrMatrix, _: &[TileLink]) {
     let nnz = plan.part.nnz;
     let nv = plan.cfg.nv();
     let k = plan.k;

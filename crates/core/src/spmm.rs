@@ -153,12 +153,12 @@ impl SpmmPlan {
         a: &CsrMatrix,
         k: usize,
         cfg: &SpmmConfig,
-        charge: fn(&mut SpmmPlan, &Device, &CsrMatrix),
+        charge: fn(&mut SpmmPlan, &Device, &CsrMatrix, &[TileLink]),
     ) -> SpmmPlan {
         let mut part = MergePartition::build(device, a, cfg.nv(), cfg.force_no_compaction);
         let partition = std::mem::take(&mut part.stats);
         let fixup = std::mem::take(&mut part.fixup);
-        let prezero = part.unassigned_physical_rows();
+        let (prezero, links) = part.walk_rows();
         let mut plan = SpmmPlan {
             cfg: *cfg,
             k,
@@ -170,7 +170,7 @@ impl SpmmPlan {
             prezero,
         };
         if plan.part.nnz > 0 && k > 0 {
-            charge(&mut plan, device, a);
+            charge(&mut plan, device, a, &links);
         }
         plan
     }
@@ -212,15 +212,20 @@ impl SpmmPlan {
         self.partition.sim_ms + self.fixup.sim_ms
     }
 
-    /// Simulate one single-pass launch per column tile, staging every
+    /// Simulate one single-pass launch per column tile over `links` (the
+    /// partition's, from [`MergePartition::walk_rows`]), staging every
     /// launch through the same [`LaunchBuffers`]. The numeric outputs are
     /// discarded — only the cost survives in the plan.
-    pub(crate) fn charge_tiled_phases(&mut self, device: &Device, a: &CsrMatrix) {
+    pub(crate) fn charge_tiled_phases(
+        &mut self,
+        device: &Device,
+        a: &CsrMatrix,
+        links: &[TileLink],
+    ) {
         let nnz = self.part.nnz;
         let nv = self.cfg.nv();
         let k = self.k;
         let part = &self.part;
-        let links = part.tile_links();
 
         let mut bufs: LaunchBuffers<()> = LaunchBuffers::new();
         let mut unit_out: Vec<()> = Vec::new();

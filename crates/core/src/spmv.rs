@@ -42,10 +42,13 @@
 //! the result. [`SpmvPlan::execute_fused_into`] applies an [`Epilogue`] to
 //! each finished row sum inside the launch: the CTA that stores a row
 //! applies it there, and the last CTA combines the CTAs' dot partials by
-//! look-back. The launch is priced from the per-CTA counters the plan
-//! recorded at build plus the streams its rows read. The host replay
-//! applies the epilogue in one pass after the product: it is elementwise
-//! on finished row sums, so where it runs cannot change a bit.
+//! look-back. One form also stores a second vector beside `A·x`: a
+//! multigrid restriction writes the next level's first Jacobi sweep from
+//! a zero guess ([`SpmvPlan::execute_fused_sweep_into`]). The launch is
+//! priced from the per-CTA counters the plan recorded at build plus the
+//! streams its rows read and write. The host replay applies the epilogue
+//! in one pass after the product: it is elementwise on finished row sums,
+//! so where it runs cannot change a bit.
 
 use std::sync::OnceLock;
 
@@ -158,6 +161,15 @@ pub enum EpilogueForm<'a> {
         inv_diag: &'a [f64],
         b: &'a [f64],
     },
+    /// `yᵢ = sᵢ`, and beside it, into a second output, the first
+    /// weighted-Jacobi sweep from a zero guess on a system whose
+    /// right-hand side is `y`: `x₁ᵢ = 0 + (ω·dᵢ)·sᵢ`, where `d` is that
+    /// system's inverse diagonal. It equals [`EpilogueForm::Jacobi`]'s
+    /// bits on that system from `x = 0` whenever its operator maps 0 to
+    /// 0 (no NaN or ±Inf entry), which saves the sweep's product. A
+    /// multigrid restriction writes the next level's first pre-sweep this
+    /// way.
+    ZeroGuessJacobi { omega: f64, inv_diag: &'a [f64] },
 }
 
 /// A per-row [`EpilogueForm`] plus an optional folded dot `Σ wᵢ·yᵢ` over
@@ -186,6 +198,16 @@ impl<'a> Epilogue<'a> {
         }
     }
 
+    /// `y = A·x`, and `x₁ = 0 + (ω·D⁻¹)·y` into a second output (see
+    /// [`EpilogueForm::ZeroGuessJacobi`] and
+    /// [`SpmvPlan::execute_fused_sweep_into`]).
+    pub fn zero_guess_jacobi(omega: f64, inv_diag: &'a [f64]) -> Self {
+        Epilogue {
+            form: EpilogueForm::ZeroGuessJacobi { omega, inv_diag },
+            dot: None,
+        }
+    }
+
     /// `y = A·x`, folding `w·y`.
     pub fn dot_with(w: &'a [f64]) -> Self {
         Epilogue::axpby(1.0, 0.0, &[]).with_dot(w)
@@ -200,7 +222,7 @@ impl<'a> Epilogue<'a> {
     }
 
     /// Distinct prices an epilogue can have.
-    const SHAPES: usize = 6;
+    const SHAPES: usize = 8;
 
     /// What the price depends on: the form (with `z` read or not) and
     /// whether a dot is folded. Values of α, β, ω and the vectors never
@@ -210,6 +232,7 @@ impl<'a> Epilogue<'a> {
             EpilogueForm::Axpby { beta: 0.0, .. } => 0,
             EpilogueForm::Axpby { .. } => 1,
             EpilogueForm::Jacobi { .. } => 2,
+            EpilogueForm::ZeroGuessJacobi { .. } => 3,
         };
         2 * form + usize::from(self.dot.is_some())
     }
@@ -219,6 +242,7 @@ impl<'a> Epilogue<'a> {
         let form = match self.form {
             EpilogueForm::Axpby { beta, .. } => usize::from(beta != 0.0),
             EpilogueForm::Jacobi { .. } => 3,
+            EpilogueForm::ZeroGuessJacobi { .. } => 1,
         };
         form + usize::from(self.dot.is_some())
     }
@@ -229,15 +253,25 @@ impl<'a> Epilogue<'a> {
             EpilogueForm::Axpby { beta: 0.0, .. } => 1,
             EpilogueForm::Axpby { .. } => 3,
             EpilogueForm::Jacobi { .. } => 4,
+            EpilogueForm::ZeroGuessJacobi { .. } => 2,
         };
         form + 2 * u64::from(self.dot.is_some())
     }
 
+    /// Whether the form stores a second output row beside each `yᵢ`.
+    fn writes_sweep(&self) -> bool {
+        matches!(self.form, EpilogueForm::ZeroGuessJacobi { .. })
+    }
+
     /// The extra work of a CTA that finishes `rows` rows: their streams
-    /// read coalesced (a CTA's rows are contiguous) and their arithmetic.
+    /// read coalesced (a CTA's rows are contiguous), their arithmetic and
+    /// any second output's stores.
     fn charge_rows(&self, cta: &mut Cta, rows: usize) {
         cta.read_coalesced(rows * self.streams(), 8);
         cta.alu(self.alu_per_row() * rows as u64);
+        if self.writes_sweep() {
+            cta.write_coalesced(rows, 8);
+        }
     }
 
     fn check(&self, rows: usize, x: &[f64]) {
@@ -252,6 +286,9 @@ impl<'a> Epilogue<'a> {
                 assert_eq!(x.len(), rows, "a Jacobi epilogue needs a square operator");
                 assert_eq!(inv_diag.len(), rows, "inv_diag length must equal num_rows");
                 assert_eq!(b.len(), rows, "b length must equal num_rows");
+            }
+            EpilogueForm::ZeroGuessJacobi { inv_diag, .. } => {
+                assert_eq!(inv_diag.len(), rows, "inv_diag length must equal num_rows");
             }
         }
         if let Some(w) = self.dot {
@@ -396,7 +433,9 @@ pub fn sequential_dot(a: &[f64], b: &[f64]) -> f64 {
 pub(crate) struct NumericCharge {
     pub(crate) reduction: LaunchStats,
     pub(crate) heads: Vec<Counters>,
-    pub(crate) links: Vec<TileLink>,
+    /// Tile links the charge derived itself (the reference does, per
+    /// nonzero); `None` when it ran on the plan's own.
+    pub(crate) links: Option<Vec<TileLink>>,
 }
 
 /// A charge of the reduction launch: the plan, the device, the matrix and
@@ -431,7 +470,7 @@ impl SpmvPlan {
         let mut part = MergePartition::build(device, a, cfg.nv(), cfg.force_no_compaction);
         let partition = std::mem::take(&mut part.stats);
         let fixup = std::mem::take(&mut part.fixup);
-        let prezero = part.unassigned_physical_rows();
+        let (prezero, links) = part.walk_rows();
         let mut plan = SpmvPlan {
             cfg: *cfg,
             num_cols: a.num_cols,
@@ -441,7 +480,7 @@ impl SpmvPlan {
             reduction: LaunchStats::default(),
             prezero,
             heads: Vec::new(),
-            links: Vec::new(),
+            links,
             device: Device {
                 tracer: None,
                 ..device.clone()
@@ -451,7 +490,9 @@ impl SpmvPlan {
         let charge = charge(&plan, device, a, None);
         plan.reduction = charge.reduction;
         plan.heads = charge.heads;
-        plan.links = charge.links;
+        if let Some(links) = charge.links {
+            plan.links = links;
+        }
         plan
     }
 
@@ -481,10 +522,10 @@ impl SpmvPlan {
         self.partition.sim_ms + self.fixup.sim_ms
     }
 
-    /// Simulate the reduction launch once, charging the device with the
-    /// traffic of the single-pass kernel, plus `epilogue`'s extra work
-    /// when given. The numeric outputs are discarded — only the structure
-    /// (the tile links), the per-CTA counters and the cost survive in the
+    /// Simulate the reduction launch once over the plan's tile links,
+    /// charging the device with the traffic of the single-pass kernel,
+    /// plus `epilogue`'s extra work when given. The numeric outputs are
+    /// discarded — only the per-CTA counters and the cost survive in the
     /// plan. An operator with no nonzeros launches only for an epilogue:
     /// one CTA that finishes every row.
     pub(crate) fn charge_numeric_phases(
@@ -496,15 +537,14 @@ impl SpmvPlan {
         let nnz = self.part.nnz;
         let nv = self.cfg.nv();
         let part = &self.part;
-        let links = part.tile_links();
+        let links = &self.links;
         if nnz == 0 && (epilogue.is_none() || links.is_empty()) {
             return NumericCharge {
                 reduction: LaunchStats::default(),
                 heads: vec![Counters::default(); links.len()],
-                links,
+                links: None,
             };
         }
-        let links_ref = &links;
         let cfg_red = LaunchConfig::new(links.len(), self.cfg.block_threads);
         let (heads, reduction) =
             launch_map_phased(device, "spmv_reduce", Phase::Reduction, cfg_red, |cta| {
@@ -512,13 +552,13 @@ impl SpmvPlan {
                     charge_tile(cta, part, a, nv);
                 }
                 let head = *cta.counters();
-                finish_rows(cta, &links_ref[cta.cta_id], epilogue);
+                finish_rows(cta, &links[cta.cta_id], epilogue);
                 head
             });
         NumericCharge {
             reduction,
             heads,
-            links,
+            links: None,
         }
     }
 
@@ -671,13 +711,55 @@ impl SpmvPlan {
     /// a pass that updates `x` writes a second buffer.
     ///
     /// # Panics
-    /// Panics as [`Self::execute_into`] does, or if an epilogue operand
-    /// does not have one entry per row.
+    /// Panics as [`Self::execute_into`] does, if an epilogue operand does
+    /// not have one entry per row, or if the form writes a second output
+    /// ([`EpilogueForm::ZeroGuessJacobi`], which
+    /// [`Self::execute_fused_sweep_into`] runs).
     pub fn execute_fused_into(
         &self,
         a: &CsrMatrix,
         x: &[f64],
         y: &mut Vec<f64>,
+        ws: &mut Workspace,
+        epilogue: &Epilogue,
+    ) -> FusedExecute<'_> {
+        assert!(
+            !epilogue.writes_sweep(),
+            "a zero-guess Jacobi epilogue writes a second output: use execute_fused_sweep_into"
+        );
+        self.fused_into(a, x, y, None, ws, epilogue)
+    }
+
+    /// [`Self::execute_fused_into`] for an [`EpilogueForm::ZeroGuessJacobi`]
+    /// epilogue: `y` receives `A·x` and `x1` (resized to the row count)
+    /// the sweep `0 + (ω·dᵢ)·yᵢ`, both stored by the CTA that finishes
+    /// the row.
+    ///
+    /// # Panics
+    /// Panics as [`Self::execute_fused_into`] does, or if the form is not
+    /// [`EpilogueForm::ZeroGuessJacobi`].
+    pub fn execute_fused_sweep_into(
+        &self,
+        a: &CsrMatrix,
+        x: &[f64],
+        y: &mut Vec<f64>,
+        x1: &mut Vec<f64>,
+        ws: &mut Workspace,
+        epilogue: &Epilogue,
+    ) -> FusedExecute<'_> {
+        assert!(
+            epilogue.writes_sweep(),
+            "only a zero-guess Jacobi epilogue writes a sweep"
+        );
+        self.fused_into(a, x, y, Some(x1), ws, epilogue)
+    }
+
+    fn fused_into(
+        &self,
+        a: &CsrMatrix,
+        x: &[f64],
+        y: &mut Vec<f64>,
+        x1: Option<&mut Vec<f64>>,
         ws: &mut Workspace,
         epilogue: &Epilogue,
     ) -> FusedExecute<'_> {
@@ -708,6 +790,14 @@ impl SpmvPlan {
                     *s = xi + omega * di * (bi - *s);
                 }
             }
+            EpilogueForm::ZeroGuessJacobi { omega, inv_diag } => {
+                let x1 = x1.expect("a sweep output");
+                x1.clear();
+                // The Jacobi form's `xᵢ + ω·dᵢ·(bᵢ − sᵢ)` at xᵢ = 0 and
+                // sᵢ = ±0: the leading `0 +` turns a −0 product into +0,
+                // as the sweep does.
+                x1.extend(y.iter().zip(inv_diag).map(|(s, di)| 0.0 + omega * di * s));
+            }
         }
         let price = self.fused_prices[epilogue.shape()]
             .get_or_init(|| Box::new(self.price_fused(epilogue)));
@@ -729,7 +819,7 @@ impl SpmvPlan {
 /// (`#[inline(never)]` pins one copy), so a single-column SpMM is the
 /// planned SpMV — the same machine code, the same bits, the same cost.
 /// Callers pre-zero the rows the walk never assigns (see
-/// [`MergePartition::unassigned_physical_rows`]).
+/// [`MergePartition::walk_rows`]).
 #[inline(never)]
 pub(crate) fn spmv_segment_walk(
     part: &MergePartition,

@@ -109,6 +109,15 @@ pub fn tentative_prolongator(agg: &[u32], num_aggregates: usize) -> CsrMatrix {
     coo.to_csr()
 }
 
+/// The NaN/Inf policy of a hierarchy: no level's operator may hold a
+/// non-finite entry.
+fn assert_finite(level: usize, a: &CsrMatrix) {
+    assert!(
+        a.values.iter().all(|v| v.is_finite()),
+        "AMG level {level} holds a NaN or infinite entry"
+    );
+}
+
 /// Scale every row of `a` by `factor / diag(a)` (host transform; charged as
 /// one streaming pass inside the smoothing SpGEMM that consumes it).
 fn scaled_by_inv_diag(a: &CsrMatrix, inv_diag: &[f64], factor: f64) -> CsrMatrix {
@@ -127,6 +136,10 @@ impl AmgHierarchy {
     ///
     /// # Panics
     /// Panics if `a` is not square.
+    ///
+    /// Panics if any level's operator, `a` or a Galerkin product, holds a
+    /// NaN or ±Inf entry: a V-cycle starts every coarse level from the
+    /// sweep a zero guess gives, which is exact only while A·0 = 0.
     pub fn build(device: &Device, a: CsrMatrix, options: AmgOptions) -> AmgHierarchy {
         assert_eq!(a.num_rows, a.num_cols, "AMG needs a square operator");
         let gemm_cfg = SpgemmConfig::default();
@@ -137,6 +150,7 @@ impl AmgHierarchy {
         let mut current = a;
 
         while levels.len() + 1 < options.max_levels && current.num_rows > options.coarse_size {
+            assert_finite(levels.len(), &current);
             let inv_diag = inverse_diagonal(&current);
             let (agg, n_coarse) = greedy_aggregation(&current);
             if n_coarse >= current.num_rows {
@@ -189,6 +203,7 @@ impl AmgHierarchy {
             });
             current = ac.c;
         }
+        assert_finite(levels.len(), &current);
         let inv_diag = inverse_diagonal(&current);
         let a_plan = SpmvPlan::new(device, &current, &spmv_cfg);
         clock.charge(Phase::Partition, &a_plan.partition);
@@ -223,24 +238,30 @@ impl AmgHierarchy {
     /// [`CoarseSolve::Cg`], a CG solve through that level's plan.
     pub fn v_cycle(&self, device: &Device, b: &[f64], x: &mut Vec<f64>) -> f64 {
         let mut clock = SimClock::default();
-        self.cycle(device, 0, b, x, &mut Workspace::new(), &mut clock);
+        self.cycle(device, 0, b, x, 0, &mut Workspace::new(), &mut clock);
         clock.ms
     }
 
     /// The V-cycle from `level` down, charging every launch to `clock`;
     /// repeated cycles against one [`Workspace`] reuse every scratch
-    /// vector. Every vector pass rides in the epilogue of the SpMV before
-    /// it: each Jacobi sweep, the residual `b − A·x` and the correction
-    /// `x + P·x_c` are one SpMV each, so only the coarse substitution
-    /// launches besides the products. A pass that rewrites `x` writes a
-    /// second buffer, because other CTAs still gather the old `x`, and
-    /// swaps afterwards.
+    /// vector. `x` already holds the first `swept` pre-smoothing sweeps.
+    /// Every vector pass rides in the epilogue of the SpMV before it: each
+    /// Jacobi sweep, the residual `b − A·x` and the correction `x + P·x_c`
+    /// are one SpMV each, so only the coarse substitution launches besides
+    /// the products. A coarse interior level starts from `x_c = 0`, so its
+    /// first sweep is `0 + (ω·dᵢ)·bᵢ` — the Jacobi epilogue's bits, since
+    /// no level holds a non-finite entry (`A·0 = 0`) — and the restriction
+    /// writes it beside `Pᵀr` instead of that level spending an SpMV on
+    /// `A·0`. A pass that rewrites `x` writes a second buffer, because
+    /// other CTAs still gather the old `x`, and swaps afterwards.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn cycle(
         &self,
         device: &Device,
         level: usize,
         b: &[f64],
         x: &mut Vec<f64>,
+        swept: usize,
         ws: &mut Workspace,
         clock: &mut SimClock,
     ) {
@@ -251,7 +272,7 @@ impl AmgHierarchy {
         }
         let omega = self.options.omega;
         let mut x_new = ws.take_f64();
-        for _ in 0..self.options.pre_sweeps {
+        for _ in swept..self.options.pre_sweeps {
             clock.add_fused(&jacobi_sweep_planned(
                 &lvl.a_plan,
                 &lvl.a,
@@ -275,14 +296,29 @@ impl AmgHierarchy {
         let pt = lvl.pt.as_ref().expect("interior level");
         let pt_plan = lvl.pt_plan.as_ref().expect("interior level");
         let mut rc = ws.take_f64();
-        pt_plan.execute_into(pt, &r, &mut rc, ws);
-        clock.add_spmv(pt_plan);
+        let mut xc = ws.take_f64();
+        let next = &self.levels[level + 1];
+        let coarse_swept = if next.p.is_some() && self.options.pre_sweeps > 0 {
+            let first_sweep = Epilogue::zero_guess_jacobi(omega, &next.inv_diag);
+            clock.add_fused(&pt_plan.execute_fused_sweep_into(
+                pt,
+                &r,
+                &mut rc,
+                &mut xc,
+                ws,
+                &first_sweep,
+            ));
+            1
+        } else {
+            pt_plan.execute_into(pt, &r, &mut rc, ws);
+            clock.add_spmv(pt_plan);
+            xc.clear();
+            xc.resize(pt.num_rows, 0.0);
+            0
+        };
 
         // Coarse correction x += P·x_c.
-        let mut xc = ws.take_f64();
-        xc.clear();
-        xc.resize(pt.num_rows, 0.0);
-        self.cycle(device, level + 1, &rc, &mut xc, ws, clock);
+        self.cycle(device, level + 1, &rc, &mut xc, coarse_swept, ws, clock);
         let p = lvl.p.as_ref().expect("interior level");
         let p_plan = lvl.p_plan.as_ref().expect("interior level");
         clock.add_fused(&p_plan.execute_fused_into(
@@ -327,7 +363,7 @@ impl AmgHierarchy {
         let mut iterations = 0;
         let mut converged = false;
         while iterations < opts.max_iterations {
-            self.cycle(device, 0, b, &mut x, &mut ws, &mut clock);
+            self.cycle(device, 0, b, &mut x, 0, &mut ws, &mut clock);
             iterations += 1;
             clock.add_fused(&lvl0.a_plan.execute_fused_into(
                 a,
@@ -546,6 +582,33 @@ mod tests {
         let mut x = vec![0.0; a.num_rows];
         h.v_cycle(&dev(), &b, &mut x);
         assert!(x.iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    #[should_panic(expected = "AMG level 0 holds a NaN or infinite entry")]
+    fn a_non_finite_operator_is_rejected() {
+        let mut a = gen::stencil_5pt(12, 12);
+        a.values[7] = f64::NAN;
+        AmgHierarchy::build(&dev(), a, AmgOptions::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "AMG level 1 holds a NaN or infinite entry")]
+    fn a_galerkin_product_that_overflows_is_rejected() {
+        // Finite, and dense, so aggregation leaves one coarse unknown:
+        // PᵀAP sums all 400 entries, about 2.5 times f64::MAX.
+        let n = 20u32;
+        let a = CooMatrix::from_triplets(
+            n as usize,
+            n as usize,
+            (0..n).flat_map(|r| (0..n).map(move |c| (r, c, if r == c { 1.7e308 } else { 1e307 }))),
+        )
+        .to_csr();
+        let options = AmgOptions {
+            coarse_size: 0,
+            ..AmgOptions::default()
+        };
+        AmgHierarchy::build(&dev(), a, options);
     }
 
     #[test]

@@ -22,12 +22,13 @@ use crate::SimClock;
 ///
 /// The bound caps the factor's memory and setup; it is not a per-cycle
 /// crossover. On the coarsest level of two-level 5-point hierarchies
-/// (simulated time on `Device::titan()`), one substitution cost less than
-/// one CG solve at every size timed, up to 1152 unknowns. But the factor
-/// stores all n² entries (512 KiB at 256 unknowns) and its setup grows as
-/// n³/3 multiply-adds. The per-cycle saving repays the factorization
-/// within 4 V-cycles at 242 unknowns, but takes 17 at 512, more than the
-/// about 10 of one AMG-PCG solve, and about 440 at 1152. So the larger
+/// (simulated time on `Device::titan()`), one substitution costs less
+/// than one CG solve at 242 and 512 unknowns (0.040 against 0.183 ms,
+/// 0.138 against 0.370 ms), but not at 1152 (0.596 against 0.321 ms). The
+/// factor also stores all n² entries (512 KiB at 256 unknowns) and its
+/// setup grows as n³/3 multiply-adds. The per-cycle saving repays the
+/// factorization within 7.2 V-cycles at 242 unknowns, but takes 41.2 at
+/// 512, more than the about 10 of one AMG-PCG solve. So the larger
 /// coarsest levels that only a shallow hierarchy leaves (a low
 /// `max_levels`, or stalled aggregation) keep CG.
 pub const DIRECT_MAX_UNKNOWNS: usize = 256;

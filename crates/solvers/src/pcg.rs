@@ -70,7 +70,7 @@ impl Preconditioner for JacobiPreconditioner {
         z.clear();
         z.extend(r.iter().zip(&self.inv_diag).map(|(ri, di)| ri * di));
         // One streaming pass: read r and the diagonal, write z.
-        clock.add_blas1(&blas1::streaming_launch(device, r.len(), 2, 1));
+        clock.add_blas1(&blas1::streaming_launch(device, r.len(), 2, 1, 0));
     }
 }
 
@@ -87,7 +87,7 @@ impl Preconditioner for AmgHierarchy {
     ) {
         z.clear();
         z.resize(r.len(), 0.0);
-        self.cycle(device, 0, r, z, ws, clock);
+        self.cycle(device, 0, r, z, 0, ws, clock);
     }
 
     /// The finest level's plan, when `a` has that level's pattern (an

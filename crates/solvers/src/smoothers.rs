@@ -169,7 +169,7 @@ mod tests {
             // The fused sweep undercuts the product plus a separate update
             // pass reading x, b, A·x and D⁻¹ and writing x.
             let unfused = plan.execute_sim_ms()
-                + crate::blas1::streaming_launch(&dev(), a.num_rows, 4, 1).sim_ms;
+                + crate::blas1::streaming_launch(&dev(), a.num_rows, 4, 1, 0).sim_ms;
             assert!(ms2 < unfused, "fused {ms2} vs unfused {unfused}");
         }
         for (p, q) in x1.iter().zip(&x2) {

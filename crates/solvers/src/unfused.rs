@@ -184,7 +184,8 @@ mod tests {
     use super::*;
     use crate::amg::AmgOptions;
     use crate::krylov::SolveReport;
-    use mps_simt::Device;
+    use crate::SimClock;
+    use mps_simt::{Device, Phase};
     use mps_sparse::gen;
 
     fn assert_same(got: &SolveReport, want: &Outcome) {
@@ -223,16 +224,43 @@ mod tests {
 
     #[test]
     fn fused_v_cycle_matches_the_unfused_reference_bitwise() {
-        let a = gen::stencil_5pt(48, 48);
-        let h = AmgHierarchy::build(&Device::titan(), a.clone(), AmgOptions::default());
-        let b = rhs(48, 2, 1.0);
-        let (mut fused, mut reference) = (vec![0.5; a.num_rows], vec![0.5; a.num_rows]);
-        for _ in 0..2 {
-            h.v_cycle(&Device::titan(), &b, &mut fused);
-            v_cycle(&h, 0, &b, &mut reference);
-        }
-        for (p, q) in fused.iter().zip(&reference) {
-            assert_eq!(p.to_bits(), q.to_bits());
+        let dev = Device::titan();
+        for grid in [24, 48] {
+            for pre_sweeps in [1, 2] {
+                let options = AmgOptions {
+                    pre_sweeps,
+                    ..AmgOptions::default()
+                };
+                let a = gen::stencil_5pt(grid, grid);
+                let h = AmgHierarchy::build(&dev, a.clone(), options);
+                // Level 0, then at least one coarse interior level whose
+                // first sweep the restriction writes.
+                let interior = h.levels.len() - 1;
+                assert!(interior >= 2, "{grid}: {} levels", h.levels.len());
+                let b = rhs(grid, 2, 1.0);
+                let (mut fused, mut reference) = (vec![0.5; a.num_rows], vec![0.5; a.num_rows]);
+                let mut ws = Workspace::new();
+                for _ in 0..2 {
+                    let mut clock = SimClock::default();
+                    h.cycle(&dev, 0, &b, &mut fused, 0, &mut ws, &mut clock);
+                    v_cycle(&h, 0, &b, &mut reference);
+                    // Every interior level runs its sweeps, the residual,
+                    // the restriction and the correction as one SpMV each,
+                    // less the first sweep of each coarse interior level.
+                    let spmvs = (clock.ledger.entries().into_iter())
+                        .find(|e| e.phase == Phase::Reduction)
+                        .map_or(0, |e| e.launches);
+                    let unfolded = interior * (pre_sweeps + h.options.post_sweeps + 3);
+                    assert_eq!(
+                        spmvs as usize,
+                        unfolded - (interior - 1),
+                        "{grid}, {pre_sweeps}"
+                    );
+                }
+                for (p, q) in fused.iter().zip(&reference) {
+                    assert_eq!(p.to_bits(), q.to_bits(), "{grid}, {pre_sweeps}");
+                }
+            }
         }
     }
 

@@ -42,8 +42,8 @@ use std::sync::Arc;
 use mps_baselines::{cpu, cusp, cusparse_like, format_spmv, spmm as spmm_base};
 use mps_core::{
     apply_delta, merge_spadd, merge_spgemm, merge_spmm, merge_spmv, reference, segmented_spgemm,
-    sequential_dot, CmrsSpmvPlan, CsrDelta, Epilogue, SellSpmvPlan, SpAddConfig, SpAddPlan,
-    SpgemmConfig, SpgemmPlan, SpmmConfig, SpmmPlan, SpmvConfig, SpmvPlan, Workspace,
+    sequential_dot, CmrsSpmvPlan, CsrDelta, Epilogue, EpilogueForm, SellSpmvPlan, SpAddConfig,
+    SpAddPlan, SpgemmConfig, SpgemmPlan, SpmmConfig, SpmmPlan, SpmvConfig, SpmvPlan, Workspace,
 };
 use mps_engine::{
     AdvisedSpmvPlan, EngineError, EngineOutput, FormatAdvisor, FormatChoice, Service,
@@ -224,6 +224,11 @@ impl Oracle {
             ("axpby, dot", Epilogue::axpby(-1.0, 1.0, &z).with_dot(&z)),
             ("product, dot", Epilogue::dot_with(&z)),
             ("axpby", Epilogue::axpby(0.5, 2.0, &z)),
+            ("zero-guess jacobi", Epilogue::zero_guess_jacobi(0.7, &d)),
+            (
+                "zero-guess jacobi, dot",
+                Epilogue::zero_guess_jacobi(0.7, &d).with_dot(&z),
+            ),
         ];
         if a.num_rows == a.num_cols {
             epilogues.push(("jacobi", Epilogue::jacobi(0.7, &d, &z)));
@@ -386,6 +391,17 @@ impl Oracle {
                 Box::new(|_, s| 2.5 * s),
             ),
             ("product, dot", Epilogue::dot_with(&w), Box::new(|_, s| s)),
+            // The product itself; the sweep beside it is checked below.
+            (
+                "zero-guess jacobi",
+                Epilogue::zero_guess_jacobi(0.7, &d),
+                Box::new(|_, s| s),
+            ),
+            (
+                "zero-guess jacobi, dot",
+                Epilogue::zero_guess_jacobi(0.7, &d).with_dot(&w),
+                Box::new(|_, s| s),
+            ),
         ];
         if a.num_rows == a.num_cols {
             forms.push((
@@ -395,7 +411,7 @@ impl Oracle {
             ));
         }
         let mut ws = Workspace::new();
-        let (mut sums, mut y) = (Vec::new(), Vec::new());
+        let (mut sums, mut y, mut x1) = (Vec::new(), Vec::new(), Vec::new());
         for (tile, cfg) in configs {
             let plan = SpmvPlan::new(&self.device, a, &cfg);
             plan.execute_into(a, x, &mut sums, &mut ws);
@@ -408,7 +424,17 @@ impl Oracle {
                     .collect();
                 y.clear();
                 y.resize(n, f64::NAN);
-                let fused = plan.execute_fused_into(a, x, &mut y, &mut ws, epilogue);
+                let fused = if let EpilogueForm::ZeroGuessJacobi { .. } = epilogue.form {
+                    x1.clear();
+                    x1.resize(n, f64::NAN);
+                    let fused =
+                        plan.execute_fused_sweep_into(a, x, &mut y, &mut x1, &mut ws, epilogue);
+                    let sweep: Vec<f64> = (0..n).map(|i| 0.0 + 0.7 * d[i] * want[i]).collect();
+                    check_vec_bitwise(report, case, K, &format!("{imp} sweep"), &x1, &sweep);
+                    fused
+                } else {
+                    plan.execute_fused_into(a, x, &mut y, &mut ws, epilogue)
+                };
                 check_vec_bitwise(report, case, K, &imp, &y, &want);
                 let want_dot = epilogue.dot.map(|w| sequential_dot(w, &want));
                 report.checks += 1;
