@@ -21,8 +21,7 @@
 //!   the sequential row-wise dot *and* within relative tolerance of
 //!   merge. Any violation counts as a divergence (gate: zero).
 
-use mps_core::{SpmvConfig, SpmvPlan, Workspace};
-use mps_engine::{AdvisedSpmvPlan, FormatAdvisor, FormatChoice};
+use mps_core::{AdvisedSpmvPlan, FormatAdvisor, FormatChoice, SpmvConfig, SpmvPlan, Workspace};
 use mps_simt::Device;
 use mps_sparse::cmrs::CmrsMatrix;
 use mps_sparse::sell::SellCSigmaMatrix;

@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use mps_core::{format_grid, CmrsSpmvPlan, SellSpmvPlan, SpmvConfig, SpmvPlan, Workspace};
+use crate::{format_grid, CmrsSpmvPlan, SellSpmvPlan, SpmvConfig, SpmvPlan, Workspace};
 use mps_simt::{Device, SpmvWorkload};
 use std::cmp::Reverse;
 
@@ -558,7 +558,7 @@ mod tests {
         assert!(ms > 0.0);
         assert!((ms - plan.execute_sim_ms()).abs() < 1e-12);
         let mut want = vec![0.0; m.num_rows];
-        mps_core::spmv_rowwise(&m, &x, &mut want);
+        crate::spmv_rowwise(&m, &x, &mut want);
         assert_eq!(y, want);
     }
 

@@ -20,6 +20,7 @@
 //! All kernels run on the [`mps_simt`] virtual device and report both their
 //! results and the simulated cost of every launch.
 
+pub mod advisor;
 pub mod assemble;
 pub mod config;
 pub mod delta;
@@ -35,6 +36,7 @@ pub mod spmm;
 pub mod spmv;
 pub mod workspace;
 
+pub use advisor::{AdvisedSpmvPlan, FormatAdvisor, FormatChoice, FormatDecision};
 pub use config::{SpAddConfig, SpgemmConfig, SpmmConfig, SpmvConfig};
 pub use delta::{apply_delta, apply_delta_reference, CsrDelta, DeltaApplied};
 pub use error::PlanError;

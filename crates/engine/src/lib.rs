@@ -75,12 +75,7 @@
 //! assert_eq!(cfg.plan_capacity(), 128);
 //! assert!(EngineConfig::builder().plan_capacity(0).build().is_err());
 //! ```
-//!
-//! The [`FormatAdvisor`] and [`AdvisedSpmvPlan`] pick and build an SpMV
-//! storage format per pattern for callers that own their plans; no
-//! served request reaches them.
 
-pub mod advisor;
 mod batch;
 mod cache;
 mod chaos;
@@ -92,7 +87,6 @@ mod pool;
 mod service;
 mod stats;
 
-pub use advisor::{AdvisedSpmvPlan, FormatAdvisor, FormatChoice, FormatDecision};
 pub use chaos::{ChaosConfig, ChaosCounters};
 pub use config::{EngineConfig, EngineConfigBuilder};
 pub use error::{EngineError, TenantId};

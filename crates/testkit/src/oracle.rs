@@ -42,13 +42,11 @@ use std::sync::Arc;
 use mps_baselines::{cpu, cusp, cusparse_like, format_spmv, spmm as spmm_base};
 use mps_core::{
     apply_delta, merge_spadd, merge_spgemm, merge_spmm, merge_spmv, reference, segmented_spgemm,
-    sequential_dot, CmrsSpmvPlan, CsrDelta, Epilogue, EpilogueForm, SellSpmvPlan, SpAddConfig,
-    SpAddPlan, SpgemmConfig, SpgemmPlan, SpmmConfig, SpmmPlan, SpmvConfig, SpmvPlan, Workspace,
+    sequential_dot, AdvisedSpmvPlan, CmrsSpmvPlan, CsrDelta, Epilogue, EpilogueForm, FormatAdvisor,
+    FormatChoice, SellSpmvPlan, SpAddConfig, SpAddPlan, SpgemmConfig, SpgemmPlan, SpmmConfig,
+    SpmmPlan, SpmvConfig, SpmvPlan, Workspace,
 };
-use mps_engine::{
-    AdvisedSpmvPlan, EngineError, EngineOutput, FormatAdvisor, FormatChoice, Service,
-    ServiceConfig, ServiceTicket, TenantId,
-};
+use mps_engine::{EngineError, EngineOutput, Service, ServiceConfig, ServiceTicket, TenantId};
 use mps_simt::grid::LaunchStats;
 use mps_simt::Device;
 use mps_sparse::formats::{DiaMatrix, EllMatrix, HybMatrix};

@@ -138,14 +138,14 @@ impl From<mps_sparse::io::MmError> for Error {
 pub mod prelude {
     pub use crate::Error;
     pub use mps_core::{
-        merge_spadd, merge_spgemm, merge_spmm, merge_spmv, spmv_rowwise, CmrsSpmvPlan, PlanError,
-        SellSpmvPlan, SpAddConfig, SpAddPlan, SpgemmConfig, SpgemmPlan, SpmmConfig, SpmmPlan,
-        SpmvConfig, SpmvPlan, Workspace,
+        merge_spadd, merge_spgemm, merge_spmm, merge_spmv, spmv_rowwise, AdvisedSpmvPlan,
+        CmrsSpmvPlan, FormatAdvisor, FormatChoice, FormatDecision, PlanError, SellSpmvPlan,
+        SpAddConfig, SpAddPlan, SpgemmConfig, SpgemmPlan, SpmmConfig, SpmmPlan, SpmvConfig,
+        SpmvPlan, Workspace,
     };
     pub use mps_engine::{
-        AdvisedSpmvPlan, EngineConfig, EngineConfigBuilder, EngineError, EngineOutput, EngineStats,
-        FormatAdvisor, FormatChoice, FormatDecision, Service, ServiceConfig, ServiceConfigBuilder,
-        ServiceStats, ServiceTicket, TenantId, TenantSpec,
+        EngineConfig, EngineConfigBuilder, EngineError, EngineOutput, EngineStats, Service,
+        ServiceConfig, ServiceConfigBuilder, ServiceStats, ServiceTicket, TenantId, TenantSpec,
     };
     pub use mps_simt::{Device, Phase, PhaseLedger, PhaseReport};
     pub use mps_solvers::{block_cg, cg, AmgHierarchy, AmgOptions, SolverOptions};
