@@ -11,8 +11,6 @@ use mps_simt::grid::{launch_map_named, launch_map_phased, LaunchConfig, LaunchSt
 use mps_simt::{Device, Phase};
 use mps_sparse::cmrs::CmrsMatrix;
 use mps_sparse::formats::{DiaMatrix, EllMatrix, HybMatrix, ELL_PAD};
-use mps_sparse::sell::{SellCSigmaMatrix, SELL_PAD};
-use mps_sparse::DenseBlock;
 
 /// ELL SpMV: one thread per row marching down the padded columns. Loads of
 /// the column-major-equivalent padded table are fully coalesced; padding
@@ -140,7 +138,7 @@ pub fn spmv_hyb(device: &Device, m: &HybMatrix, x: &[f64]) -> (Vec<f64>, LaunchS
     (y, stats)
 }
 
-/// Threads per CTA shared by the strip/slice format kernels.
+/// Threads per CTA of the CMRS strip kernel.
 pub const FORMAT_THREADS: usize = 128;
 
 /// CMRS SpMV: each CTA owns a run of strips; threads stream the strip's
@@ -189,132 +187,6 @@ pub fn spmv_cmrs(device: &Device, m: &CmrsMatrix, x: &[f64]) -> (Vec<f64>, Launc
     let mut y = Vec::with_capacity(m.num_rows);
     for t in tiles {
         y.extend(t);
-    }
-    (y, stats)
-}
-
-/// SELL-C-σ SpMV: one lane per permuted row, each slice marching down its
-/// own width at a uniform stride. Loads are perfectly coalesced (padding
-/// included — the slots burn bandwidth); the store scatters through the
-/// σ-window permutation back to original row order. No shared memory and
-/// no barriers. Each lane accumulates its row in CSR entry order, so
-/// results are bitwise equal to a sequential row-wise dot.
-pub fn spmv_sell(device: &Device, m: &SellCSigmaMatrix, x: &[f64]) -> (Vec<f64>, LaunchStats) {
-    assert_eq!(x.len(), m.num_cols, "x length must equal num_cols");
-    let slices_per_cta = (FORMAT_THREADS / m.chunk).max(1);
-    let num_ctas = m.num_slices().div_ceil(slices_per_cta).max(1);
-    let (tiles, stats) = launch_map_phased(
-        device,
-        "sell_spmv",
-        Phase::SellSlice,
-        LaunchConfig::new(num_ctas, FORMAT_THREADS),
-        |cta| {
-            let s_lo = cta.cta_id * slices_per_cta;
-            let s_hi = (s_lo + slices_per_cta).min(m.num_slices());
-            let mut out = Vec::with_capacity((s_hi - s_lo) * m.chunk);
-            for s in s_lo..s_hi {
-                let lo = m.slice_ptr[s];
-                let slots = m.slice_ptr[s + 1] - lo;
-                let w = slots / m.chunk;
-                // Every slot streams, pads included: 4 B column + 8 B value.
-                cta.read_coalesced(slots, 12);
-                cta.alu(2 * slots as u64);
-                cta.gather(
-                    m.col_idx[lo..lo + slots]
-                        .iter()
-                        .filter(|&&c| c != SELL_PAD)
-                        .map(|&c| c as usize),
-                    8,
-                );
-                let lanes = (m.num_rows - s * m.chunk).min(m.chunk);
-                for lane in 0..lanes {
-                    let mut acc = -0.0;
-                    for j in 0..w {
-                        let slot = lo + j * m.chunk + lane;
-                        let c = m.col_idx[slot];
-                        if c == SELL_PAD {
-                            break;
-                        }
-                        acc += m.values[slot] * x[c as usize];
-                    }
-                    out.push((m.perm[s * m.chunk + lane] as usize, acc));
-                }
-                // Permuted store back to original row order.
-                cta.scatter(out[out.len() - lanes..].iter().map(|&(r, _)| r), 8);
-            }
-            out
-        },
-    );
-    let mut y = vec![0.0; m.num_rows];
-    for t in tiles {
-        for (r, v) in t {
-            y[r] = v;
-        }
-    }
-    (y, stats)
-}
-
-/// SELL-C-σ SpMM: the SpMV lane walk widened to `k` dense columns — each
-/// touched entry gathers a length-`k` row of B and the store scatters
-/// length-`k` rows of Y through the permutation.
-pub fn spmm_sell(
-    device: &Device,
-    m: &SellCSigmaMatrix,
-    b: &DenseBlock,
-) -> (DenseBlock, LaunchStats) {
-    assert_eq!(b.rows, m.num_cols, "B rows must equal num_cols");
-    let k = b.cols;
-    let slices_per_cta = (FORMAT_THREADS / m.chunk).max(1);
-    let num_ctas = m.num_slices().div_ceil(slices_per_cta).max(1);
-    let (tiles, stats) = launch_map_phased(
-        device,
-        "sell_spmm",
-        Phase::SellSlice,
-        LaunchConfig::new(num_ctas, FORMAT_THREADS),
-        |cta| {
-            let s_lo = cta.cta_id * slices_per_cta;
-            let s_hi = (s_lo + slices_per_cta).min(m.num_slices());
-            let mut out = Vec::with_capacity((s_hi - s_lo) * m.chunk);
-            for s in s_lo..s_hi {
-                let lo = m.slice_ptr[s];
-                let slots = m.slice_ptr[s + 1] - lo;
-                let w = slots / m.chunk;
-                cta.read_coalesced(slots, 12);
-                cta.alu(2 * (slots * k) as u64);
-                cta.gather_wide(
-                    m.col_idx[lo..lo + slots]
-                        .iter()
-                        .filter(|&&c| c != SELL_PAD)
-                        .map(|&c| c as usize),
-                    8,
-                    k,
-                );
-                let lanes = (m.num_rows - s * m.chunk).min(m.chunk);
-                for lane in 0..lanes {
-                    let mut acc = vec![-0.0; k];
-                    for j in 0..w {
-                        let slot = lo + j * m.chunk + lane;
-                        let c = m.col_idx[slot];
-                        if c == SELL_PAD {
-                            break;
-                        }
-                        let v = m.values[slot];
-                        for (a, &bv) in acc.iter_mut().zip(b.row(c as usize)) {
-                            *a += v * bv;
-                        }
-                    }
-                    out.push((m.perm[s * m.chunk + lane] as usize, acc));
-                }
-                cta.scatter_wide(out[out.len() - lanes..].iter().map(|&(r, _)| r), 8, k);
-            }
-            out
-        },
-    );
-    let mut y = DenseBlock::zeros(m.num_rows, k);
-    for t in tiles {
-        for (r, vals) in t {
-            y.row_mut(r).copy_from_slice(&vals);
-        }
     }
     (y, stats)
 }
@@ -419,75 +291,6 @@ mod tests {
             let (y, _) = spmv_cmrs(&dev(), &cmrs, &x);
             assert_eq!(y, spmv_ref(&m, &x));
         }
-    }
-
-    #[test]
-    fn sell_spmv_is_bitwise_equal_to_rowwise_reference() {
-        for m in [
-            gen::random_uniform(500, 500, 9.0, 4.0, 3),
-            gen::power_law(600, 600, 1, 1.5, 400, 8),
-            gen::banded(300, 6.0, 2.0, 40, 12),
-        ] {
-            let x: Vec<f64> = (0..m.num_cols).map(|i| 0.25 + (i % 11) as f64).collect();
-            let sell = SellCSigmaMatrix::from_csr(&m);
-            let (y, _) = spmv_sell(&dev(), &sell, &x);
-            assert_eq!(y, spmv_ref(&m, &x));
-        }
-    }
-
-    #[test]
-    fn sell_spmm_matches_dense_reference() {
-        let m = gen::random_uniform(300, 280, 7.0, 3.0, 6);
-        let b = DenseBlock::from_fn(280, 3, |r, c| ((r * 7 + c * 13) % 10) as f64 - 4.5);
-        let sell = SellCSigmaMatrix::from_csr(&m);
-        let (y, _) = spmm_sell(&dev(), &sell, &b);
-        let want = mps_sparse::dense::spmm_ref(&m, &b);
-        assert_eq!(y.rows, want.rows);
-        assert_eq!(y.cols, want.cols);
-        for r in 0..y.rows {
-            for c in 0..y.cols {
-                let (a, b_) = (y.get(r, c), want.get(r, c));
-                assert!(
-                    (a - b_).abs() <= 1e-9 * (1.0 + a.abs().max(b_.abs())),
-                    "({r},{c}): {a} vs {b_}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sell_beats_cmrs_on_uniform_rows_and_loses_on_skew() {
-        // Uniform rows: SELL pads nothing, runs barrier-free, and streams
-        // 12 B per slot vs CMRS's 14 B per entry — it must win. One giant
-        // row per σ window: SELL pads every lane of the dense slices while
-        // CMRS stores exactly nnz — the ordering must flip.
-        let uniform = gen::fixed_per_row(4096, 4096, 16, 7);
-        let x = vec![1.0; 4096];
-        let (_, s_sell) = spmv_sell(&dev(), &SellCSigmaMatrix::from_csr(&uniform), &x);
-        let (_, s_cmrs) = spmv_cmrs(&dev(), &CmrsMatrix::from_csr(&uniform), &x);
-        assert!(
-            s_sell.sim_ms < s_cmrs.sim_ms,
-            "uniform: SELL {} should beat CMRS {}",
-            s_sell.sim_ms,
-            s_cmrs.sim_ms
-        );
-
-        let mut coo = mps_sparse::CooMatrix::new(4096, 4096);
-        for r in 0..4096u32 {
-            let len = if r % 256 == 0 { 3000usize } else { 2 };
-            for k in 0..len {
-                coo.push(r, ((r as usize * 19 + k * 29) % 4096) as u32, 1.0);
-            }
-        }
-        let skewed = coo.to_csr();
-        let (_, s_sell) = spmv_sell(&dev(), &SellCSigmaMatrix::from_csr(&skewed), &x);
-        let (_, s_cmrs) = spmv_cmrs(&dev(), &CmrsMatrix::from_csr(&skewed), &x);
-        assert!(
-            s_cmrs.sim_ms < s_sell.sim_ms,
-            "skewed: CMRS {} should beat SELL {}",
-            s_cmrs.sim_ms,
-            s_sell.sim_ms
-        );
     }
 
     #[test]

@@ -3,28 +3,26 @@
 //!
 //! For every suite matrix the harness runs three things:
 //!
-//! * **Lossless conversion audit** — `csr → cmrs → csr` and
-//!   `csr → sell-c-σ → csr` must validate and reproduce the original
-//!   bitwise (pattern and values). Each successful round trip is counted;
-//!   the acceptance gate demands exactly two per suite matrix.
+//! * **Lossless conversion audit** — `csr → cmrs → csr` must validate and
+//!   reproduce the original bitwise (pattern and values). Each successful
+//!   round trip is counted; the acceptance gate demands exactly one per
+//!   suite matrix.
 //! * **Advised vs always-merge** — the always-merge arm builds the
 //!   reference [`SpmvPlan`]; the advised arm builds an [`AdvisedSpmvPlan`]
-//!   for the same matrix, letting the [`FormatAdvisor`] pick merge-CSR,
-//!   CMRS, or SELL-C-σ per pattern. Both arms report simulated kernel
-//!   milliseconds; the gate demands the advised arm matches or beats
-//!   always-merge on **every** matrix. When the advisor stays on merge
-//!   the two arms share the identical plan, so the speedup is exactly
-//!   1.0 by construction — the interesting rows are the ones that leave
-//!   it.
+//!   for the same matrix, letting the [`FormatAdvisor`] pick merge-CSR or
+//!   CMRS per pattern. Both arms report simulated kernel milliseconds;
+//!   the gate demands the advised arm matches or beats always-merge on
+//!   **every** matrix. When the advisor stays on merge the two arms share
+//!   the identical plan, so the speedup is exactly 1.0 by construction —
+//!   the interesting rows are the ones that leave it.
 //! * **Numeric policy** — a merge choice must be bitwise identical to
-//!   the plain merge path; a format choice must be bitwise identical to
+//!   the plain merge path; a CMRS choice must be bitwise identical to
 //!   the sequential row-wise dot *and* within relative tolerance of
 //!   merge. Any violation counts as a divergence (gate: zero).
 
 use mps_core::{AdvisedSpmvPlan, FormatAdvisor, FormatChoice, SpmvConfig, SpmvPlan, Workspace};
 use mps_simt::Device;
 use mps_sparse::cmrs::CmrsMatrix;
-use mps_sparse::sell::SellCSigmaMatrix;
 use mps_sparse::suite::SuiteMatrix;
 use mps_sparse::CsrMatrix;
 
@@ -75,7 +73,7 @@ pub struct FormatRow {
     pub advised_sim_ms: f64,
     /// `merge_sim_ms / advised_sim_ms` (exactly 1.0 for merge choices).
     pub speedup: f64,
-    /// Lossless format round trips completed for this matrix (must be 2).
+    /// Lossless CMRS round trips completed for this matrix (must be 1).
     pub round_trips: usize,
     /// Numeric-policy violations (must be 0).
     pub divergences: usize,
@@ -92,7 +90,6 @@ pub struct FormatBenchReport {
     pub total_divergences: usize,
     pub advice_merge: u64,
     pub advice_cmrs: u64,
-    pub advice_sell: u64,
 }
 
 fn bits_of(v: &[f64]) -> Vec<u64> {
@@ -118,9 +115,7 @@ fn run_matrix(device: &Device, s: SuiteMatrix, scale: f64) -> FormatRow {
         .collect();
 
     let cmrs = CmrsMatrix::from_csr(&a);
-    let sell = SellCSigmaMatrix::from_csr(&a);
-    let round_trips = audit_roundtrip(&cmrs.to_csr(), &a, cmrs.validate())
-        + audit_roundtrip(&sell.to_csr(), &a, sell.validate());
+    let round_trips = audit_roundtrip(&cmrs.to_csr(), &a, cmrs.validate());
 
     // Always-merge arm: the reference plan every request would get
     // without the advisor.
@@ -187,7 +182,6 @@ pub fn run(device: &Device, opts: &FormatOptions) -> FormatBenchReport {
         total_divergences: suite.iter().map(|r| r.divergences).sum(),
         advice_merge: advised(FormatChoice::MergeCsr),
         advice_cmrs: advised(FormatChoice::Cmrs),
-        advice_sell: advised(FormatChoice::SellCSigma),
         suite,
     }
 }
@@ -232,7 +226,6 @@ fn to_report(f: &FormatBenchReport, tiny: bool) -> Report {
                 ("divergences", "count", |f| f.total_divergences.into()),
                 ("advice_merge", "count", |f| f.advice_merge.into()),
                 ("advice_cmrs", "count", |f| f.advice_cmrs.into()),
-                ("advice_sell", "count", |f| f.advice_sell.into()),
             ],
         )
 }
@@ -262,18 +255,15 @@ pub fn gates(r: &Report) -> Vec<String> {
             ("non-merge speedup > 1", |s| {
                 s.text("choice") == "merge-csr" || s.num("speedup") > 1.0
             }),
-            ("round_trips == 2", |s| s.num("round_trips") == 2.0),
+            ("round_trips == 1", |s| s.num("round_trips") == 1.0),
             ("divergences == 0", |s| s.num("divergences") == 0.0),
         ],
     );
     let t = r.row("totals");
-    g.check(
-        t.num("round_trips") == 2.0 * n,
-        "totals round_trips == 2 x rows",
-    );
+    g.check(t.num("round_trips") == n, "totals round_trips == rows");
     g.check(t.num("divergences") == 0.0, "totals divergences == 0");
-    let advised = t.num("advice_merge") + t.num("advice_cmrs") + t.num("advice_sell");
-    g.check(advised == n, "advice merge + cmrs + sell == rows");
+    let advised = t.num("advice_merge") + t.num("advice_cmrs");
+    g.check(advised == n, "advice merge + cmrs == rows");
     let wins = suite.iter().any(|s| s.num("speedup") > 1.0);
     g.check(wins, "advisor leaves merge on some matrix");
     g.failures()
@@ -315,13 +305,8 @@ pub fn render(r: &FormatBenchReport) -> String {
         &rows,
     ));
     out.push_str(&format!(
-        "advice: {} merge / {} cmrs / {} sell · {} strict wins · {} round trips · {} divergences\n",
-        r.advice_merge,
-        r.advice_cmrs,
-        r.advice_sell,
-        r.advisor_wins,
-        r.total_round_trips,
-        r.total_divergences,
+        "advice: {} merge / {} cmrs · {} strict wins · {} round trips · {} divergences\n",
+        r.advice_merge, r.advice_cmrs, r.advisor_wins, r.total_round_trips, r.total_divergences,
     ));
     out
 }

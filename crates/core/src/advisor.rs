@@ -5,8 +5,7 @@
 //! The selection problem is the one Yang, Buluç & Owens formalize for GPU
 //! SpMM: no single format wins everywhere. Merge-path CSR is insensitive
 //! to row-length skew but pays shared-memory exchange, barriers, and a
-//! carry look-back between CTAs on every matrix; SELL-C-σ is barrier-free
-//! and perfectly streamed but pays padding and permutation scatter; CMRS
+//! carry look-back between CTAs on every matrix; CMRS (Koza et al.)
 //! stores exactly `nnz` entries but pays a per-entry row tag and strip
 //! imbalance. The advisor builds an [`SpmvWorkload`] for each candidate
 //! from row lengths plus a warp-exact replay of each kernel's `x`-gather
@@ -14,31 +13,25 @@
 //! [`mps_simt::CostModel`] to price them. The gather replays are what
 //! separate the candidates on real matrices: merge gathers row-major
 //! (rewarding within-row column runs), CMRS gathers strip-interleaved
-//! (rewarding cross-row locality, the mesh case), SELL gathers through
-//! the σ-sort permutation (which taxes that locality). An alternative
-//! must beat merge by [`FormatAdvisor::DEFAULT_MARGIN`] to be chosen:
-//! ties go to merge, whose flat decomposition is the safe default the
-//! paper argues for.
+//! (rewarding cross-row locality, the mesh case). CMRS must beat merge by
+//! [`FormatAdvisor::DEFAULT_MARGIN`] to be chosen: ties go to merge, whose
+//! flat decomposition is the safe default the paper argues for.
 
-use std::sync::Arc;
-
-use crate::{format_grid, CmrsSpmvPlan, SellSpmvPlan, SpmvConfig, SpmvPlan, Workspace};
 use mps_simt::{Device, SpmvWorkload};
-use std::cmp::Reverse;
-
 use mps_sparse::cmrs::CMRS_DEFAULT_STRIP_HEIGHT;
-use mps_sparse::sell::{slice_widths, SELL_DEFAULT_CHUNK, SELL_DEFAULT_SIGMA};
 use mps_sparse::{CsrMatrix, MatrixStats};
+
+use crate::format_spmv::{format_grid, CmrsSpmvPlan};
+use crate::{SpmvConfig, SpmvPlan, Workspace};
 
 /// The storage format + kernel an advised plan executes with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FormatChoice {
-    /// Merge-path CSR (the paper's kernel; partition + reduction + update).
+    /// Merge-path CSR (the paper's kernel: a partition at build, then one
+    /// single-pass reduction launch per execute).
     MergeCsr,
     /// CMRS strip-interleaved kernel.
     Cmrs,
-    /// SELL-C-σ sliced-ELL kernel.
-    SellCSigma,
 }
 
 impl std::fmt::Display for FormatChoice {
@@ -46,12 +39,11 @@ impl std::fmt::Display for FormatChoice {
         f.write_str(match self {
             FormatChoice::MergeCsr => "merge-csr",
             FormatChoice::Cmrs => "cmrs",
-            FormatChoice::SellCSigma => "sell-c-sigma",
         })
     }
 }
 
-/// The advisor's verdict for one pattern: the choice, all three predicted
+/// The advisor's verdict for one pattern: the choice, both predicted
 /// costs (so a regression can report both sides of a flipped decision),
 /// and the statistics it read.
 #[derive(Debug, Clone)]
@@ -61,8 +53,6 @@ pub struct FormatDecision {
     pub merge_cycles: f64,
     /// Predicted device cycles for the CMRS strip kernel.
     pub cmrs_cycles: f64,
-    /// Predicted device cycles for the SELL-C-σ slice kernel.
-    pub sell_cycles: f64,
     /// Row-length statistics the workloads were derived from.
     pub stats: MatrixStats,
 }
@@ -73,16 +63,15 @@ impl FormatDecision {
         match self.choice {
             FormatChoice::MergeCsr => self.merge_cycles,
             FormatChoice::Cmrs => self.cmrs_cycles,
-            FormatChoice::SellCSigma => self.sell_cycles,
         }
     }
 }
 
-/// Builds per-format [`SpmvWorkload`]s from a matrix's row lengths and
-/// compares their predicted cycles.
+/// Builds the merge and CMRS [`SpmvWorkload`]s from a matrix's row lengths
+/// and compares their predicted cycles.
 #[derive(Debug, Clone)]
 pub struct FormatAdvisor {
-    /// Multiplier an alternative's prediction must beat merge by.
+    /// Factor CMRS's prediction must beat merge's by.
     margin: f64,
 }
 
@@ -154,10 +143,9 @@ fn group_imbalance(work: &[usize], group_rows: usize) -> f64 {
 }
 
 impl FormatAdvisor {
-    /// Default selection margin: an alternative format's predicted cycles
-    /// must be at least this factor below merge's. The model's
-    /// imbalance/padding terms are first-order, so close calls stay on
-    /// the skew-proof merge kernel.
+    /// Default selection margin: CMRS's predicted cycles must be at least
+    /// this factor below merge's. The model's imbalance term is
+    /// first-order, so close calls stay on the skew-proof merge kernel.
     pub const DEFAULT_MARGIN: f64 = 1.25;
 
     pub fn new(margin: f64) -> FormatAdvisor {
@@ -211,43 +199,6 @@ impl FormatAdvisor {
         w.tx
     }
 
-    /// DRAM transactions for the SELL-C-σ kernel's `x` gather plus its
-    /// permutation scatter of `y`, replayed in slice-lane-major order
-    /// without materializing the format. The σ-sort that shrinks padding
-    /// also shuffles row adjacency, which is priced here exactly: the
-    /// gather walks σ-sorted lanes, the scatter walks the permutation.
-    pub fn sell_gather_tx(a: &CsrMatrix, chunk: usize, sigma: usize) -> u64 {
-        let chunk = chunk.max(1);
-        let sigma = sigma.max(1);
-        let mut perm: Vec<u32> = (0..a.num_rows as u32).collect();
-        for win in perm.chunks_mut(sigma) {
-            win.sort_by_key(|&r| Reverse(a.row_len(r as usize)));
-        }
-        let mut gather = WarpTx::new();
-        let mut scatter = WarpTx::new();
-        for slice in perm.chunks(chunk) {
-            let width = slice
-                .iter()
-                .map(|&r| a.row_len(r as usize))
-                .max()
-                .unwrap_or(0);
-            for j in 0..width {
-                for &r in slice {
-                    let cols = a.row_cols(r as usize);
-                    if let Some(&c) = cols.get(j) {
-                        gather.push(c as u64);
-                    }
-                }
-            }
-            gather.flush();
-            for &r in slice {
-                scatter.push(r as u64);
-            }
-            scatter.flush();
-        }
-        gather.tx + scatter.tx
-    }
-
     /// Workload of the merge-path CSR kernel: flat decomposition (no
     /// imbalance), but per-item shared-memory segmented reduce, two
     /// barriers per CTA, and the carry look-back. `gathers` is the
@@ -298,35 +249,10 @@ impl FormatAdvisor {
         }
     }
 
-    /// Workload of the SELL-C-σ slice kernel at the default C/σ: padded
-    /// slots all stream (the padding tax), no shared memory, no barriers.
-    /// `gathers` is the [`FormatAdvisor::sell_gather_tx`] replay, which
-    /// already includes the per-row permutation scatter.
-    pub fn sell_workload(a: &CsrMatrix, gathers: u64) -> SpmvWorkload {
-        let widths = slice_widths(a, SELL_DEFAULT_CHUNK, SELL_DEFAULT_SIGMA);
-        let slots: u64 = widths
-            .iter()
-            .map(|&w| (w * SELL_DEFAULT_CHUNK) as u64)
-            .sum();
-        let (slices_per_cta, ctas) = format_grid(widths.len(), SELL_DEFAULT_CHUNK);
-        let per_cta_slots: Vec<usize> = widths
-            .chunks(slices_per_cta)
-            .map(|c| c.iter().map(|&w| w * SELL_DEFAULT_CHUNK).sum())
-            .collect();
-        SpmvWorkload {
-            ctas: ctas as u64,
-            // Every slot (pads included) streams 12 bytes.
-            streamed_bytes: slots * 12,
-            gathers,
-            alu_ops: 2 * slots,
-            shmem_ops: 0,
-            syncs: 0,
-            imbalance: group_imbalance(&per_cta_slots, 1),
-        }
-    }
-
-    /// Price all three formats for `a` and pick one. Reads row lengths
-    /// and column locality only — nothing is converted or executed.
+    /// Price merge and CMRS for `a` and pick one: CMRS when its predicted
+    /// cycles are below merge's divided by the margin, else merge. Reads
+    /// row lengths and column locality only — nothing is converted or
+    /// executed.
     pub fn advise(&self, device: &Device, a: &CsrMatrix, cfg: &SpmvConfig) -> FormatDecision {
         let props = &device.props;
         let slots = (props.num_sms * props.max_ctas_per_sm) as u64;
@@ -339,29 +265,15 @@ impl FormatAdvisor {
             &Self::cmrs_workload(a, Self::cmrs_gather_tx(a, CMRS_DEFAULT_STRIP_HEIGHT)),
             slots,
         );
-        let sell_cycles = cost.predict_spmv(
-            &Self::sell_workload(
-                a,
-                Self::sell_gather_tx(a, SELL_DEFAULT_CHUNK, SELL_DEFAULT_SIGMA),
-            ),
-            slots,
-        );
-        let mut choice = FormatChoice::MergeCsr;
-        let mut best = merge_cycles / self.margin;
-        // Evaluation order breaks exact ties toward SELL (cheaper storage
-        // than CMRS at equal predicted cycles).
-        if sell_cycles < best {
-            choice = FormatChoice::SellCSigma;
-            best = sell_cycles;
-        }
-        if cmrs_cycles < best {
-            choice = FormatChoice::Cmrs;
-        }
+        let choice = if cmrs_cycles < merge_cycles / self.margin {
+            FormatChoice::Cmrs
+        } else {
+            FormatChoice::MergeCsr
+        };
         FormatDecision {
             choice,
             merge_cycles,
             cmrs_cycles,
-            sell_cycles,
             stats: MatrixStats::of(a),
         }
     }
@@ -370,9 +282,8 @@ impl FormatAdvisor {
 /// The kernel backend an advised plan dispatches to.
 #[derive(Debug, Clone)]
 enum AdvisedBackend {
-    Merge(Arc<SpmvPlan>),
+    Merge(Box<SpmvPlan>),
     Cmrs(CmrsSpmvPlan),
-    Sell(SellSpmvPlan),
 }
 
 /// A format decision plus the plan built for the chosen format: the
@@ -395,10 +306,9 @@ impl AdvisedSpmvPlan {
         let decision = advisor.advise(device, a, cfg);
         let backend = match decision.choice {
             FormatChoice::MergeCsr => {
-                AdvisedBackend::Merge(Arc::new(SpmvPlan::new(device, a, cfg)))
+                AdvisedBackend::Merge(Box::new(SpmvPlan::new(device, a, cfg)))
             }
             FormatChoice::Cmrs => AdvisedBackend::Cmrs(CmrsSpmvPlan::new(device, a)),
-            FormatChoice::SellCSigma => AdvisedBackend::Sell(SellSpmvPlan::new(device, a)),
         };
         AdvisedSpmvPlan { decision, backend }
     }
@@ -411,35 +321,26 @@ impl AdvisedSpmvPlan {
         self.decision.choice
     }
 
-    /// The merge plan underneath, when the advisor chose merge.
-    pub fn merge_plan(&self) -> Option<&Arc<SpmvPlan>> {
-        match &self.backend {
-            AdvisedBackend::Merge(p) => Some(p),
-            _ => None,
-        }
-    }
-
     /// Simulated milliseconds of one execution through the chosen kernel.
     pub fn execute_sim_ms(&self) -> f64 {
         match &self.backend {
             AdvisedBackend::Merge(p) => p.execute_sim_ms(),
             AdvisedBackend::Cmrs(p) => p.execute_sim_ms(),
-            AdvisedBackend::Sell(p) => p.execute_sim_ms(),
         }
     }
 
     /// Simulated milliseconds paid once at build (the merge partition;
-    /// zero for the conversion-based formats, whose one-time kernel
-    /// simulation is the cached execute cost).
+    /// zero for CMRS, whose one-time kernel simulation is the cached
+    /// execute cost).
     pub fn build_sim_ms(&self) -> f64 {
         match &self.backend {
             AdvisedBackend::Merge(p) => p.build_sim_ms(),
-            AdvisedBackend::Cmrs(_) | AdvisedBackend::Sell(_) => 0.0,
+            AdvisedBackend::Cmrs(_) => 0.0,
         }
     }
 
-    /// Execute through the chosen backend. All backends read the original
-    /// CSR operand, so in-place value updates flow through, and all are
+    /// Execute through the chosen backend. Both backends read the original
+    /// CSR operand, so in-place value updates flow through, and both are
     /// allocation-free once `y` and `ws` are warm.
     pub fn execute_into(
         &self,
@@ -451,7 +352,6 @@ impl AdvisedSpmvPlan {
         match &self.backend {
             AdvisedBackend::Merge(p) => p.execute_into(a, x, y, ws),
             AdvisedBackend::Cmrs(p) => p.execute_into(a, x, y),
-            AdvisedBackend::Sell(p) => p.execute_into(a, x, y),
         }
     }
 }
@@ -468,11 +368,11 @@ mod tests {
     #[test]
     fn structured_uniform_rows_advise_away_from_merge() {
         // A stencil: uniform short rows with tightly clustered columns.
-        // The gathers coalesce, so merge's exchange/barrier/second-launch
-        // overheads are exposed and a row-split format must win.
+        // The gathers coalesce, so merge's exchange/barrier/look-back
+        // overheads are exposed and the strip kernel must win.
         let m = gen::stencil_5pt(96, 64);
         let d = FormatAdvisor::default().advise(&dev(), &m, &SpmvConfig::default());
-        assert_ne!(d.choice, FormatChoice::MergeCsr, "{d:?}");
+        assert_eq!(d.choice, FormatChoice::Cmrs, "{d:?}");
         assert!(d.chosen_cycles() * FormatAdvisor::DEFAULT_MARGIN < d.merge_cycles);
         assert!(d.stats.cv() < 0.5);
     }
@@ -480,7 +380,7 @@ mod tests {
     #[test]
     fn random_columns_advise_merge() {
         // Same row regularity but scattered columns: the x gather costs
-        // every format the same ~1 transaction per entry and dwarfs the
+        // both kernels the same ~1 transaction per entry and dwarfs the
         // overhead differences, so the margin keeps merge.
         let m = gen::fixed_per_row(8192, 8192, 16, 3);
         let d = FormatAdvisor::default().advise(&dev(), &m, &SpmvConfig::default());
@@ -490,8 +390,8 @@ mod tests {
 
     #[test]
     fn heavy_skew_advises_merge() {
-        // A few enormous rows: row-split CTAs inherit the skew (and SELL
-        // additionally pads), while merge's flat decomposition does not.
+        // A few enormous rows: row-split CTAs inherit the skew, while
+        // merge's flat decomposition does not.
         let mut coo = mps_sparse::CooMatrix::new(8192, 8192);
         for r in 0..8192u32 {
             let len = if r % 512 == 0 { 4000usize } else { 2 };
@@ -511,9 +411,9 @@ mod tests {
         let dev = dev();
         let cfg = SpmvConfig::default();
         let open = FormatAdvisor::new(1.0).advise(&dev, &m, &cfg);
-        assert_ne!(open.choice, FormatChoice::MergeCsr);
-        // An absurd margin forces merge even where a format wins on
-        // predicted cycles.
+        assert_eq!(open.choice, FormatChoice::Cmrs);
+        // An absurd margin forces merge even where CMRS wins on predicted
+        // cycles.
         let closed = FormatAdvisor::new(1e6).advise(&dev, &m, &cfg);
         assert_eq!(closed.choice, FormatChoice::MergeCsr);
     }
@@ -536,22 +436,18 @@ mod tests {
         let smerge = FormatAdvisor::merge_gather_tx(&scattered);
         assert!(smerge > snnz * 9 / 10, "smerge {smerge} vs nnz {snnz}");
         assert!(FormatAdvisor::cmrs_gather_tx(&scattered, 16) > snnz * 9 / 10);
-        // SELL's permutation scatter adds close to one transaction per
-        // 16-row segment group even when the gather coalesces.
-        let sell = FormatAdvisor::sell_gather_tx(&clustered, 32, 256);
-        assert!(sell > FormatAdvisor::cmrs_gather_tx(&clustered, 32));
     }
 
     #[test]
     fn advised_plan_executes_bitwise_like_its_family() {
-        // A stencil routes to a row-split format, whose numerics are the
-        // sequential row-wise dot, bit for bit.
+        // A stencil routes to CMRS, whose numerics are the sequential
+        // row-wise dot, bit for bit.
         let m = gen::stencil_5pt(64, 32);
         let x: Vec<f64> = (0..m.num_cols).map(|i| 0.5 + (i % 9) as f64).collect();
         let dev = dev();
         let plan =
             AdvisedSpmvPlan::new(&dev, &m, &SpmvConfig::default(), &FormatAdvisor::default());
-        assert_ne!(plan.choice(), FormatChoice::MergeCsr);
+        assert_eq!(plan.choice(), FormatChoice::Cmrs);
         let mut y = Vec::new();
         let mut ws = Workspace::new();
         let ms = plan.execute_into(&m, &x, &mut y, &mut ws);
@@ -584,10 +480,10 @@ mod tests {
     }
 
     #[test]
-    fn decision_reports_all_three_costs() {
+    fn decision_reports_both_costs() {
         let m = gen::random_uniform(1000, 1000, 8.0, 3.0, 1);
         let d = FormatAdvisor::default().advise(&dev(), &m, &SpmvConfig::default());
-        for c in [d.merge_cycles, d.cmrs_cycles, d.sell_cycles] {
+        for c in [d.merge_cycles, d.cmrs_cycles] {
             assert!(c.is_finite() && c > 0.0, "{d:?}");
         }
         assert!(d.chosen_cycles() > 0.0);

@@ -1,33 +1,37 @@
-//! Planned execution for the row-split format zoo (CMRS, SELL-C-σ).
+//! Planned execution for the CMRS strip format.
 //!
-//! These plans are the engine-facing counterparts of the one-shot kernels
-//! in `mps-baselines::format_spmv`: the conversion and the kernel cost
-//! simulation happen once at build, and every execute replays the cached
-//! [`LaunchStats`] while computing the numerics with a plain row-wise dot
-//! over the *original* CSR operand. That works because both format
-//! kernels accumulate each row's products in its CSR entry order starting
-//! from `-0.0` (the `Iterator::sum` identity) — the result is bitwise
-//! identical to the sequential row dot,
-//! so the plan never needs the converted value array and stays correct
-//! across in-place value updates. The execute path allocates nothing once
-//! the output vector is warm.
+//! [`CmrsSpmvPlan`] is the backend of an [`AdvisedSpmvPlan`] whose
+//! [`FormatAdvisor`] picked CMRS, and the planned counterpart of the
+//! one-shot kernel `mps_baselines::format_spmv::spmv_cmrs`: the conversion
+//! and the kernel cost simulation happen once at build, and every execute
+//! replays the cached [`LaunchStats`] while computing the numerics with a
+//! plain row-wise dot over the *original* CSR operand. That works because
+//! the strip kernel accumulates each row's products in its CSR entry order
+//! starting from `-0.0` (the `Iterator::sum` identity) — the result is
+//! bitwise identical to the sequential row dot, so the plan never needs
+//! the converted value array and stays correct across in-place value
+//! updates. The execute path allocates nothing once the output vector is
+//! warm.
+//!
+//! [`AdvisedSpmvPlan`]: crate::advisor::AdvisedSpmvPlan
+//! [`FormatAdvisor`]: crate::advisor::FormatAdvisor
 
 use crate::error::PlanError;
 use mps_simt::grid::{launch_map_phased, LaunchConfig, LaunchStats};
 use mps_simt::{Device, Phase};
 use mps_sparse::cmrs::CmrsMatrix;
-use mps_sparse::sell::{SellCSigmaMatrix, SELL_PAD};
 use mps_sparse::CsrMatrix;
 
-/// Threads per CTA for the strip/slice format kernels (matches the
-/// baselines kernels, so plan costs equal one-shot costs bitwise).
-pub const FORMAT_BLOCK_THREADS: usize = 128;
+/// Threads per CTA of the CMRS strip kernel (matches the baselines
+/// kernel, so a plan's price equals the one-shot kernel's bitwise; the
+/// conformance oracle checks that on every case).
+pub(crate) const FORMAT_BLOCK_THREADS: usize = 128;
 
-/// Grid geometry shared by the format kernels and the advisor's cost
-/// predictions: CTAs cover `groups` row-groups (strips or slices) of
-/// `group_height` rows, packing as many groups per CTA as the block has
-/// threads. Returns `(groups_per_cta, num_ctas)`.
-pub fn format_grid(groups: usize, group_height: usize) -> (usize, usize) {
+/// Grid geometry shared by the strip kernel and the advisor's cost
+/// prediction: CTAs cover `groups` strips of `group_height` rows, packing
+/// as many strips per CTA as the block has threads. Returns
+/// `(groups_per_cta, num_ctas)`.
+pub(crate) fn format_grid(groups: usize, group_height: usize) -> (usize, usize) {
     let per_cta = (FORMAT_BLOCK_THREADS / group_height.max(1)).max(1);
     (per_cta, groups.div_ceil(per_cta).max(1))
 }
@@ -155,114 +159,6 @@ impl CmrsSpmvPlan {
     }
 }
 
-/// A built SELL-C-σ SpMV execution: slice layout priced once, numerics
-/// served row-wise from the original CSR.
-#[derive(Debug, Clone)]
-pub struct SellSpmvPlan {
-    num_rows: usize,
-    num_cols: usize,
-    chunk: usize,
-    sigma: usize,
-    padded_len: usize,
-    nnz: usize,
-    stats: LaunchStats,
-}
-
-impl SellSpmvPlan {
-    /// Convert `a` to SELL-C-σ (transiently) and simulate the slice
-    /// kernel once, caching its cost.
-    pub fn new(device: &Device, a: &CsrMatrix) -> SellSpmvPlan {
-        let m = SellCSigmaMatrix::from_csr(a);
-        let (slices_per_cta, num_ctas) = format_grid(m.num_slices(), m.chunk);
-        let (_, stats) = launch_map_phased(
-            device,
-            "sell_spmv",
-            Phase::SellSlice,
-            LaunchConfig::new(num_ctas, FORMAT_BLOCK_THREADS),
-            |cta| {
-                let s_lo = cta.cta_id * slices_per_cta;
-                let s_hi = (s_lo + slices_per_cta).min(m.num_slices());
-                for s in s_lo..s_hi {
-                    let lo = m.slice_ptr[s];
-                    let slots = m.slice_ptr[s + 1] - lo;
-                    cta.read_coalesced(slots, 12);
-                    cta.alu(2 * slots as u64);
-                    cta.gather(
-                        m.col_idx[lo..lo + slots]
-                            .iter()
-                            .filter(|&&c| c != SELL_PAD)
-                            .map(|&c| c as usize),
-                        8,
-                    );
-                    let lanes = (m.num_rows - s * m.chunk).min(m.chunk);
-                    cta.scatter(
-                        m.perm[s * m.chunk..s * m.chunk + lanes]
-                            .iter()
-                            .map(|&r| r as usize),
-                        8,
-                    );
-                }
-            },
-        );
-        SellSpmvPlan {
-            num_rows: a.num_rows,
-            num_cols: a.num_cols,
-            chunk: m.chunk,
-            sigma: m.sigma,
-            padded_len: m.padded_len(),
-            nnz: a.nnz(),
-            stats,
-        }
-    }
-
-    pub fn chunk(&self) -> usize {
-        self.chunk
-    }
-
-    pub fn sigma(&self) -> usize {
-        self.sigma
-    }
-
-    /// Stored slots per nonzero (1.0 = no padding).
-    pub fn padding_ratio(&self) -> f64 {
-        if self.nnz == 0 {
-            1.0
-        } else {
-            self.padded_len as f64 / self.nnz as f64
-        }
-    }
-
-    /// Cached simulated cost of one slice-kernel execution.
-    pub fn stats(&self) -> &LaunchStats {
-        &self.stats
-    }
-
-    /// Simulated milliseconds of one planned execution.
-    pub fn execute_sim_ms(&self) -> f64 {
-        self.stats.sim_ms
-    }
-
-    /// Execute against the original CSR operand; returns the simulated
-    /// kernel milliseconds. Allocation-free once `y` has capacity.
-    pub fn execute_into(&self, a: &CsrMatrix, x: &[f64], y: &mut Vec<f64>) -> f64 {
-        self.try_execute_into(a, x, y).expect("format plan operand")
-    }
-
-    /// Non-panicking [`SellSpmvPlan::execute_into`].
-    pub fn try_execute_into(
-        &self,
-        a: &CsrMatrix,
-        x: &[f64],
-        y: &mut Vec<f64>,
-    ) -> Result<f64, PlanError> {
-        check_operand(self.num_rows, self.num_cols, a, x)?;
-        y.clear();
-        y.resize(self.num_rows, 0.0);
-        spmv_rowwise(a, x, y);
-        Ok(self.stats.sim_ms)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,10 +182,6 @@ mod tests {
             let ms = cmrs.execute_into(&m, &x, &mut y);
             assert!(ms > 0.0);
             assert_eq!(y, want);
-            let sell = SellSpmvPlan::new(&dev(), &m);
-            let ms = sell.execute_into(&m, &x, &mut y);
-            assert!(ms > 0.0);
-            assert_eq!(y, want);
         }
     }
 
@@ -300,7 +192,6 @@ mod tests {
         let mut m = gen::random_uniform(200, 200, 6.0, 3.0, 2);
         let x = vec![1.0; 200];
         let cmrs = CmrsSpmvPlan::new(&dev(), &m);
-        let sell = SellSpmvPlan::new(&dev(), &m);
         for v in &mut m.values {
             *v *= -3.0;
         }
@@ -308,15 +199,13 @@ mod tests {
         let mut y = Vec::new();
         cmrs.execute_into(&m, &x, &mut y);
         assert_eq!(y, want);
-        sell.execute_into(&m, &x, &mut y);
-        assert_eq!(y, want);
     }
 
     #[test]
     fn shape_mismatch_is_reported() {
         let m = gen::random_uniform(50, 60, 4.0, 2.0, 1);
         let other = gen::random_uniform(50, 61, 4.0, 2.0, 1);
-        let plan = SellSpmvPlan::new(&dev(), &m);
+        let plan = CmrsSpmvPlan::new(&dev(), &m);
         let mut y = Vec::new();
         assert!(plan
             .try_execute_into(&other, &vec![0.0; 61], &mut y)

@@ -17,6 +17,10 @@
 //!   radix sort, a permutation-only global sort, deferred product
 //!   formation, and a final reduce-by-key (Section III-C, Figure 3).
 //!
+//! Beside them, the [`advisor`] prices merge-path CSR against the CMRS
+//! strip kernel ([`format_spmv`]) per sparsity pattern and builds the
+//! cheaper plan.
+//!
 //! All kernels run on the [`mps_simt`] virtual device and report both their
 //! results and the simulated cost of every launch.
 
@@ -40,12 +44,9 @@ pub use advisor::{AdvisedSpmvPlan, FormatAdvisor, FormatChoice, FormatDecision};
 pub use config::{SpAddConfig, SpgemmConfig, SpmmConfig, SpmvConfig};
 pub use delta::{apply_delta, apply_delta_reference, CsrDelta, DeltaApplied};
 pub use error::PlanError;
-pub use format_spmv::{
-    format_grid, spmv_rowwise, CmrsSpmvPlan, SellSpmvPlan, FORMAT_BLOCK_THREADS,
-};
+pub use format_spmv::{spmv_rowwise, CmrsSpmvPlan};
 pub use partition::MergePartition;
 pub use spadd::{merge_spadd, SpAddPlan, SpAddResult};
-pub use spgemm::adaptive::{adaptive_spgemm, segmented_spgemm, AdaptivePolicy, PipelineChoice};
 pub use spgemm::{
     merge_spgemm, BinClass, BinSummary, HashAccumulator, PhaseTimes, RowBins, SpgemmPlan,
     SpgemmResult,

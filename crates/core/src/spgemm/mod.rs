@@ -21,7 +21,6 @@
 //! [`SpgemmPlan`] caches the symbolic half so repeated-pattern multiplies
 //! re-run the numeric half alone.
 
-pub mod adaptive;
 pub mod bins;
 pub mod block_sort;
 pub mod hash;

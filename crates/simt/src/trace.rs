@@ -64,9 +64,13 @@ pub enum Phase {
     Other,
     /// Solver BLAS-1 streaming ops (dot/axpy/norm and block variants).
     Blas1,
-    /// CMRS strip-interleaved SpMV (row-split format zoo).
+    /// CMRS strip-interleaved SpMV (the format advisor's row-split
+    /// alternative to merge).
     CmrsStrip,
-    /// SELL-C-σ sliced-ELL SpMV/SpMM (row-split format zoo).
+    /// Formerly the SELL-C-σ slice kernels, which are deleted: nothing
+    /// charges this phase any more. It stays so the ledger keeps one slot
+    /// per entry of the end-to-end benchmark's `simt.phase_share.*` metric
+    /// list (`sell_slice`), and goes together with that metric.
     SellSlice,
 }
 

@@ -23,7 +23,6 @@ pub mod gen;
 pub mod io;
 pub mod ops;
 pub mod reorder;
-pub mod sell;
 pub mod stats;
 pub mod suite;
 
@@ -32,7 +31,6 @@ pub use coo::{CooError, CooMatrix};
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use dense::DenseBlock;
-pub use sell::SellCSigmaMatrix;
 pub use stats::MatrixStats;
 
 /// Pack a (row, col) coordinate into a lexicographically ordered `u64` key.

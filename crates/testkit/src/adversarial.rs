@@ -120,12 +120,12 @@ pub fn bin_threshold_ladder() -> CsrMatrix {
     coo.to_csr()
 }
 
-/// Row-length cliffs aligned to a σ-window: rows come in alternating
-/// windows of `sigma` long rows and `sigma` short rows. A SELL-C-σ
-/// conversion whose sort window is exactly `sigma` sees *uniform* slices
-/// (the sort never crosses the cliff), while any off-by-one in the window
-/// arithmetic mixes long and short rows in one slice and blows up padding
-/// — and any bug in per-slice width tracking corrupts the round trip.
+/// Row-length cliffs: rows come in alternating runs of `sigma` long rows
+/// and `sigma` short rows, so row length jumps by `long_len - short_len`
+/// at every multiple of `sigma`. With `sigma` a multiple of the CMRS strip
+/// height every strip is internally uniform, and the CTAs that pack the
+/// long strips carry the imbalance a row-split kernel inherits, while
+/// merge's flat decomposition must not notice the cliff at all.
 pub fn sigma_window_cliffs(
     windows: usize,
     sigma: usize,
@@ -151,12 +151,11 @@ pub fn sigma_window_cliffs(
     coo.to_csr()
 }
 
-/// One dense row inside an otherwise *empty* slice: rows `0..chunk-1`
-/// have no entries at all, row `chunk/2` is fully dense, and the rest of
-/// the matrix is uniformly sparse. The slice containing the dense row
-/// pads every empty lane to the dense width — the worst case for sliced
-/// formats — while CMRS must interleave a strip where one row supplies
-/// every entry.
+/// One dense row inside an otherwise *empty* block: rows `0..chunk` have
+/// no entries except row `chunk/2`, which is fully dense, and the rest of
+/// the matrix is uniformly sparse. CMRS must interleave a strip where one
+/// row supplies every entry beside empty rows, and merge must split that
+/// row across CTAs next to a run of empty rows.
 pub fn dense_row_in_empty_slice(
     rows: usize,
     cols: usize,
@@ -273,15 +272,14 @@ pub fn suite(scale: Scale) -> Vec<(String, CsrMatrix)> {
             heavy_power_law(plaw_rows, plaw_rows, 14),
         ),
         (
-            // Cliffs aligned to the SELL default σ-window (256): every
-            // sort window is internally uniform, so any slice mixing long
-            // and short rows is a window-arithmetic bug.
+            // Two 256-row runs, long then short: every CMRS strip is
+            // uniform, and the first run's CTAs carry nearly all the work.
             format!("sigma-window cliffs 512 rows len {sigma_long}|1"),
             sigma_window_cliffs(2, 256, sigma_long, 1, 19),
         ),
         (
-            // A fully dense row whose 32-row slice is otherwise empty:
-            // maximal slice padding, single-row strips.
+            // A fully dense row whose 32-row block is otherwise empty: a
+            // strip fed by a single row, beside empty rows.
             format!("dense-row-in-empty-slice {slice_n}x{slice_n}"),
             dense_row_in_empty_slice(slice_n, slice_n, 32, 2, 20),
         ),
@@ -363,14 +361,6 @@ mod tests {
             let want = if (r / 16) % 2 == 0 { 9 } else { 2 };
             assert_eq!(m.row_len(r), want, "row {r}");
         }
-        // An aligned σ-sort leaves padding at zero: every window is
-        // already uniform.
-        let sell = mps_sparse::SellCSigmaMatrix::from_csr_with(&m, 16, 16);
-        assert_eq!(sell.padded_len(), m.nnz());
-        // A misaligned (whole-matrix) sort also pads nothing here, but a
-        // window smaller than the cliff mixes lengths and must pad.
-        let mixed = mps_sparse::SellCSigmaMatrix::from_csr_with(&m, 16, 8);
-        assert!(mixed.validate().is_ok());
     }
 
     #[test]
@@ -380,10 +370,6 @@ mod tests {
         assert_eq!(m.row_len(16), 96);
         assert!((0..32).filter(|&r| m.row_len(r) > 0).count() == 1);
         assert!((32..96).all(|r| m.row_len(r) > 0));
-        // The dense row's slice pads every other lane to full width.
-        let sell = mps_sparse::SellCSigmaMatrix::from_csr_with(&m, 32, 32);
-        assert!(sell.padded_len() >= m.nnz() + 96 * 30);
-        assert!(sell.validate().is_ok());
     }
 
     #[test]

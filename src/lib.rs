@@ -25,7 +25,8 @@
 //! * [`merge`] — merge-path / balanced-path partitioning and parallel set
 //!   operations;
 //! * [`core`] — the paper's kernels: merge SpMV, column-tiled merge SpMM,
-//!   balanced-path SpAdd, and two-level-sort SpGEMM;
+//!   balanced-path SpAdd, and two-level-sort SpGEMM, plus the format
+//!   advisor that picks merge-path CSR or CMRS per SpMV pattern;
 //! * [`baselines`] — the comparators (Cusp-like, cuSPARSE-like, sequential
 //!   CPU with an analytic cost model);
 //! * [`solvers`] — the downstream layer the paper motivates: Krylov
@@ -139,9 +140,8 @@ pub mod prelude {
     pub use crate::Error;
     pub use mps_core::{
         merge_spadd, merge_spgemm, merge_spmm, merge_spmv, spmv_rowwise, AdvisedSpmvPlan,
-        CmrsSpmvPlan, FormatAdvisor, FormatChoice, FormatDecision, PlanError, SellSpmvPlan,
-        SpAddConfig, SpAddPlan, SpgemmConfig, SpgemmPlan, SpmmConfig, SpmmPlan, SpmvConfig,
-        SpmvPlan, Workspace,
+        CmrsSpmvPlan, FormatAdvisor, FormatChoice, FormatDecision, PlanError, SpAddConfig,
+        SpAddPlan, SpgemmConfig, SpgemmPlan, SpmmConfig, SpmmPlan, SpmvConfig, SpmvPlan, Workspace,
     };
     pub use mps_engine::{
         EngineConfig, EngineConfigBuilder, EngineError, EngineOutput, EngineStats, Service,
@@ -151,7 +151,7 @@ pub mod prelude {
     pub use mps_solvers::{block_cg, cg, AmgHierarchy, AmgOptions, SolverOptions};
     pub use mps_sparse::{
         gen, suite::SuiteMatrix, CmrsMatrix, CooError, CooMatrix, CsrMatrix, DenseBlock,
-        MatrixStats, SellCSigmaMatrix,
+        MatrixStats,
     };
 }
 

@@ -1,11 +1,11 @@
 //! Pinned advisor decision table over the Table II suite.
 //!
-//! The [`FormatAdvisor`] routes each pattern to merge-CSR, CMRS, or
-//! SELL-C-σ from cost-model predictions alone. This test freezes the
-//! decision it makes for every suite matrix at the scale the `formats`
-//! bench runs, so a cost-model change that silently flips a format choice
-//! fails loudly — naming the matrix and showing both predicted costs —
-//! instead of surfacing later as a benchmark regression.
+//! The [`FormatAdvisor`] routes each pattern to merge-CSR or CMRS from
+//! cost-model predictions alone. This test freezes the decision it makes
+//! for every suite matrix at the scale the `formats` bench runs, so a
+//! cost-model change that silently flips a format choice fails loudly —
+//! naming the matrix and showing both predicted costs — instead of
+//! surfacing later as a benchmark regression.
 
 use merge_path_sparse::prelude::*;
 use mps_core::SpmvConfig;
@@ -41,13 +41,12 @@ fn advisor_decision_table_is_pinned_on_the_suite() {
         let d = advisor.advise(&device, &a, &cfg);
         if d.choice != expected(m) {
             wrong.push(format!(
-                "{}: advised {} (want {}) — predicted cycles merge={:.0} cmrs={:.0} sell={:.0}",
+                "{}: advised {} (want {}) — predicted cycles merge={:.0} cmrs={:.0}",
                 m.name(),
                 d.choice,
                 expected(m),
                 d.merge_cycles,
                 d.cmrs_cycles,
-                d.sell_cycles,
             ));
         }
     }

@@ -1,9 +1,7 @@
-//! Property suite for the format zoo conversions: `csr → cmrs → csr` and
-//! `csr → sell-c-σ → csr` must be lossless — pattern and values bit for
-//! bit — across arbitrary shapes, strip heights, and (C, σ) choices,
-//! including empty rows, entirely empty matrices, and single-column
-//! shapes. Failures shrink to small witnesses via
-//! `mps_testkit::strategies::minimize`.
+//! Property suite for the CMRS conversion: `csr → cmrs → csr` must be
+//! lossless — pattern and values bit for bit — across arbitrary shapes
+//! and strip heights, including empty rows, entirely empty matrices, and
+//! single-column shapes.
 
 use merge_path_sparse::prelude::*;
 use mps_testkit::strategies;
@@ -22,24 +20,14 @@ fn assert_cmrs_roundtrip(m: &CsrMatrix, strip_height: usize) {
     assert_eq!(&back, m, "cmrs round trip must be lossless");
 }
 
-fn assert_sell_roundtrip(m: &CsrMatrix, chunk: usize, sigma: usize) {
-    let sell = SellCSigmaMatrix::from_csr_with(m, chunk, sigma);
-    sell.validate().expect("sell invariants");
-    assert_eq!(sell.nnz(), m.nnz(), "pads must not count as entries");
-    let back = sell.to_csr();
-    back.validate().expect("reconstruction is well-formed");
-    assert_eq!(&back, m, "sell-c-sigma round trip must be lossless");
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Arbitrary sprinkled matrices (empty-row strides included) through
-    /// both conversions at their default parameters.
+    /// the conversion at its default strip height.
     #[test]
     fn default_parameters_round_trip(a in strategies::csr(96, 96)) {
         assert_cmrs_roundtrip(&a, 16);
-        assert_sell_roundtrip(&a, 32, 256);
     }
 
     /// Strip height swept independently of the matrix, down to
@@ -50,17 +38,6 @@ proptest! {
         h in 1usize..70,
     ) {
         assert_cmrs_roundtrip(&a, h);
-    }
-
-    /// Chunk and σ swept independently, including σ < C (sort windows
-    /// smaller than a slice) and σ far beyond the row count.
-    #[test]
-    fn sell_round_trips_at_any_chunk_and_sigma(
-        a in strategies::csr(64, 64),
-        c in 1usize..40,
-        s in 1usize..300,
-    ) {
-        assert_sell_roundtrip(&a, c, s);
     }
 }
 
@@ -86,30 +63,5 @@ fn edge_shapes_round_trip_exactly() {
         for h in [1, 3, 16] {
             assert_cmrs_roundtrip(m, h);
         }
-        for (c, s) in [(1, 1), (32, 256), (8, 4), (64, 1000)] {
-            assert_sell_roundtrip(m, c, s);
-        }
     }
-}
-
-/// A conversion-level failure must shrink to a small witness. Synthetic
-/// predicate: SELL pads the matrix at all (σ-window of 8, chunk 4), which
-/// survives row/column halving down to a tiny skewed block.
-#[test]
-fn minimize_shrinks_a_padding_witness() {
-    let a = strategies::sprinkled(96, 96, 2, 5, 41);
-    let pads = |m: &CsrMatrix| SellCSigmaMatrix::from_csr_with(m, 4, 8).padded_len() > m.nnz();
-    assert!(pads(&a), "seed matrix must pad");
-    let small = strategies::minimize(&a, pads);
-    assert!(pads(&small), "minimization must preserve the property");
-    assert!(
-        small.nnz() <= a.nnz() / 4,
-        "witness barely shrank: {} of {} nnz",
-        small.nnz(),
-        a.nnz()
-    );
-    // The witness itself still round-trips — the property was padding,
-    // not corruption.
-    assert_sell_roundtrip(&small, 4, 8);
-    assert_cmrs_roundtrip(&small, 4);
 }
