@@ -6,7 +6,9 @@
 //! measures both: per-solver rows report `sim_ms` next to measured
 //! `host_ms` per iteration, and a planned-vs-per-call PCG comparison
 //! quantifies what plan reuse buys. A `phases` table splits each solver's
-//! simulated time by phase from its [`SolveReport`]'s ledger. [`report`]
+//! simulated time by phase from its [`SolveReport`]'s ledger, and a
+//! `levels` table shows the merge-path tile each operator of the AMG
+//! hierarchy was partitioned at ([`mps_core::tile_spacing`]). [`report`]
 //! is the `solvers` experiment of `mps bench` (`BENCH_solvers.json`), so
 //! the trajectory is tracked across PRs, and [`gates`] checks it.
 
@@ -51,6 +53,53 @@ impl SolverRow {
     pub fn host_ms_per_iter(&self) -> f64 {
         self.host_ms / self.iterations.max(1) as f64
     }
+}
+
+/// One operator of an AMG hierarchy and its planned SpMV launch.
+#[derive(Debug, Clone)]
+pub struct LevelRow {
+    /// `A<l>`, `P<l>` or `P<l>^T` for level `l`.
+    pub operator: String,
+    pub rows: usize,
+    pub nnz: usize,
+    /// Nonzeros per CTA of the operator's merge-path partition.
+    pub tile: usize,
+    /// CTAs of its single-pass launch.
+    pub ctas: usize,
+    /// Simulated µs of one planned SpMV.
+    pub spmv_sim_us: f64,
+}
+
+impl LevelRow {
+    fn new(operator: String, plan: &SpmvPlan) -> LevelRow {
+        let part = plan.partition_structure();
+        LevelRow {
+            operator,
+            rows: part.num_rows,
+            nnz: part.nnz,
+            tile: part.nv,
+            ctas: plan.reduction_stats().per_cta_cycles.len(),
+            spmv_sim_us: plan.execute_sim_ms() * 1e3,
+        }
+    }
+}
+
+/// Every operator of `h`, level by level: `A`, then `P` and `Pᵀ` on every
+/// level but the coarsest.
+pub fn levels(h: &AmgHierarchy) -> Vec<LevelRow> {
+    h.levels
+        .iter()
+        .enumerate()
+        .flat_map(|(l, level)| {
+            [
+                (format!("A{l}"), Some(&level.a_plan)),
+                (format!("P{l}"), level.p_plan.as_ref()),
+                (format!("P{l}^T"), level.pt_plan.as_ref()),
+            ]
+            .into_iter()
+            .filter_map(|(name, plan)| plan.map(|p| LevelRow::new(name, p)))
+        })
+        .collect()
 }
 
 /// Planned-vs-per-call PCG comparison on one operator.
@@ -205,18 +254,28 @@ pub fn spmv_plan_comparison(device: &Device, a: &CsrMatrix, iters: usize) -> Pla
     }
 }
 
-/// Run the solver suite on a Poisson operator of `grid`×`grid` unknowns.
-pub fn run(device: &Device, grid: usize) -> Vec<SolverRow> {
-    let a = gen::stencil_5pt(grid, grid);
+/// Run the solver suite on the finest operator of `h`, AMG-PCG
+/// preconditioned by `h`.
+pub fn run(device: &Device, h: &AmgHierarchy) -> Vec<SolverRow> {
+    let a = &h.levels[0].a;
     let b = point_source(a.num_rows);
     let opts = SolverOptions::default();
-    let jacobi = JacobiPreconditioner::new(&a);
-    let h = AmgHierarchy::build(device, a.clone(), AmgOptions::default());
+    let jacobi = JacobiPreconditioner::new(a);
     vec![
-        SolverRow::new("cg", &a, cg(device, &a, &b, &opts)),
-        SolverRow::new("pcg_jacobi", &a, pcg(device, &a, &b, &jacobi, &opts)),
-        SolverRow::new("pcg_amg", &a, pcg(device, &a, &b, &h, &opts)),
+        SolverRow::new("cg", a, cg(device, a, &b, &opts)),
+        SolverRow::new("pcg_jacobi", a, pcg(device, a, &b, &jacobi, &opts)),
+        SolverRow::new("pcg_amg", a, pcg(device, a, &b, h, &opts)),
     ]
+}
+
+/// The AMG hierarchy of the Poisson operator on a `grid`×`grid` grid.
+fn poisson_hierarchy(device: &Device, grid: usize) -> AmgHierarchy {
+    AmgHierarchy::build(device, gen::stencil_5pt(grid, grid), AmgOptions::default())
+}
+
+/// The device every solvers report runs on.
+fn device() -> Device {
+    Device::titan()
 }
 
 /// `(grid, iterations, spmv_grid)` of the smoke run.
@@ -227,9 +286,11 @@ const FULL: (usize, usize, usize) = (48, 25, 96);
 /// Run the solver rows and both plan comparisons, print them, and return
 /// the report.
 pub fn report(tiny: bool) -> Report {
-    let device = Device::titan();
+    let device = device();
     let (grid, iters, spmv_grid) = if tiny { TINY } else { FULL };
-    let rows = run(&device, grid);
+    let hierarchy = poisson_hierarchy(&device, grid);
+    let rows = run(&device, &hierarchy);
+    let levels = levels(&hierarchy);
     let phases: Vec<(&str, PhaseEntry)> = rows
         .iter()
         .flat_map(|r| r.ledger.entries().into_iter().map(move |e| (r.solver, e)))
@@ -243,6 +304,7 @@ pub fn report(tiny: bool) -> Report {
     for r in &rows {
         println!("{}:\n{}", r.solver, r.ledger.render());
     }
+    println!("{}", render_levels(&levels));
     for (kind, c) in &comparisons {
         println!(
             "{kind} host ms/iter: per-call {:.4}, planned {:.4} ({:.2}x)",
@@ -278,6 +340,18 @@ pub fn report(tiny: bool) -> Report {
             ],
         )
         .with_table(
+            "levels",
+            &levels,
+            &[
+                ("operator", "", |l| l.operator.as_str().into()),
+                ("rows", "count", |l| l.rows.into()),
+                ("nnz", "count", |l| l.nnz.into()),
+                ("tile", "nnz", |l| l.tile.into()),
+                ("ctas", "count", |l| l.ctas.into()),
+                ("spmv_sim_us", "us", |l| l.spmv_sim_us.into()),
+            ],
+        )
+        .with_table(
             "plan_comparisons",
             &comparisons,
             &[
@@ -298,8 +372,11 @@ pub fn report(tiny: bool) -> Report {
 
 /// What a solvers report must show: AMG-PCG needs under a third of
 /// Jacobi-PCG's iterations and less simulated time than CG and Jacobi-PCG,
-/// and every row's phase ledger adds up to its simulated time. Host times
-/// are not gated.
+/// every row's phase ledger adds up to its simulated time, and every
+/// hierarchy operator's tile follows [`mps_core::tile_spacing`]: one
+/// with fewer nonzeros than the SMs fill at the configured tile launches
+/// at most one CTA per SM, and every larger one keeps the configured
+/// tile. Host times are not gated.
 pub fn gates(r: &Report) -> Vec<String> {
     let mut g = Gates::default();
     let rows = r.rows("solvers");
@@ -324,7 +401,50 @@ pub fn gates(r: &Report) -> Vec<String> {
             (row.num("ledger_ms") - row.num("sim_ms")).abs() <= 1e-12
         })],
     );
+    let levels = r.rows("levels");
+    g.check(!levels.is_empty(), "levels: at least one row");
+    g.each(
+        &levels,
+        "operator",
+        &[
+            ("sub-threshold ctas <= num_sms", |l| {
+                let (sms, nv) = merge_tile();
+                l.num("nnz") >= (sms * nv) as f64 || l.num("ctas") <= sms as f64
+            }),
+            ("tile == nv at or above num_sms·nv nonzeros", |l| {
+                let (sms, nv) = merge_tile();
+                l.num("nnz") < (sms * nv) as f64 || l.num("tile") == nv as f64
+            }),
+        ],
+    );
     g.failures()
+}
+
+/// The SM count and configured merge tile the report's plans were built
+/// with.
+fn merge_tile() -> (usize, usize) {
+    (device().props.num_sms, SpmvConfig::default().nv())
+}
+
+/// Render the levels table.
+pub fn render_levels(levels: &[LevelRow]) -> String {
+    let data: Vec<Vec<String>> = levels
+        .iter()
+        .map(|l| {
+            vec![
+                l.operator.clone(),
+                l.rows.to_string(),
+                l.nnz.to_string(),
+                l.tile.to_string(),
+                l.ctas.to_string(),
+                format!("{:.3}", l.spmv_sim_us),
+            ]
+        })
+        .collect();
+    crate::render_table(
+        &["operator", "rows", "nnz", "tile", "ctas", "spmv_sim_us"],
+        &data,
+    )
 }
 
 /// Render the solver table.
@@ -358,7 +478,7 @@ mod tests {
 
     #[test]
     fn rows_report_host_time() {
-        let rows = run(&dev(), 16);
+        let rows = run(&dev(), &poisson_hierarchy(&dev(), 16));
         assert_eq!(rows.len(), 3);
         for r in &rows {
             assert!(r.host_ms > 0.0, "{} must measure host time", r.solver);
@@ -374,6 +494,43 @@ mod tests {
         assert!(!r.rows("phases").is_empty());
         *r.cell_mut("solvers", 2, "ledger_ms").expect("cell") = 1.0.into();
         assert_eq!(gates(&r), ["ledger_ms == sim_ms (pcg_amg)"]);
+    }
+
+    #[test]
+    fn levels_gate_names_an_operator_off_the_tile_rule() {
+        let mut r = report(true);
+        let levels = r.rows("levels");
+        let (sms, nv) = merge_tile();
+        let small = levels
+            .iter()
+            .position(|l| l.num("nnz") < (sms * nv) as f64)
+            .expect("the 24×24 hierarchy has sub-threshold operators");
+        let name = levels[small].text("operator").to_string();
+        *r.cell_mut("levels", small, "ctas").expect("cell") = (sms + 1).into();
+        assert_eq!(
+            gates(&r),
+            [format!("sub-threshold ctas <= num_sms ({name})")]
+        );
+    }
+
+    #[test]
+    fn levels_follow_the_tile_rule_on_the_48_grid() {
+        let rows = levels(&poisson_hierarchy(&dev(), 48));
+        let names: Vec<&str> = rows.iter().map(|l| l.operator.as_str()).collect();
+        assert_eq!(
+            names,
+            ["A0", "P0", "P0^T", "A1", "P1", "P1^T", "A2", "P2", "P2^T", "A3"]
+        );
+        let (sms, nv) = merge_tile();
+        for l in &rows {
+            let want = mps_core::tile_spacing(sms, l.nnz, SpmvConfig::default().block_threads, nv);
+            assert_eq!(l.tile, want, "{}", l.operator);
+            assert_eq!(l.ctas, l.nnz.div_ceil(l.tile), "{}", l.operator);
+        }
+        // A1 fills every SM at the configured tile; A2 spreads its
+        // 2776 nonzeros over all 14.
+        assert_eq!((rows[3].tile, rows[3].ctas), (nv, 28));
+        assert_eq!((rows[6].nnz, rows[6].ctas), (2776, sms));
     }
 
     #[test]

@@ -12,7 +12,11 @@
 //!   execute. Both arms are timed in host wall-clock (matrix assembly
 //!   and value generation are outside both timers) and every round's
 //!   outputs are compared **bitwise** — the update path must be a pure
-//!   shortcut, not an approximation. The headline number is the
+//!   shortcut, not an approximation. Each arm's time per matrix is its
+//!   fastest round: preemption and VM stalls only ever add time, and a
+//!   single multi-millisecond stall would otherwise swamp a
+//!   few-millisecond update arm (the `spmm_exp` and
+//!   `solver_exp::plan_comparison` method). The headline number is the
 //!   per-suite and total rebuild/update speedup; the acceptance gate
 //!   demands ≥3x and zero divergences. (The engine/service layers ride
 //!   the same mechanism through `submit_update`, but memoize pattern
@@ -92,12 +96,13 @@ pub struct SuiteRow {
     pub rows: usize,
     pub nnz: usize,
     pub rounds: usize,
-    /// Host wall-clock of all update-path rounds (value swap + cached-plan
+    /// Host wall-clock of the fastest update-path round (value swap +
+    /// cached-plan execute).
+    pub update_round_ms: f64,
+    /// Host wall-clock of the fastest rebuild-path round (cold plan +
     /// execute).
-    pub update_host_ms: f64,
-    /// Host wall-clock of all rebuild-path rounds (cold plan + execute).
-    pub rebuild_host_ms: f64,
-    /// `rebuild_host_ms / update_host_ms`.
+    pub rebuild_round_ms: f64,
+    /// `rebuild_round_ms / update_round_ms`.
     pub speedup: f64,
     /// Rounds whose two arms disagreed bitwise (must be 0).
     pub divergences: usize,
@@ -126,8 +131,9 @@ pub struct PageRankStreamReport {
 pub struct StreamBenchReport {
     pub mode: String,
     pub suite: Vec<SuiteRow>,
-    pub total_update_host_ms: f64,
-    pub total_rebuild_host_ms: f64,
+    /// Sums of the matrices' fastest rounds.
+    pub total_update_round_ms: f64,
+    pub total_rebuild_round_ms: f64,
     pub total_speedup: f64,
     pub total_divergences: usize,
     pub pagerank: PageRankStreamReport,
@@ -161,14 +167,16 @@ fn run_matrix(device: &Device, name: &'static str, m: CsrMatrix, rounds: usize) 
     // identical values, but the partition is planned from scratch every
     // round (matrix assembly and value generation stay off the clock;
     // planning and execution are on it). The arms alternate round by
-    // round, so a slow spell of the host falls on both.
+    // round, so a slow spell of the host falls on both, and each keeps
+    // its fastest round.
+    assert!(rounds > 0, "at least one round per arm");
     let cfg = SpmvConfig::default();
     let plan = SpmvPlan::new(device, &m, &cfg);
     let mut a = m.clone();
     let mut ws = Workspace::new();
     let mut y = Vec::new();
     plan.execute_into(&a, &x, &mut y, &mut ws); // warm buffers, off the clock
-    let (mut update_ns, mut rebuild_ns) = (0u128, 0u128);
+    let (mut update_ns, mut rebuild_ns) = (u128::MAX, u128::MAX);
     let mut divergences = 0usize;
     for r in 0..rounds {
         let vals = round_values(nnz, r);
@@ -177,28 +185,28 @@ fn run_matrix(device: &Device, name: &'static str, m: CsrMatrix, rounds: usize) 
         let t0 = Instant::now();
         plan.update_values(&mut a, vals).expect("matching length");
         plan.execute_into(&a, &x, &mut y, &mut ws);
-        update_ns += t0.elapsed().as_nanos();
+        update_ns = update_ns.min(t0.elapsed().as_nanos());
         let expected = bits_of(&y);
 
         let t0 = Instant::now();
         let cold = SpmvPlan::new(device, &fresh, &cfg);
         cold.execute_into(&fresh, &x, &mut y, &mut ws);
-        rebuild_ns += t0.elapsed().as_nanos();
+        rebuild_ns = rebuild_ns.min(t0.elapsed().as_nanos());
         if bits_of(&y) != expected {
             divergences += 1;
         }
     }
 
-    let update_host_ms = update_ns as f64 / 1e6;
-    let rebuild_host_ms = rebuild_ns as f64 / 1e6;
+    let update_round_ms = update_ns as f64 / 1e6;
+    let rebuild_round_ms = rebuild_ns as f64 / 1e6;
     SuiteRow {
         name,
         rows: n_rows,
         nnz,
         rounds,
-        update_host_ms,
-        rebuild_host_ms,
-        speedup: rebuild_host_ms / update_host_ms.max(1e-9),
+        update_round_ms,
+        rebuild_round_ms,
+        speedup: rebuild_round_ms / update_round_ms.max(1e-9),
         divergences,
     }
 }
@@ -250,12 +258,12 @@ pub fn run(device: &Device, opts: &StreamOptions) -> StreamBenchReport {
         .iter()
         .map(|s| run_matrix(device, s.name(), s.generate(opts.scale), opts.rounds))
         .collect();
-    let total_update: f64 = suite.iter().map(|r| r.update_host_ms).sum();
-    let total_rebuild: f64 = suite.iter().map(|r| r.rebuild_host_ms).sum();
+    let total_update: f64 = suite.iter().map(|r| r.update_round_ms).sum();
+    let total_rebuild: f64 = suite.iter().map(|r| r.rebuild_round_ms).sum();
     StreamBenchReport {
         mode: opts.mode.to_string(),
-        total_update_host_ms: total_update,
-        total_rebuild_host_ms: total_rebuild,
+        total_update_round_ms: total_update,
+        total_rebuild_round_ms: total_rebuild,
         total_speedup: total_rebuild / total_update.max(1e-9),
         total_divergences: suite.iter().map(|r| r.divergences).sum(),
         suite,
@@ -289,8 +297,8 @@ fn to_report(s: &StreamBenchReport, tiny: bool) -> Report {
                 ("rows", "count", |m| m.rows.into()),
                 ("nnz", "count", |m| m.nnz.into()),
                 ("rounds", "count", |m| m.rounds.into()),
-                ("update_host_ms", "ms", |m| m.update_host_ms.into()),
-                ("rebuild_host_ms", "ms", |m| m.rebuild_host_ms.into()),
+                ("update_round_ms", "ms", |m| m.update_round_ms.into()),
+                ("rebuild_round_ms", "ms", |m| m.rebuild_round_ms.into()),
                 ("speedup", "x", |m| m.speedup.into()),
                 ("divergences", "count", |m| m.divergences.into()),
             ],
@@ -299,8 +307,10 @@ fn to_report(s: &StreamBenchReport, tiny: bool) -> Report {
             "total",
             std::slice::from_ref(s),
             &[
-                ("update_host_ms", "ms", |s| s.total_update_host_ms.into()),
-                ("rebuild_host_ms", "ms", |s| s.total_rebuild_host_ms.into()),
+                ("update_round_ms", "ms", |s| s.total_update_round_ms.into()),
+                ("rebuild_round_ms", "ms", |s| {
+                    s.total_rebuild_round_ms.into()
+                }),
                 ("speedup", "x", |s| s.total_speedup.into()),
                 ("divergences", "count", |s| s.total_divergences.into()),
             ],
@@ -323,7 +333,8 @@ fn to_report(s: &StreamBenchReport, tiny: bool) -> Report {
         )
 }
 
-/// Value updates beat rebuilds 3x with zero divergences; the PageRank
+/// Value updates beat rebuilds 3x (fastest rounds) with zero
+/// divergences; the PageRank
 /// stream's steady phase is all hits, converges every round, and
 /// exercises deltas.
 pub fn gates(r: &Report) -> Vec<String> {
@@ -367,7 +378,7 @@ pub fn gates(r: &Report) -> Vec<String> {
 /// Render the human-readable summary tables.
 pub fn render(r: &StreamBenchReport) -> String {
     let mut out = format!(
-        "value-mutation rounds ({} mode): {} rounds per matrix, update vs cold rebuild\n",
+        "value-mutation rounds ({} mode): fastest of {} rounds per matrix, update vs cold rebuild\n",
         r.mode,
         r.suite.first().map(|s| s.rounds).unwrap_or(0)
     );
@@ -378,8 +389,8 @@ pub fn render(r: &StreamBenchReport) -> String {
             vec![
                 s.name.to_string(),
                 s.nnz.to_string(),
-                format!("{:.3}", s.update_host_ms),
-                format!("{:.3}", s.rebuild_host_ms),
+                format!("{:.3}", s.update_round_ms),
+                format!("{:.3}", s.rebuild_round_ms),
                 format!("{:.2}x", s.speedup),
                 s.divergences.to_string(),
             ]
@@ -398,7 +409,7 @@ pub fn render(r: &StreamBenchReport) -> String {
     ));
     out.push_str(&format!(
         "total: update {:.3} ms vs rebuild {:.3} ms -> {:.2}x, {} divergences\n",
-        r.total_update_host_ms, r.total_rebuild_host_ms, r.total_speedup, r.total_divergences
+        r.total_update_round_ms, r.total_rebuild_round_ms, r.total_speedup, r.total_divergences
     ));
     let p = &r.pagerank;
     out.push_str(&format!(

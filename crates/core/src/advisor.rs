@@ -22,6 +22,7 @@ use mps_sparse::cmrs::CMRS_DEFAULT_STRIP_HEIGHT;
 use mps_sparse::{CsrMatrix, MatrixStats};
 
 use crate::format_spmv::{format_grid, CmrsSpmvPlan};
+use crate::partition::tile_spacing;
 use crate::{SpmvConfig, SpmvPlan, Workspace};
 
 /// The storage format + kernel an advised plan executes with.
@@ -199,14 +200,21 @@ impl FormatAdvisor {
         w.tx
     }
 
-    /// Workload of the merge-path CSR kernel: flat decomposition (no
-    /// imbalance), but per-item shared-memory segmented reduce, two
-    /// barriers per CTA, and the carry look-back. `gathers` is the
-    /// [`FormatAdvisor::merge_gather_tx`] replay.
-    pub fn merge_workload(a: &CsrMatrix, cfg: &SpmvConfig, gathers: u64) -> SpmvWorkload {
+    /// Workload of the merge-path CSR kernel on `num_sms` SMs: flat
+    /// decomposition (no imbalance) over the CTAs a [`SpmvPlan`] launches
+    /// (see [`tile_spacing`]), but per-item shared-memory segmented
+    /// reduce, two barriers per CTA, and the carry look-back. `gathers` is
+    /// the [`FormatAdvisor::merge_gather_tx`] replay.
+    pub fn merge_workload(
+        a: &CsrMatrix,
+        cfg: &SpmvConfig,
+        num_sms: usize,
+        gathers: u64,
+    ) -> SpmvWorkload {
         let nnz = a.nnz() as u64;
         let rows = a.num_rows as u64;
-        let ctas = a.nnz().div_ceil(cfg.nv()).max(1) as u64;
+        let spacing = tile_spacing(num_sms, a.nnz(), cfg.block_threads, cfg.nv());
+        let ctas = a.nnz().div_ceil(spacing).max(1) as u64;
         SpmvWorkload {
             ctas,
             // Row-offset windows + column stream + value stream + output
@@ -258,7 +266,7 @@ impl FormatAdvisor {
         let slots = (props.num_sms * props.max_ctas_per_sm) as u64;
         let cost = &device.cost;
         let merge_cycles = cost.predict_spmv(
-            &Self::merge_workload(a, cfg, Self::merge_gather_tx(a)),
+            &Self::merge_workload(a, cfg, props.num_sms, Self::merge_gather_tx(a)),
             slots,
         );
         let cmrs_cycles = cost.predict_spmv(

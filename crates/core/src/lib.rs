@@ -5,8 +5,10 @@
 //! CTA, independent of row segmentation — so processing time tracks total
 //! work with correlation ≈ 1 across wildly different sparsity structures.
 //!
-//! * [`spmv`] — CSR SpMV in three phases (partition / reduction / update),
-//!   with adaptive empty-row compaction (Section III-A);
+//! * [`spmv`] — CSR SpMV by a build-time partition and one single-pass
+//!   reduction launch per planned execute, with adaptive empty-row
+//!   compaction (Section III-A); only the one-shot [`merge_spmv`] still
+//!   prices the paper's separate update launch;
 //! * [`spmm`] — CSR × dense multi-vector by the same decomposition, column
 //!   tiled so one traversal of A's nonzeros produces `TILE_K` output
 //!   columns, sharing the [`partition`] phase with SpMV;
@@ -22,7 +24,10 @@
 //! cheaper plan.
 //!
 //! All kernels run on the [`mps_simt`] virtual device and report both their
-//! results and the simulated cost of every launch.
+//! results and the simulated cost of every launch. The merge-path CTA tile
+//! is fixed for large operators and spreads a small one over every SM
+//! ([`partition::tile_spacing`]), so a small operator's result bits depend
+//! on the device's SM count as well as its pattern.
 
 pub mod advisor;
 pub mod assemble;
@@ -45,7 +50,7 @@ pub use config::{SpAddConfig, SpgemmConfig, SpmmConfig, SpmvConfig};
 pub use delta::{apply_delta, apply_delta_reference, CsrDelta, DeltaApplied};
 pub use error::PlanError;
 pub use format_spmv::{spmv_rowwise, CmrsSpmvPlan};
-pub use partition::MergePartition;
+pub use partition::{tile_spacing, MergePartition};
 pub use spadd::{merge_spadd, SpAddPlan, SpAddResult};
 pub use spgemm::{
     merge_spgemm, BinClass, BinSummary, HashAccumulator, PhaseTimes, RowBins, SpgemmPlan,

@@ -144,7 +144,7 @@ fn spmv_numeric_charge(
     epilogue: Option<&Epilogue>,
 ) -> NumericCharge {
     let nnz = plan.part.nnz;
-    let nv = plan.cfg.nv();
+    let nv = plan.part.nv;
     let offsets_ref = &plan.part.offsets;
     let part = &plan.part;
     let links = tile_links(part, a);
@@ -217,7 +217,7 @@ fn spmv_numeric_charge(
 /// tile links derived per nonzero rather than the build's walked ones.
 fn spmm_tiled_charge(plan: &mut SpmmPlan, device: &Device, a: &CsrMatrix, _: &[TileLink]) {
     let nnz = plan.part.nnz;
-    let nv = plan.cfg.nv();
+    let nv = plan.part.nv;
     let k = plan.k;
     let part = &plan.part;
     let offsets = &plan.part.offsets;

@@ -6,9 +6,11 @@
 //! decomposition popularized by Yang, Buluç and Owens for merge-based SpMM:
 //!
 //! * The **partition** phase is unchanged — boundaries depend only on the
-//!   sparsity pattern and the tile size, never on how many output columns
+//!   sparsity pattern, the tile configuration and the device's SM count
+//!   ([`crate::partition::tile_spacing`]), never on how many output columns
 //!   are produced. A plan builds one [`MergePartition`] and re-walks the
-//!   identical CTA boundaries for every column tile.
+//!   identical CTA boundaries for every column tile, so with the SpMV
+//!   defaults on one device each column sums exactly as a planned SpMV.
 //! * The **reduction** phase processes a tile of `TILE_K` output columns
 //!   per launch: each nonzero gathers a contiguous `TILE_K`-wide run of the
 //!   operand block's row (row-major [`DenseBlock`] layout) instead of one
@@ -155,7 +157,13 @@ impl SpmmPlan {
         cfg: &SpmmConfig,
         charge: fn(&mut SpmmPlan, &Device, &CsrMatrix, &[TileLink]),
     ) -> SpmmPlan {
-        let mut part = MergePartition::build(device, a, cfg.nv(), cfg.force_no_compaction);
+        let mut part = MergePartition::build(
+            device,
+            a,
+            cfg.block_threads,
+            cfg.nv(),
+            cfg.force_no_compaction,
+        );
         let partition = std::mem::take(&mut part.stats);
         let fixup = std::mem::take(&mut part.fixup);
         let (prezero, links) = part.walk_rows();
@@ -223,7 +231,7 @@ impl SpmmPlan {
         links: &[TileLink],
     ) {
         let nnz = self.part.nnz;
-        let nv = self.cfg.nv();
+        let nv = self.part.nv;
         let k = self.k;
         let part = &self.part;
 
@@ -341,7 +349,7 @@ impl SpmmPlan {
             // (`spmv_segment_walk` is `#[inline(never)]`). No column-tile
             // iterator, no strided addressing, no width dispatch: a k=1
             // SpMM is the planned SpMV in machine code, bits, and cost.
-            spmv_segment_walk(&self.part, self.cfg.nv(), a, &x.data, &mut y.data, carries);
+            spmv_segment_walk(&self.part, a, &x.data, &mut y.data, carries);
             return;
         }
 
@@ -403,7 +411,7 @@ impl SpmmPlan {
         w: usize,
     ) {
         let nnz = self.part.nnz;
-        let nv = self.cfg.nv();
+        let nv = self.part.nv;
         let k = self.k;
         let num_ctas = self.part.num_ctas();
 

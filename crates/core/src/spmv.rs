@@ -1,11 +1,15 @@
 //! Merge-path SpMV (Section III-A).
 //!
-//! Flat decomposition: each CTA processes exactly `nv` nonzeros regardless
-//! of row geometry.
+//! Flat decomposition: each CTA processes the same number of nonzeros
+//! regardless of row geometry: the configured tile `nv`, or, for an
+//! operator too small to fill every SM at that tile, its nonzeros spread
+//! over one CTA per SM ([`crate::partition::tile_spacing`]). The tile, and
+//! so the summation order, depends on the pattern, `nv`, the CTA width and
+//! the device's SM count; every path below reads it from the partition.
 //!
 //! 1. **Partition** — one binary search per CTA boundary into the CSR row
 //!    offsets, recording the row containing each CTA's first nonzero in the
-//!    auxiliary buffer `S`.
+//!    auxiliary buffer `S`. A plan runs it once, at build.
 //! 2. **Reduction** — each CTA loads its nonzeros in striped (coalesced)
 //!    order, gathers `x`, forms the products, transposes to blocked order
 //!    and runs a CTA-wide segmented scan.
@@ -27,10 +31,11 @@
 //! single pass an empty row is stored by the CTA whose rows surround it.
 //!
 //! **Plan/execute split.** Every phase's simulated cost is a function of the
-//! sparsity structure alone — the partition boundaries, the row walk, the
-//! segment layout and the carry links never depend on the numeric values.
-//! A [`SpmvPlan`] therefore charges the full pipeline once at build time and
-//! caches the launch's [`LaunchStats`]; each [`SpmvPlan::execute_into`]
+//! sparsity structure and the device alone — the partition boundaries, the
+//! row walk, the segment layout and the carry links never depend on the
+//! numeric values. A [`SpmvPlan`] therefore charges the full pipeline once
+//! at build time and caches the launch's [`LaunchStats`]; each
+//! [`SpmvPlan::execute_into`]
 //! afterwards is a pure flat loop over the precomputed maps that reproduces
 //! the kernel's floating-point summation order exactly (per-CTA segmented
 //! sums, then the carries added in CTA order onto the row's last segment, or
@@ -115,8 +120,8 @@ impl SpmvResult {
 /// Iterative solvers apply the same operator hundreds of times. Everything
 /// the simulated pipeline does except the arithmetic itself — partitioning,
 /// the row walk, segment layout, carry links, and therefore the entire
-/// cost model — depends only on the sparsity pattern, so a plan pays all of
-/// it once: [`SpmvPlan::new`] runs the partition *and* charges the
+/// cost model — depends only on the sparsity pattern and the device, so a
+/// plan pays all of it once: [`SpmvPlan::new`] runs the partition *and* charges the
 /// single-pass reduction launch against the device, and every subsequent
 /// [`SpmvPlan::execute`]/[`SpmvPlan::execute_into`] performs only the flat
 /// numeric work.
@@ -345,7 +350,8 @@ pub(crate) fn finish_rows(cta: &mut Cta, link: &TileLink, epilogue: Option<&Epil
 /// loads, the `x` gather, the products, the exchange and the scan. Both
 /// pricings of merge SpMV (the plans' single pass and the one-shot's
 /// three phases) start every reduction CTA with this body.
-fn charge_tile(cta: &mut Cta, part: &MergePartition, a: &CsrMatrix, nv: usize) {
+fn charge_tile(cta: &mut Cta, part: &MergePartition, a: &CsrMatrix) {
+    let nv = part.nv;
     let lo = cta.cta_id * nv;
     let hi = (lo + nv).min(part.nnz);
     let count = hi - lo;
@@ -391,14 +397,14 @@ fn charge_three_phase(
     a: &CsrMatrix,
     cfg: &SpmvConfig,
 ) -> (LaunchStats, LaunchStats) {
-    let (nnz, nv) = (part.nnz, cfg.nv());
+    let (nnz, nv) = (part.nnz, part.nv);
     if nnz == 0 {
         return Default::default();
     }
     let cfg_red = LaunchConfig::new(part.num_ctas(), cfg.block_threads);
     let (carries, reduction) =
         launch_map_phased(device, "spmv_reduce", Phase::Reduction, cfg_red, |cta| {
-            charge_tile(cta, part, a, nv);
+            charge_tile(cta, part, a);
             // Every segment but the tile's last is a row the tile
             // completes; the last is the carry.
             let hi = ((cta.cta_id + 1) * nv).min(nnz);
@@ -467,7 +473,13 @@ impl SpmvPlan {
         cfg: &SpmvConfig,
         charge: ChargeFn,
     ) -> SpmvPlan {
-        let mut part = MergePartition::build(device, a, cfg.nv(), cfg.force_no_compaction);
+        let mut part = MergePartition::build(
+            device,
+            a,
+            cfg.block_threads,
+            cfg.nv(),
+            cfg.force_no_compaction,
+        );
         let partition = std::mem::take(&mut part.stats);
         let fixup = std::mem::take(&mut part.fixup);
         let (prezero, links) = part.walk_rows();
@@ -535,7 +547,6 @@ impl SpmvPlan {
         epilogue: Option<&Epilogue>,
     ) -> NumericCharge {
         let nnz = self.part.nnz;
-        let nv = self.cfg.nv();
         let part = &self.part;
         let links = &self.links;
         if nnz == 0 && (epilogue.is_none() || links.is_empty()) {
@@ -549,7 +560,7 @@ impl SpmvPlan {
         let (heads, reduction) =
             launch_map_phased(device, "spmv_reduce", Phase::Reduction, cfg_red, |cta| {
                 if nnz > 0 {
-                    charge_tile(cta, part, a, nv);
+                    charge_tile(cta, part, a);
                 }
                 let head = *cta.counters();
                 finish_rows(cta, &links[cta.cta_id], epilogue);
@@ -610,7 +621,7 @@ impl SpmvPlan {
         for &r in self.prezero.iter() {
             y[r as usize] = 0.0;
         }
-        spmv_segment_walk(&self.part, self.cfg.nv(), a, x, y, carries);
+        spmv_segment_walk(&self.part, a, x, y, carries);
     }
 
     /// Swap the numeric values of the planned matrix in place without
@@ -823,7 +834,6 @@ impl SpmvPlan {
 #[inline(never)]
 pub(crate) fn spmv_segment_walk(
     part: &MergePartition,
-    nv: usize,
     a: &CsrMatrix,
     x: &[f64],
     y: &mut [f64],
@@ -834,6 +844,7 @@ pub(crate) fn spmv_segment_walk(
     if nnz == 0 {
         return;
     }
+    let nv = part.nv;
     for cta_id in 0..part.num_ctas() {
         let hi = (cta_id * nv + nv).min(nnz);
         // Segment-wise walk: one gathered dot per (row × tile)
@@ -872,10 +883,16 @@ pub(crate) fn spmv_segment_walk(
 /// Panics if `x.len() != a.num_cols`.
 pub fn merge_spmv(device: &Device, a: &CsrMatrix, x: &[f64], cfg: &SpmvConfig) -> SpmvResult {
     assert_eq!(x.len(), a.num_cols, "x length must equal num_cols");
-    let mut part = MergePartition::build(device, a, cfg.nv(), cfg.force_no_compaction);
+    let mut part = MergePartition::build(
+        device,
+        a,
+        cfg.block_threads,
+        cfg.nv(),
+        cfg.force_no_compaction,
+    );
     let (reduction, update) = charge_three_phase(device, &part, a, cfg);
     let mut y = vec![0.0; a.num_rows];
-    spmv_segment_walk(&part, cfg.nv(), a, x, &mut y, &mut Vec::new());
+    spmv_segment_walk(&part, a, x, &mut y, &mut Vec::new());
     let mut partition = std::mem::take(&mut part.stats);
     partition.add(&part.fixup);
     SpmvResult {
@@ -1148,9 +1165,11 @@ mod tests {
 
     #[test]
     fn fused_epilogues_reach_every_row_once_bitwise() {
-        // 64-nonzero tiles. Row 0 spans four tiles; rows 2 and 5 end
-        // exactly on tile boundaries (256 and 320), so they only carry;
-        // rows 1 and 4 and every row past 9 are empty.
+        // 32-nonzero tiles: 421 nonzeros would fill 7 of the Titan's 14
+        // SMs at 64 per CTA, so they spread to one per thread instead.
+        // Row 0 spans seven tiles; rows 2 and 5 end exactly on tile
+        // boundaries (256 and 320), so they only carry; rows 1 and 4 and
+        // every row past 9 are empty.
         let cfg = SpmvConfig {
             block_threads: 32,
             items_per_thread: 2,
@@ -1178,6 +1197,7 @@ mod tests {
                 ..cfg
             };
             let plan = SpmvPlan::new(&dev(), &a, &cfg);
+            assert_eq!(plan.part.nv, 32);
             assert_eq!(plan.compacted(), !force_no_compaction);
             for row in [1, 2, 4, 5] {
                 assert!(plan.prezero.contains(&row), "row {row} is never assigned");

@@ -154,6 +154,9 @@ proptest! {
         draws in proptest::collection::vec(0usize..1000, 1..24),
     ) {
         let dev = Device::titan();
+        // One item per thread pins the tile at `nv` whatever the operator's
+        // size (`tile_spacing` clamps from block_threads up to nv), so
+        // the edges stay on tile boundaries.
         let nv = 32 * items;
         let edge = EDGES[edge];
         let a = square(&row_lengths(edge, nv, &draws));
@@ -182,8 +185,9 @@ proptest! {
         ];
         let want = merge_family(&a, nv, &x);
         for force_no_compaction in [false, true] {
-            let cfg = SpmvConfig { block_threads: 32, items_per_thread: items, force_no_compaction };
+            let cfg = SpmvConfig { block_threads: nv, items_per_thread: 1, force_no_compaction };
             let plan = SpmvPlan::new(&dev, &a, &cfg);
+            prop_assert_eq!(plan.partition_structure().nv, nv);
             let reference = reference::spmv_plan(&dev, &a, &cfg);
             prop_assert_eq!(format!("{plan:?}"), format!("{reference:?}"));
             let mut ws = Workspace::new();
@@ -213,7 +217,7 @@ proptest! {
                 prop_assert_eq!(price.per_cta_cycles.len(), plan.partition_structure().num_ctas().max(1));
             }
 
-            let spmm_cfg = SpmmConfig { block_threads: 32, items_per_thread: items, force_no_compaction, ..SpmmConfig::default() };
+            let spmm_cfg = SpmmConfig { block_threads: nv, items_per_thread: 1, force_no_compaction, ..SpmmConfig::default() };
             for k in [1usize, 3, 16, 17] {
                 let xs = DenseBlock::from_fn(n, k, |r, c| x[r] * (1.0 + c as f64 * 0.5));
                 let plan = SpmmPlan::new(&dev, &a, k, &spmm_cfg);

@@ -5,9 +5,11 @@ use mps_core::SpmmConfig;
 use crate::{ChaosConfig, EngineError};
 
 /// Engine tuning. Every plan the engine builds uses its kernel's default
-/// config; the SpMV and SpMM defaults share merge granularity
-/// (`nv = block_threads * items_per_thread`), which is what makes a
-/// batched SpMM column bitwise equal to the standalone SpMV it replaces.
+/// config on the service's device; the SpMV and SpMM defaults share merge
+/// granularity (the CTA width and `nv = block_threads * items_per_thread`,
+/// from which `mps_core::tile_spacing` spaces the CTA boundaries), which
+/// is what makes a batched SpMM column bitwise equal to the standalone
+/// SpMV it replaces.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Plans kept live in the LRU cache.
@@ -172,9 +174,15 @@ mod tests {
     use mps_core::{SpmmConfig, SpmvConfig};
 
     /// A batched SpMM column is bitwise the SpMV it replaces only while
-    /// both kernels' defaults cut the merge path at the same granularity.
+    /// both kernels' defaults cut the merge path at the same boundaries:
+    /// the partition reads the CTA width and the tile (its
+    /// `tile_spacing` rule) and whether empty rows are compacted.
     #[test]
     fn spmv_and_spmm_defaults_share_merge_granularity() {
-        assert_eq!(SpmvConfig::default().nv(), SpmmConfig::default().nv());
+        let (spmv, spmm) = (SpmvConfig::default(), SpmmConfig::default());
+        assert_eq!(spmv.block_threads, spmm.block_threads);
+        assert_eq!(spmv.items_per_thread, spmm.items_per_thread);
+        assert_eq!(spmv.nv(), spmm.nv());
+        assert_eq!(spmv.force_no_compaction, spmm.force_no_compaction);
     }
 }

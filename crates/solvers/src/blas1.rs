@@ -6,10 +6,11 @@
 //! while each still gets an element per thread. It stops at the SM count
 //! because the cost model gives every CTA one SM's share of the DRAM
 //! bandwidth, so CTAs sharing an SM would together draw more than the
-//! device has. A launch that reduces combines its CTAs' partials by
-//! look-back, as a folded SpMV dot does: every CTA but the last publishes
-//! its partial, and the last reads them all, adds them and stores the
-//! result. Dots fold sequentially on the host ([`sequential_dot`]) while
+//! device has; `mps_core::tile_spacing` stops merge-path tiles at the SM
+//! count for the same reason. A launch that reduces combines its CTAs'
+//! partials by look-back, as a folded SpMV dot does: every CTA but the
+//! last publishes its partial, and the last reads them all, adds them and
+//! stores the result. Dots fold sequentially on the host ([`sequential_dot`]) while
 //! the launch prices per-CTA partials; [`cg_update`] fuses a CG step's two
 //! axpys and its residual dot into one pass.
 //!

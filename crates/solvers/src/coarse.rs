@@ -23,15 +23,19 @@ use crate::SimClock;
 /// The bound caps the factor's memory and setup; it is not a per-cycle
 /// crossover. On the coarsest level of two-level 5-point hierarchies
 /// (simulated time on `Device::titan()`), one substitution costs less
-/// than one CG solve at 242 and 512 unknowns (0.040 against 0.183 ms,
-/// 0.138 against 0.370 ms), but not at 1152 (0.596 against 0.321 ms). The
-/// factor also stores all n² entries (512 KiB at 256 unknowns) and its
-/// setup grows as n³/3 multiply-adds. The per-cycle saving repays the
-/// factorization within 7.2 V-cycles at 242 unknowns, but takes 41.2 at
-/// 512, more than the about 10 of one AMG-PCG solve. So the larger
-/// coarsest levels that only a shallow hierarchy leaves (a low
-/// `max_levels`, or stalled aggregation) keep CG.
-pub const DIRECT_MAX_UNKNOWNS: usize = 256;
+/// than one CG solve at 221 and 512 unknowns (0.035 against 0.127 ms,
+/// 0.138 against 0.344 ms), but not at 1152 (0.596 against 0.321 ms). The
+/// factor also stores all n² entries (396 KiB at 225 unknowns) and its
+/// setup grows as n³/3 multiply-adds. On square grids the per-cycle
+/// saving repays the factorization within 8.4 V-cycles at 221 unknowns,
+/// but takes 10.9 at 242 and 46.3 at 512, more than the about 10 of one
+/// AMG-PCG solve; the bound sits between the first two, at the 15×15
+/// grid's 225. The payback follows the level's CG iteration count more
+/// than its size: rectangular grids with 216 to 225 coarse unknowns read
+/// 5.6 to 11.5 V-cycles. So the larger coarsest levels that only a
+/// shallow hierarchy leaves (a low `max_levels`, or stalled aggregation)
+/// keep CG.
+pub const DIRECT_MAX_UNKNOWNS: usize = 225;
 
 /// A pivot at or below this fraction of the operator's largest absolute
 /// entry counts as zero, and the level keeps CG. A singular operator
@@ -268,13 +272,13 @@ mod tests {
     fn levels_past_the_size_bound_are_not_factored() {
         let dev = Device::titan().with_tracing();
         let tracer = dev.tracer.clone().expect("tracing");
-        let at_bound = gen::stencil_5pt(16, 16);
+        let at_bound = gen::stencil_5pt(15, 15);
         assert_eq!(at_bound.num_rows, DIRECT_MAX_UNKNOWNS);
         let (solve, ms) = CoarseSolve::new(&dev, &at_bound);
         assert!(matches!(solve, CoarseSolve::Direct(_)));
         assert!(ms > 0.0);
         tracer.clear();
-        let (solve, ms) = CoarseSolve::new(&dev, &gen::stencil_5pt(16, 17));
+        let (solve, ms) = CoarseSolve::new(&dev, &gen::stencil_5pt(15, 16));
         assert!(matches!(solve, CoarseSolve::Cg));
         assert_eq!(ms, 0.0);
         assert!(
@@ -306,8 +310,10 @@ mod tests {
             (n, factor_launch(&dev(), n).sim_ms / (cg_ms - direct_ms))
         };
         // An AMG-PCG solve on the 48×48 grid applies about 10 V-cycles.
-        let (n, cycles) = payback(22);
+        let (n, cycles) = payback(21);
         assert!(n <= DIRECT_MAX_UNKNOWNS && cycles < 10.0, "{n}: {cycles}");
+        let (n, cycles) = payback(22);
+        assert!(n > DIRECT_MAX_UNKNOWNS && cycles > 10.0, "{n}: {cycles}");
         let (n, cycles) = payback(32);
         assert!(
             n >= 2 * DIRECT_MAX_UNKNOWNS && cycles > 10.0,

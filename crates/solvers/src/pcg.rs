@@ -32,11 +32,15 @@ pub trait Preconditioner {
 
     /// An SpMV plan this preconditioner already holds for `a`'s sparsity
     /// pattern, which a solver can execute instead of building its own.
-    /// Plans depend only on the pattern, so borrowing one changes no bit
-    /// of the solution. A plan charges each execute at the price of the
-    /// device it was built on, so a solve on another device pays the
-    /// owner's SpMV cost, as the products inside an AMG V-cycle already
-    /// do.
+    /// On the device the plan was built on, a plan depends only on the
+    /// pattern, so borrowing one there changes no bit of the solution. On
+    /// a device with another SM count, an operator too small to fill
+    /// every SM is partitioned differently (`mps_core::tile_spacing`), so
+    /// the borrowed plan's bits are its build device's, not those a
+    /// fresh plan would give. A plan also charges each execute at the
+    /// price of the device it was built on, so a solve on another device
+    /// pays the owner's SpMV cost, as the products inside an AMG V-cycle
+    /// already do.
     fn plan_for(&self, _a: &CsrMatrix) -> Option<&SpmvPlan> {
         None
     }

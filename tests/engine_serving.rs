@@ -9,6 +9,7 @@
 
 use std::sync::Arc;
 
+use merge_path_sparse::core::{sequential_dot, tile_spacing, Epilogue};
 use merge_path_sparse::engine::{EngineConfig, Service, ServiceConfig, TenantId};
 use merge_path_sparse::prelude::*;
 use mps_testkit::strategies::sprinkled;
@@ -189,5 +190,100 @@ proptest! {
             let got = svc.take_result(t).expect("vector completed").into_vector();
             prop_assert_eq!(bits(&got), bits(want));
         }
+    }
+}
+
+/// Panic at the first element whose bits differ.
+fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    if let Some(i) = (0..got.len()).find(|&i| got[i].to_bits() != want[i].to_bits()) {
+        panic!(
+            "{what}: element {i} is {} where {} was expected",
+            got[i], want[i]
+        );
+    }
+}
+
+/// An operator too small to fill every SM at the configured tile spreads
+/// over one CTA per SM (`tile_spacing`), so its summation order depends on
+/// the device's SM count. Within one device every merge path reads the
+/// partition's spacing, so the plan, a fused execute, the one-shot kernel,
+/// SpMM columns at several widths and the service's coalesced batch all
+/// agree bit for bit.
+#[test]
+fn every_merge_path_agrees_bitwise_below_the_tile_threshold() {
+    let dev = device();
+    let sms = dev.props.num_sms;
+    let cfg = SpmvConfig::default();
+    let a = Arc::new(gen::random_uniform(300, 300, 8.0, 4.0, 7));
+    assert!(a.nnz() > sms * cfg.block_threads && a.nnz() < sms * cfg.nv());
+    let plan = SpmvPlan::new(&dev, &a, &cfg);
+    let part = plan.partition_structure();
+    let spacing = tile_spacing(sms, a.nnz(), cfg.block_threads, cfg.nv());
+    assert_eq!((part.nv, part.num_ctas()), (spacing, sms));
+
+    const K: usize = 16;
+    let xs: Vec<Vec<f64>> = (0..K).map(|s| operand(a.num_cols, s)).collect();
+    let mut ws = Workspace::new();
+    let want: Vec<Vec<f64>> = xs
+        .iter()
+        .map(|x| {
+            let mut y = Vec::new();
+            plan.execute_into(&a, x, &mut y, &mut ws);
+            y
+        })
+        .collect();
+    // The configured tile sums this operator in another order, and the
+    // order shows in the bits, so the agreement below is not vacuous.
+    let whole_tiles = SpmvPlan::new(
+        &dev,
+        &a,
+        &SpmvConfig {
+            block_threads: cfg.nv(),
+            items_per_thread: 1,
+            ..cfg
+        },
+    );
+    assert_eq!(whole_tiles.partition_structure().nv, cfg.nv());
+    assert!(xs.iter().zip(&want).any(|(x, want)| {
+        let y = whole_tiles.execute(&dev, &a, x).y;
+        y.iter().zip(want).any(|(p, q)| p.to_bits() != q.to_bits())
+    }));
+
+    let w: Vec<f64> = (0..a.num_rows)
+        .map(|i| 0.5 + (i % 7) as f64 * 0.25)
+        .collect();
+    for (x, want) in xs.iter().zip(&want) {
+        assert_same_bits(&merge_spmv(&dev, &a, x, &cfg).y, want, "one-shot");
+        let mut y = Vec::new();
+        let fused = plan.execute_fused_into(&a, x, &mut y, &mut ws, &Epilogue::dot_with(&w));
+        assert_same_bits(&y, want, "fused");
+        assert_eq!(fused.dot, Some(sequential_dot(&w, want)));
+    }
+    for k in [1, 3, K] {
+        let block = DenseBlock::from_fn(a.num_cols, k, |r, c| xs[c][r]);
+        let spmm = SpmmPlan::new(&dev, &a, k, &SpmmConfig::default());
+        assert_eq!(spmm.partition_structure().s, part.s, "k={k}");
+        let y = spmm.execute(&dev, &a, &block).y;
+        for (c, want) in want.iter().enumerate().take(k) {
+            assert_same_bits(&y.column(c), want, &format!("k={k} column {c}"));
+        }
+    }
+
+    // One flush of K requests on one pattern: one coalesced traversal.
+    let svc = service(EngineConfig::default());
+    let tickets: Vec<_> = xs
+        .iter()
+        .map(|x| {
+            svc.submit_spmv(T, &a, x.clone(), None)
+                .expect("under the quota")
+        })
+        .collect();
+    assert_eq!(svc.flush(), K);
+    let stats = svc.stats().aggregate();
+    assert_eq!((stats.batches, stats.batched_requests), (1, K as u64));
+    for (c, (t, want)) in tickets.into_iter().zip(&want).enumerate() {
+        let got = svc.take_result(t).expect("completed").into_vector();
+        assert_same_bits(&got, want, &format!("batched request {c}"));
     }
 }
