@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mps_baselines::cusp;
 use mps_baselines::format_spmv;
 use mps_core::{merge_spadd, merge_spgemm, merge_spmv, SpAddConfig, SpgemmConfig, SpmvConfig};
-use mps_simt::Device;
+use mps_simt::{Device, Phase};
 use mps_sparse::formats::{DiaMatrix, EllMatrix, HybMatrix};
 use mps_sparse::reorder::{bandwidth, permute_symmetric, reverse_cuthill_mckee};
 use mps_sparse::suite::SuiteMatrix;
@@ -82,7 +82,7 @@ fn ablation_spgemm_blocksort(c: &mut Criterion) {
         println!(
             "spgemm tile 128x{items}: simulated {:.4} ms (block sort {:.4})",
             r.sim_ms(),
-            r.phases.block_sort
+            r.phases.phase_ms(Phase::BlockSort)
         );
         group.bench_with_input(BenchmarkId::from_parameter(items), &cfg, |bench, cfg| {
             bench.iter(|| merge_spgemm(&device, &a, &b, cfg))

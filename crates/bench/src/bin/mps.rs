@@ -25,6 +25,7 @@ use std::process::ExitCode;
 
 use mps_baselines::{cusp, cusparse_like};
 use mps_bench::{conformance, trace_exp, Report};
+use mps_core::spgemm::FIG11_PHASES;
 use mps_core::{merge_spadd, merge_spmv, SpAddConfig, SpgemmConfig, SpgemmPlan, SpmvConfig};
 use mps_simt::Device;
 use mps_sparse::io::{load_matrix_market, write_matrix_market, MmError};
@@ -195,11 +196,11 @@ fn run() -> Result<(), String> {
             }
             let plan = SpgemmPlan::new(&device, &a, &b, &SpgemmConfig::default());
             let c = plan.execute_matrix(&a, &b);
+            let sim_ms = plan.symbolic_ms() + plan.numeric_ms();
             println!(
-                "merge SpGEMM: {} products -> {} nonzeros, {:.4} ms simulated",
+                "merge SpGEMM: {} products -> {} nonzeros, {sim_ms:.4} ms simulated",
                 plan.products(),
                 c.nnz(),
-                plan.symbolic_ms() + plan.numeric_ms()
             );
             println!(
                 "  symbolic {:.4} ms (pattern, cacheable) + numeric {:.4} ms (value replay, {:.2}x cheaper)",
@@ -219,8 +220,10 @@ fn run() -> Result<(), String> {
                     pf * 100.0
                 );
             }
-            for (phase, frac) in plan.phases().fractions() {
-                println!("  {phase:<16} {:5.1}%", frac * 100.0);
+            let (ledger, total) = (plan.ledger(), sim_ms.max(f64::MIN_POSITIVE));
+            for phase in FIG11_PHASES {
+                let frac = ledger.phase_ms(phase) / total;
+                println!("  {:<16} {:5.1}%", phase.as_str(), frac * 100.0);
             }
             if let Some(out) = p.out {
                 save(out.to_str().ok_or("bad output path")?, &c)?;
@@ -249,7 +252,7 @@ fn run() -> Result<(), String> {
             for r in &runs {
                 println!();
                 println!("== {} ({:.4} ms simulated) ==", r.kernel, r.total_ms());
-                print!("{}", r.report.render());
+                print!("{}", r.ledger.render());
             }
         }
         "conformance" => {

@@ -21,9 +21,10 @@ use std::time::Instant;
 
 use mps_baselines::cpu::{self, CpuModel};
 use mps_baselines::{cusp, cusparse_like};
-use mps_core::{merge_spgemm, PhaseTimes, SpgemmConfig, SpgemmPlan};
+use mps_core::spgemm::FIG11_PHASES;
+use mps_core::{merge_spgemm, SpgemmConfig, SpgemmPlan};
 use mps_engine::{Service, ServiceConfig, TenantId};
-use mps_simt::Device;
+use mps_simt::{Device, PhaseLedger};
 use mps_sparse::ops::spgemm_products;
 use mps_sparse::suite::SuiteMatrix;
 use mps_sparse::CsrMatrix;
@@ -40,7 +41,7 @@ pub struct SpgemmRow {
     pub cusp_ms: f64,
     pub cusparse_ms: f64,
     pub merge_ms: f64,
-    pub phases: PhaseTimes,
+    pub phases: PhaseLedger,
 }
 
 impl SpgemmRow {
@@ -158,10 +159,14 @@ pub fn render_fig11(rows: &[SpgemmRow]) -> String {
     let data: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
-            let f = r.phases.fractions();
+            let total = r.merge_ms.max(f64::MIN_POSITIVE);
             let mut cells = vec![r.name.to_string()];
-            cells.extend(f.iter().map(|(_, v)| format!("{:.1}", v * 100.0)));
-            cells.push(format!("{:.2}", r.phases.total()));
+            cells.extend(
+                FIG11_PHASES
+                    .iter()
+                    .map(|&p| format!("{:.1}", r.phases.phase_ms(p) / total * 100.0)),
+            );
+            cells.push(format!("{:.2}", r.merge_ms));
             cells
         })
         .collect();

@@ -2,7 +2,7 @@
 //!
 //! For every matrix of the Table II suite, each of the four core kernels
 //! runs on its own tracing device; the tracer's phase-attributed records
-//! aggregate into a [`PhaseReport`] per `(matrix, kernel)` pair. The
+//! aggregate into a [`PhaseLedger`] per `(matrix, kernel)` pair. The
 //! breakdown is the simulation's analogue of the paper's per-phase
 //! figures (the SpGEMM phase legend of Figure 11 especially): every
 //! kernel's time splits across its named phases, and the per-phase
@@ -27,7 +27,7 @@ use mps_core::{
     merge_spadd, merge_spgemm, merge_spmm, merge_spmv, SpAddConfig, SpgemmConfig, SpmmConfig,
     SpmvConfig,
 };
-use mps_simt::{Device, Phase, PhaseEntry, PhaseReport};
+use mps_simt::{Device, Phase, PhaseEntry, PhaseLedger};
 use mps_sparse::{suite::SuiteMatrix, CsrMatrix, DenseBlock};
 
 use crate::report::{Gates, Report};
@@ -43,17 +43,17 @@ pub struct TraceRow {
     pub kernel: &'static str,
     pub n: usize,
     pub nnz: usize,
-    pub report: PhaseReport,
+    pub ledger: PhaseLedger,
 }
 
 impl TraceRow {
     pub fn total_ms(&self) -> f64 {
-        self.report.total_ms()
+        self.ledger.total_ms()
     }
 
     /// `(phase name, fraction of this kernel's time)` — sums to 1.
     pub fn fractions(&self) -> Vec<(&'static str, f64)> {
-        self.report.fractions()
+        self.ledger.fractions()
     }
 }
 
@@ -68,7 +68,7 @@ fn finish(matrix: &'static str, kernel: &'static str, a: &CsrMatrix, dev: &Devic
         kernel,
         n: a.num_rows,
         nnz: a.nnz(),
-        report: tracer.phase_report(),
+        ledger: tracer.phase_report(),
     }
 }
 
@@ -133,7 +133,7 @@ pub fn report(tiny: bool) -> Report {
 fn to_report(rows: &[TraceRow], tiny: bool) -> Report {
     let phases: Vec<(&TraceRow, PhaseEntry)> = rows
         .iter()
-        .flat_map(|r| r.report.entries().into_iter().map(move |e| (r, e)))
+        .flat_map(|r| r.ledger.entries().into_iter().map(move |e| (r, e)))
         .collect();
     Report::new("phases", tiny)
         .with_table(
@@ -194,7 +194,7 @@ pub fn render_kernel(rows: &[TraceRow], kernel: &str) -> String {
         .copied()
         .filter(|&p| {
             rows.iter()
-                .any(|r| r.report.entries().iter().any(|e| e.phase == p))
+                .any(|r| r.ledger.entries().iter().any(|e| e.phase == p))
         })
         .collect();
     let mut header: Vec<&str> = vec!["matrix", "total_ms"];
@@ -205,7 +205,7 @@ pub fn render_kernel(rows: &[TraceRow], kernel: &str) -> String {
             let mut cells = vec![r.matrix.to_string(), format!("{:.4}", r.total_ms())];
             for &p in &phases {
                 let frac = r
-                    .report
+                    .ledger
                     .entries()
                     .iter()
                     .find(|e| e.phase == p)

@@ -53,8 +53,7 @@ pub use format_spmv::{spmv_rowwise, CmrsSpmvPlan};
 pub use partition::{tile_spacing, MergePartition};
 pub use spadd::{merge_spadd, SpAddPlan, SpAddResult};
 pub use spgemm::{
-    merge_spgemm, BinClass, BinSummary, HashAccumulator, PhaseTimes, RowBins, SpgemmPlan,
-    SpgemmResult,
+    merge_spgemm, BinClass, BinSummary, HashAccumulator, RowBins, SpgemmPlan, SpgemmResult,
 };
 pub use spmm::{merge_spmm, SpmmPlan, SpmmResult};
 pub use spmv::{

@@ -19,8 +19,8 @@
 //! `SpgemmPlan` its `BuildStages`).
 
 use mps_merge::set_ops::{set_op_pairs, SetOp};
-use mps_simt::block::block_segmented_reduce;
 use mps_simt::block::radix_sort::{block_radix_sort_keys, block_radix_sort_pairs};
+use mps_simt::block::{block_segmented_reduce, charge_exchange};
 use mps_simt::grid::{
     launch_map_into_phased, launch_map_phased, LaunchBuffers, LaunchConfig, LaunchStats,
 };
@@ -39,9 +39,9 @@ use crate::spgemm::block_sort::{bits_for, TileReduced};
 use crate::spgemm::plan::{charge_bins, BuildStages, NumericInputs};
 use crate::spgemm::product::BinProducts;
 use crate::spgemm::setup::Expansion;
-use crate::spgemm::{PhaseTimes, SpgemmPlan};
+use crate::spgemm::SpgemmPlan;
 use crate::spmm::{column_tiles, finish_tile_rows, SpmmPlan};
-use crate::spmv::{charge_exchange, finish_rows, Epilogue, NumericCharge, SpmvPlan};
+use crate::spmv::{finish_rows, Epilogue, NumericCharge, SpmvPlan};
 use crate::HashAccumulator;
 
 /// [`SpmvPlan::new`] charging the reduction launch through a per-CTA
@@ -396,7 +396,7 @@ fn block_sort(
 
 /// The numeric charge copying each bin's products out of the maps into
 /// contiguous streams, with a fresh hash table per mid row.
-fn charge_numeric(device: &Device, n: &NumericInputs) -> (PhaseTimes, PhaseLedger, LaunchStats) {
+fn charge_numeric(device: &Device, n: &NumericInputs) -> (PhaseLedger, LaunchStats) {
     let NumericInputs {
         a,
         b,

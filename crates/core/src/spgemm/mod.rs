@@ -29,7 +29,7 @@ pub mod product;
 pub mod setup;
 
 use mps_simt::grid::{launch_map_phased, LaunchConfig, LaunchStats};
-use mps_simt::{Device, Phase};
+use mps_simt::{Device, Phase, PhaseLedger};
 use mps_sparse::CsrMatrix;
 
 use crate::config::SpgemmConfig;
@@ -37,73 +37,21 @@ pub use bins::{BinClass, BinSummary, RowBins};
 pub use hash::HashAccumulator;
 pub use plan::SpgemmPlan;
 
-/// Per-phase simulated times in milliseconds: the Figure 11 breakdown
-/// extended with the two bin-adaptive numeric passes of the
-/// symbolic/numeric split. The symbolic phases (setup, the two sorts,
-/// assembly) are paid once per sparsity pattern; the numeric phases
-/// (tiny scatter, mid hash, and the heavy bin's product compute/reduce)
-/// are paid per value execution.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PhaseTimes {
-    pub setup: f64,
-    pub block_sort: f64,
-    pub global_sort: f64,
-    /// Numeric pass over tiny-binned rows (dense-accumulator scatter).
-    pub numeric_tiny: f64,
-    /// Numeric pass over mid-binned rows (hash-based reduction).
-    pub numeric_mid: f64,
-    pub product_compute: f64,
-    pub product_reduce: f64,
-    pub other: f64,
-}
-
-impl PhaseTimes {
-    pub fn total(&self) -> f64 {
-        self.symbolic() + self.numeric()
-    }
-
-    /// Pattern-only time: paid once per (A,B) sparsity pattern.
-    pub fn symbolic(&self) -> f64 {
-        self.setup + self.block_sort + self.global_sort + self.other
-    }
-
-    /// Value time: paid on every numeric (re-)execution.
-    pub fn numeric(&self) -> f64 {
-        self.numeric_tiny + self.numeric_mid + self.product_compute + self.product_reduce
-    }
-
-    /// Field-wise sum of two phase breakdowns.
-    pub fn plus(&self, other: &PhaseTimes) -> PhaseTimes {
-        PhaseTimes {
-            setup: self.setup + other.setup,
-            block_sort: self.block_sort + other.block_sort,
-            global_sort: self.global_sort + other.global_sort,
-            numeric_tiny: self.numeric_tiny + other.numeric_tiny,
-            numeric_mid: self.numeric_mid + other.numeric_mid,
-            product_compute: self.product_compute + other.product_compute,
-            product_reduce: self.product_reduce + other.product_reduce,
-            other: self.other + other.other,
-        }
-    }
-
-    /// Phase fractions in Figure 11's legend order, with the bin-adaptive
-    /// numeric passes slotted between the sorts and the heavy-bin pair.
-    /// Labels match [`mps_simt::Phase::as_str`] so ledger and breakdown
-    /// reconcile name-for-name.
-    pub fn fractions(&self) -> [(&'static str, f64); 8] {
-        let t = self.total().max(f64::MIN_POSITIVE);
-        [
-            ("Setup", self.setup / t),
-            ("Block Sort", self.block_sort / t),
-            ("Global Sort", self.global_sort / t),
-            ("Tiny Scatter", self.numeric_tiny / t),
-            ("Mid Hash", self.numeric_mid / t),
-            ("Product Compute", self.product_compute / t),
-            ("Product Reduce", self.product_reduce / t),
-            ("Other", self.other / t),
-        ]
-    }
-}
+/// The pipeline's phases in Figure 11's legend order, with the
+/// bin-adaptive numeric passes slotted between the sorts and the
+/// heavy-bin pair: the columns of the Fig. 11 breakdown. The symbolic
+/// phases are Setup, Block Sort, Global Sort and Other; the other four
+/// are the numeric pass.
+pub const FIG11_PHASES: [Phase; 8] = [
+    Phase::Setup,
+    Phase::BlockSort,
+    Phase::GlobalSort,
+    Phase::NumericTiny,
+    Phase::NumericMid,
+    Phase::ProductCompute,
+    Phase::ProductReduce,
+    Phase::Other,
+];
 
 /// Result of a merge SpGEMM.
 #[derive(Debug, Clone)]
@@ -111,18 +59,27 @@ pub struct SpgemmResult {
     pub c: CsrMatrix,
     /// Intermediate products expanded (the paper's work measure).
     pub products: u64,
-    pub phases: PhaseTimes,
+    /// Per-phase simulated time: the Figure 11 breakdown (Setup, Block
+    /// Sort, Global Sort, Other) plus the bin-adaptive numeric passes
+    /// (Tiny Scatter, Mid Hash, and the heavy bin's Product Compute /
+    /// Product Reduce).
+    pub phases: PhaseLedger,
     /// Bin occupancy of the numeric pass (rows/products per class).
     /// Default (all zeros) for pipelines that do not bin.
     pub bins: BinSummary,
     /// Aggregated launch statistics over all phases.
     pub stats: LaunchStats,
+    /// The symbolic half's time plus one numeric pass's
+    /// ([`SpgemmPlan::symbolic_ms`] + [`SpgemmPlan::numeric_ms`]).
+    sim_ms: f64,
 }
 
 impl SpgemmResult {
-    /// Total simulated kernel time in milliseconds.
+    /// Total simulated kernel time in milliseconds: the symbolic half
+    /// plus one numeric pass. It equals `phases.total_ms()` to 1e-9; the
+    /// ledger adds the same phases in another order.
     pub fn sim_ms(&self) -> f64 {
-        self.phases.total()
+        self.sim_ms
     }
 
     /// Achieved GFLOP/s under simulated time, counting the paper's
@@ -131,11 +88,10 @@ impl SpgemmResult {
     /// Empty inputs (zero products, zero phase-total time) report 0.0
     /// rather than NaN/inf.
     pub fn gflops(&self) -> f64 {
-        let total_ms = self.phases.total();
-        if total_ms <= 0.0 {
+        if self.sim_ms <= 0.0 {
             return 0.0;
         }
-        2.0 * self.products as f64 / (total_ms * 1e-3) / 1e9
+        2.0 * self.products as f64 / (self.sim_ms * 1e-3) / 1e9
     }
 }
 
@@ -283,9 +239,10 @@ mod tests {
         let zeroed = SpgemmResult {
             c: CsrMatrix::zeros(1, 1),
             products: 0,
-            phases: PhaseTimes::default(),
+            phases: PhaseLedger::new(),
             bins: BinSummary::default(),
             stats: LaunchStats::default(),
+            sim_ms: 0.0,
         };
         assert_eq!(zeroed.gflops(), 0.0);
         assert!(zeroed.gflops().is_finite());
@@ -316,18 +273,24 @@ mod tests {
     }
 
     #[test]
-    fn phase_times_cover_total() {
+    fn phase_ledger_covers_total() {
         let a = gen::random_uniform(200, 200, 8.0, 4.0, 8);
         let r = merge_spgemm(&dev(), &a, &a, &SpgemmConfig::default());
-        let p = r.phases;
-        assert!(p.total() > 0.0);
+        let p = &r.phases;
+        assert!(r.sim_ms() > 0.0);
+        assert!((p.total_ms() - r.sim_ms()).abs() < 1e-9);
         let frac_sum: f64 = p.fractions().iter().map(|(_, f)| f).sum();
         assert!((frac_sum - 1.0).abs() < 1e-9);
-        assert!(p.block_sort > 0.0 && p.global_sort > 0.0);
-        assert!(p.numeric() > 0.0, "numeric pass must be charged");
+        assert!(p.phase_ms(Phase::BlockSort) > 0.0 && p.phase_ms(Phase::GlobalSort) > 0.0);
+        let numeric = [
+            Phase::NumericTiny,
+            Phase::NumericMid,
+            Phase::ProductCompute,
+            Phase::ProductReduce,
+        ];
         assert!(
-            (p.symbolic() + p.numeric() - p.total()).abs() < 1e-12,
-            "split must partition the total"
+            numeric.iter().any(|&ph| p.phase_ms(ph) > 0.0),
+            "numeric pass must be charged"
         );
     }
 

@@ -37,7 +37,7 @@ use super::block_sort::{self, bits_for, TileReduced};
 use super::hash::HashAccumulator;
 use super::product::{self, BinProducts};
 use super::setup::{self, Expansion};
-use super::{PhaseTimes, SpgemmResult};
+use super::SpgemmResult;
 use crate::assemble;
 use crate::config::SpgemmConfig;
 use crate::error::PlanError;
@@ -45,7 +45,7 @@ use crate::workspace::Workspace;
 
 /// Cached symbolic state for a fixed pair of sparsity patterns: the fused
 /// numeric maps, the output CSR pattern, per-row bins, and the simulated
-/// cost of both halves of the pipeline.
+/// cost of both halves of the pipeline, one [`PhaseLedger`] each.
 #[derive(Debug, Clone)]
 pub struct SpgemmPlan {
     a_dims: (usize, usize, usize),
@@ -66,10 +66,8 @@ pub struct SpgemmPlan {
     row_offsets: Vec<usize>,
     col_idx: Vec<u32>,
     /// Pattern-only cost, paid once per pattern pair at plan build.
-    symbolic: PhaseTimes,
-    /// Value cost, modelling one numeric execution (bin-adaptive).
-    numeric: PhaseTimes,
     symbolic_ledger: PhaseLedger,
+    /// Value cost, modelling one numeric execution (bin-adaptive).
     numeric_ledger: PhaseLedger,
     symbolic_stats: LaunchStats,
     numeric_stats: LaunchStats,
@@ -113,14 +111,12 @@ impl SpgemmPlan {
         stages: &BuildStages,
     ) -> SpgemmPlan {
         let mut symbolic_stats = LaunchStats::default();
-        let mut symbolic = PhaseTimes::default();
         let mut symbolic_ledger = PhaseLedger::new();
         let a_dims = (a.num_rows, a.num_cols, a.nnz());
         let b_dims = (b.num_rows, b.num_cols, b.nnz());
 
         // ---- Symbolic 1: setup ----------------------------------------
         let (exp, setup_stats) = setup::setup(device, a, b);
-        symbolic.setup = setup_stats.sim_ms;
         symbolic_ledger.charge(
             Phase::Setup,
             setup_stats.sim_ms,
@@ -146,8 +142,6 @@ impl SpgemmPlan {
                 bins,
                 row_offsets: vec![0; a.num_rows + 1],
                 col_idx: Vec::new(),
-                symbolic,
-                numeric: PhaseTimes::default(),
                 symbolic_ledger,
                 numeric_ledger: PhaseLedger::new(),
                 symbolic_stats,
@@ -157,7 +151,6 @@ impl SpgemmPlan {
 
         // ---- Symbolic 2: block sort -----------------------------------
         let (tiles, bs_stats) = (stages.block_sort)(device, a, b, &exp, cfg);
-        symbolic.block_sort = bs_stats.sim_ms;
         symbolic_ledger.charge(
             Phase::BlockSort,
             bs_stats.sim_ms,
@@ -183,7 +176,6 @@ impl SpgemmPlan {
         let (gperm, gs_stats) = device.phase_scope(Phase::GlobalSort, || {
             sort_permutation(device, &sort_keys, key_bits.max(1), cfg.global_sort_nv)
         });
-        symbolic.global_sort = gs_stats.sim_ms;
         symbolic_ledger.charge(
             Phase::GlobalSort,
             gs_stats.sim_ms,
@@ -212,7 +204,6 @@ impl SpgemmPlan {
                 cta.scatter(gperm_ref[lo..hi].iter().map(|&p| p as usize), 4);
             },
         );
-        symbolic.global_sort += inv_stats.sim_ms;
         symbolic_ledger.charge(
             Phase::GlobalSort,
             inv_stats.sim_ms,
@@ -234,7 +225,6 @@ impl SpgemmPlan {
 
         // ---- Symbolic 4: CSR assembly charge + host pattern build -----
         let other_stats = super::charge_assemble(device, final_keys.len());
-        symbolic.other = other_stats.sim_ms;
         symbolic_ledger.charge(
             Phase::Other,
             other_stats.sim_ms,
@@ -267,7 +257,7 @@ impl SpgemmPlan {
         }
 
         // ---- Numeric: one bin-adaptive pass, charged from the plan ----
-        let (numeric, numeric_ledger, numeric_stats) = (stages.charge_numeric)(
+        let (numeric_ledger, numeric_stats) = (stages.charge_numeric)(
             device,
             &NumericInputs {
                 a,
@@ -295,8 +285,6 @@ impl SpgemmPlan {
             bins,
             row_offsets,
             col_idx,
-            symbolic,
-            numeric,
             symbolic_ledger,
             numeric_ledger,
             symbolic_stats,
@@ -314,33 +302,22 @@ impl SpgemmPlan {
         self.col_idx.len()
     }
 
-    /// Combined per-phase simulated times: symbolic build plus one numeric
-    /// execution (what the one-shot pipeline reports).
-    pub fn phases(&self) -> PhaseTimes {
-        self.symbolic.plus(&self.numeric)
-    }
-
-    /// Pattern-only phase times, paid once per pattern pair.
-    pub fn symbolic_phases(&self) -> PhaseTimes {
-        self.symbolic
-    }
-
-    /// Value phase times, paid per numeric execution.
-    pub fn numeric_phases(&self) -> PhaseTimes {
-        self.numeric
-    }
-
-    /// Simulated milliseconds of the symbolic (pattern) half.
+    /// Simulated milliseconds of the symbolic (pattern) half: its
+    /// ledger's total, which adds Setup, Block Sort, Global Sort and
+    /// Other in that order.
     pub fn symbolic_ms(&self) -> f64 {
-        self.symbolic.total()
+        self.symbolic_ledger.total_ms()
     }
 
-    /// Simulated milliseconds of one numeric execution.
+    /// Simulated milliseconds of one numeric execution: the bins' launch
+    /// times added in launch order (tiny, mid, then the heavy bin's
+    /// compute and reduce).
     pub fn numeric_ms(&self) -> f64 {
-        self.numeric.total()
+        self.numeric_stats.sim_ms
     }
 
-    /// Launch/time/DRAM ledger of the symbolic half.
+    /// Launch/time/DRAM ledger of the symbolic half, paid once per
+    /// pattern pair.
     pub fn symbolic_ledger(&self) -> &PhaseLedger {
         &self.symbolic_ledger
     }
@@ -350,7 +327,8 @@ impl SpgemmPlan {
         &self.numeric_ledger
     }
 
-    /// Combined ledger (symbolic + one numeric execution).
+    /// Combined ledger (symbolic + one numeric execution): the Figure 11
+    /// breakdown the one-shot pipeline reports.
     pub fn ledger(&self) -> PhaseLedger {
         let mut l = self.symbolic_ledger.clone();
         l.merge(&self.numeric_ledger);
@@ -464,7 +442,7 @@ impl SpgemmPlan {
         for ((&s, &ai), &bp) in self.slot.iter().zip(&self.a_idx).zip(&self.b_pos) {
             values[s as usize] += av[ai as usize] * bv[bp as usize];
         }
-        self.numeric.total()
+        self.numeric_ms()
     }
 
     /// Steady-state execution in the shared plan API shape: numeric
@@ -482,7 +460,7 @@ impl SpgemmPlan {
         _ws: &mut Workspace,
     ) -> f64 {
         self.execute_numeric(a, b, values);
-        self.phases().total()
+        self.symbolic_ms() + self.numeric_ms()
     }
 
     /// Numeric re-execution assembling a full output matrix: clones the
@@ -514,9 +492,10 @@ impl SpgemmPlan {
         SpgemmResult {
             c,
             products: self.products as u64,
-            phases: self.phases(),
+            phases: self.ledger(),
             bins: self.bins.summary,
             stats,
+            sim_ms: self.symbolic_ms() + self.numeric_ms(),
         }
     }
 }
@@ -532,8 +511,7 @@ pub(crate) struct BuildStages {
 
 pub(crate) type ProductSourcesFn = fn(&CsrMatrix, &CsrMatrix, &[usize]) -> (Vec<u32>, Vec<u32>);
 
-pub(crate) type NumericChargeFn =
-    fn(&Device, &NumericInputs) -> (PhaseTimes, PhaseLedger, LaunchStats);
+pub(crate) type NumericChargeFn = fn(&Device, &NumericInputs) -> (PhaseLedger, LaunchStats);
 
 pub(crate) type BlockSortFn = fn(
     &Device,
@@ -574,7 +552,7 @@ pub(crate) struct NumericInputs<'p> {
 /// from the symbolic output counts and measure their probes, and price
 /// the heavy bin through the paper's two-pass kernels. Empty bins launch
 /// nothing.
-fn charge_numeric(device: &Device, n: &NumericInputs) -> (PhaseTimes, PhaseLedger, LaunchStats) {
+fn charge_numeric(device: &Device, n: &NumericInputs) -> (PhaseLedger, LaunchStats) {
     let NumericInputs {
         a,
         b,
@@ -636,20 +614,17 @@ pub(crate) fn charge_bins(
     n: &NumericInputs,
     [(tiny, tiny_out), (mid, mid_out), (heavy, heavy_out)]: [(&BinProducts, usize); 3],
     mid_probes: u64,
-) -> (PhaseTimes, PhaseLedger, LaunchStats) {
+) -> (PhaseLedger, LaunchStats) {
     let cfg = n.cfg;
-    let mut numeric = PhaseTimes::default();
     let mut ledger = PhaseLedger::new();
     let mut stats = LaunchStats::default();
     if !tiny.is_empty() {
         let st = product::numeric_tiny(device, tiny, tiny_out, cfg);
-        numeric.numeric_tiny = st.sim_ms;
         ledger.charge(Phase::NumericTiny, st.sim_ms, st.totals.dram_bytes());
         stats.add(&st);
     }
     if !mid.is_empty() {
         let st = product::numeric_mid(device, mid, mid_out, mid_probes, cfg);
-        numeric.numeric_mid = st.sim_ms;
         ledger.charge(Phase::NumericMid, st.sim_ms, st.totals.dram_bytes());
         stats.add(&st);
     }
@@ -664,15 +639,13 @@ pub(crate) fn charge_bins(
             .map(|(_, &r)| r)
             .collect();
         let st = product::numeric_heavy_compute(device, heavy, &heavy_ranks, cfg);
-        numeric.product_compute = st.sim_ms;
         ledger.charge(Phase::ProductCompute, st.sim_ms, st.totals.dram_bytes());
         stats.add(&st);
         let st = product::numeric_heavy_reduce(device, heavy_ranks.len(), heavy_out, cfg);
-        numeric.product_reduce = st.sim_ms;
         ledger.charge(Phase::ProductReduce, st.sim_ms, st.totals.dram_bytes());
         stats.add(&st);
     }
-    (numeric, ledger, stats)
+    (ledger, stats)
 }
 
 /// Per-product source indices `(a value index, b value index)` in expansion
@@ -810,16 +783,40 @@ mod tests {
 
     #[test]
     fn symbolic_and_numeric_partition_the_total() {
-        let a = gen::random_uniform(150, 150, 7.0, 4.0, 63);
-        let plan = SpgemmPlan::new(&dev(), &a, &a, &SpgemmConfig::default());
-        assert!(plan.symbolic_ms() > 0.0);
-        assert!(plan.numeric_ms() > 0.0);
-        let total = plan.phases().total();
-        assert!((plan.symbolic_ms() + plan.numeric_ms() - total).abs() < 1e-12);
-        // Ledgers reconcile with the phase breakdown to 1e-9.
-        assert!((plan.symbolic_ledger().total_ms() - plan.symbolic_ms()).abs() < 1e-9);
-        assert!((plan.numeric_ledger().total_ms() - plan.numeric_ms()).abs() < 1e-9);
-        assert!((plan.ledger().total_ms() - total).abs() < 1e-9);
+        for a in [
+            gen::random_uniform(150, 150, 7.0, 4.0, 63),
+            gen::power_law(200, 200, 2, 1.8, 60, 14),
+        ] {
+            let plan = SpgemmPlan::new(&dev(), &a, &a, &SpgemmConfig::default());
+            assert!(plan.symbolic_ms() > 0.0);
+            assert!(plan.numeric_ms() > 0.0);
+            let total = plan.symbolic_ms() + plan.numeric_ms();
+            assert_eq!(plan.execute(&dev(), &a, &a).sim_ms(), total);
+            // Each half adds its phases in pipeline order, bit for bit:
+            // symbolic setup, sorts, assembly; numeric tiny, mid, then
+            // the heavy bin's compute and reduce.
+            let (s, n) = (plan.symbolic_ledger(), plan.numeric_ledger());
+            let symbolic = [
+                Phase::Setup,
+                Phase::BlockSort,
+                Phase::GlobalSort,
+                Phase::Other,
+            ];
+            let numeric = [
+                Phase::NumericTiny,
+                Phase::NumericMid,
+                Phase::ProductCompute,
+                Phase::ProductReduce,
+            ];
+            let sum =
+                |l: &PhaseLedger, ps: &[Phase]| ps.iter().fold(0.0, |t, &p| t + l.phase_ms(p));
+            assert_eq!(plan.symbolic_ms(), sum(s, &symbolic));
+            assert_eq!(plan.numeric_ms(), sum(n, &numeric));
+            assert_eq!(s.total_ms(), plan.symbolic_ms());
+            // The ledgers add Phase::ALL order, so they reconcile to 1e-9.
+            assert!((n.total_ms() - plan.numeric_ms()).abs() < 1e-9);
+            assert!((plan.ledger().total_ms() - total).abs() < 1e-9);
+        }
     }
 
     #[test]
@@ -850,10 +847,11 @@ mod tests {
         assert!(r.c.approx_eq(&spgemm_ref(&a, &a), 1e-12));
         // The phase breakdown carries whichever bins are occupied.
         if r.bins.mid_products > 0 {
-            assert!(r.phases.numeric_mid > 0.0);
+            assert!(r.phases.phase_ms(Phase::NumericMid) > 0.0);
         }
         if r.bins.heavy_products > 0 {
-            assert!(r.phases.product_compute > 0.0 && r.phases.product_reduce > 0.0);
+            assert!(r.phases.phase_ms(Phase::ProductCompute) > 0.0);
+            assert!(r.phases.phase_ms(Phase::ProductReduce) > 0.0);
         }
     }
 

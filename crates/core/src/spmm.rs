@@ -37,7 +37,7 @@
 //! SpMV — column `c` of the product equals `SpmvPlan::execute` on column
 //! `c` of the operand, bit for bit.
 
-use mps_simt::block::charge_segmented_reduce;
+use mps_simt::block::{charge_exchange, charge_segmented_reduce};
 use mps_simt::cta::Cta;
 use mps_simt::grid::{launch_map_into_phased, LaunchBuffers, LaunchConfig, LaunchStats};
 use mps_simt::{Device, Phase};
@@ -47,7 +47,7 @@ use crate::config::SpmmConfig;
 use crate::error::PlanError;
 use crate::partition::{MergePartition, TileLink};
 use crate::simd::{dot_gather_strided_impl, seg_dot_impl};
-use crate::spmv::{charge_exchange, spmv_segment_walk, CARRY_SLOT};
+use crate::spmv::{spmv_segment_walk, CARRY_SLOT};
 use crate::workspace::Workspace;
 
 /// Column tiles of a `k`-wide block at width `tile`: `(first_col, width)`.

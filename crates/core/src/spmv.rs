@@ -57,7 +57,7 @@
 
 use std::sync::OnceLock;
 
-use mps_simt::block::charge_segmented_reduce;
+use mps_simt::block::{charge_exchange, charge_segmented_reduce};
 use mps_simt::cta::Cta;
 use mps_simt::grid::{launch_map_phased, price_ctas, LaunchConfig, LaunchStats};
 use mps_simt::{Counters, Device, Phase};
@@ -69,15 +69,6 @@ use crate::partition::{MergePartition, TileLink};
 use crate::workspace::Workspace;
 
 pub(crate) use crate::simd::dot_gather;
-
-/// Charge the shared-memory cost of a striped→blocked exchange of `items`
-/// register-tile entries (the data itself is already in natural order on
-/// the host).
-pub(crate) fn charge_exchange(cta: &mut Cta, items: usize) {
-    cta.shmem(2 * items as u64);
-    cta.sync();
-    cta.sync();
-}
 
 /// Publish slot of a CTA's trailing partial (its carry).
 pub(crate) const CARRY_SLOT: usize = 0;

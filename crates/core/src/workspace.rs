@@ -21,10 +21,6 @@
 pub struct Workspace {
     f64_bufs: Vec<Vec<f64>>,
     carry_bufs: Vec<Vec<(usize, f64)>>,
-    /// Largest capacity (elements) any returned `f64` buffer has reached.
-    f64_high_water: usize,
-    /// Largest capacity (elements) any returned carry buffer has reached.
-    carry_high_water: usize,
 }
 
 impl Workspace {
@@ -40,7 +36,6 @@ impl Workspace {
     /// Return an `f64` scratch buffer to the pool.
     pub fn put_f64(&mut self, mut buf: Vec<f64>) {
         buf.clear();
-        self.f64_high_water = self.f64_high_water.max(buf.capacity());
         self.f64_bufs.push(buf);
     }
 
@@ -52,52 +47,7 @@ impl Workspace {
     /// Return a carry buffer to the pool.
     pub fn put_carries(&mut self, mut buf: Vec<(usize, f64)>) {
         buf.clear();
-        self.carry_high_water = self.carry_high_water.max(buf.capacity());
         self.carry_bufs.push(buf);
-    }
-
-    /// High-water capacities in elements: the largest `f64` buffer and the
-    /// largest carry buffer ever returned to this workspace. Unlike
-    /// [`Workspace::bytes_held`], the marks do not drop when buffers are
-    /// checked out, so a pool can size fresh arenas from them.
-    pub fn high_water_marks(&self) -> (usize, usize) {
-        (self.f64_high_water, self.carry_high_water)
-    }
-
-    /// High-water footprint in bytes (largest `f64` buffer plus largest
-    /// carry buffer this workspace has ever pooled).
-    pub fn high_water_bytes(&self) -> usize {
-        self.f64_high_water * std::mem::size_of::<f64>()
-            + self.carry_high_water * std::mem::size_of::<(usize, f64)>()
-    }
-
-    /// Pre-size the pools so the first executions do not grow buffers:
-    /// ensures one pooled `f64` buffer of at least `f64_elems` capacity and
-    /// one carry buffer of at least `carry_elems`. A serving pool calls
-    /// this with the high-water marks observed on retired workspaces so
-    /// fresh arenas start at steady-state size.
-    pub fn prewarm(&mut self, f64_elems: usize, carry_elems: usize) {
-        if f64_elems > 0 && self.f64_bufs.iter().all(|b| b.capacity() < f64_elems) {
-            self.put_f64(Vec::with_capacity(f64_elems));
-        }
-        if carry_elems > 0 && self.carry_bufs.iter().all(|b| b.capacity() < carry_elems) {
-            self.put_carries(Vec::with_capacity(carry_elems));
-        }
-    }
-
-    /// Total bytes of capacity currently held by the pools.
-    pub fn bytes_held(&self) -> usize {
-        let f = self
-            .f64_bufs
-            .iter()
-            .map(|b| b.capacity() * std::mem::size_of::<f64>())
-            .sum::<usize>();
-        let c = self
-            .carry_bufs
-            .iter()
-            .map(|b| b.capacity() * std::mem::size_of::<(usize, f64)>())
-            .sum::<usize>();
-        f + c
     }
 }
 
@@ -142,57 +92,6 @@ mod tests {
         ws.put_f64(small);
         ws.put_f64(big);
         assert_eq!(ws.take_f64().capacity(), big_cap);
-    }
-
-    #[test]
-    fn bytes_held_counts_pool_capacity() {
-        let mut ws = Workspace::new();
-        assert_eq!(ws.bytes_held(), 0);
-        let mut b = ws.take_f64();
-        b.resize(128, 0.0);
-        ws.put_f64(b);
-        assert!(ws.bytes_held() >= 128 * std::mem::size_of::<f64>());
-    }
-
-    #[test]
-    fn high_water_persists_across_checkouts() {
-        let mut ws = Workspace::new();
-        assert_eq!(ws.high_water_bytes(), 0);
-        let mut b = ws.take_f64();
-        b.resize(1000, 0.0);
-        let cap = b.capacity();
-        ws.put_f64(b);
-        let mut c = ws.take_carries();
-        c.resize(10, (0, 0.0));
-        let ccap = c.capacity();
-        ws.put_carries(c);
-        let want = cap * std::mem::size_of::<f64>() + ccap * std::mem::size_of::<(usize, f64)>();
-        assert_eq!(ws.high_water_bytes(), want);
-        assert_eq!(ws.high_water_marks(), (cap, ccap));
-        // Checking the buffers back out empties the pools but must not
-        // lower the marks — that is what lets a pool size fresh arenas.
-        let _b = ws.take_f64();
-        let _c = ws.take_carries();
-        assert_eq!(ws.bytes_held(), 0);
-        assert_eq!(ws.high_water_bytes(), want);
-        // Smaller buffers never shrink the marks.
-        ws.put_f64(vec![0.0; 10]);
-        assert_eq!(ws.high_water_marks().0, cap);
-    }
-
-    #[test]
-    fn prewarm_sizes_first_take() {
-        let mut ws = Workspace::new();
-        ws.prewarm(4096, 128);
-        assert!(ws.take_f64().capacity() >= 4096);
-        assert!(ws.take_carries().capacity() >= 128);
-        assert!(ws.high_water_bytes() >= 4096 * 8 + 128 * 16);
-        // Prewarming below an existing capacity adds nothing.
-        let mut ws2 = Workspace::new();
-        ws2.put_f64(Vec::with_capacity(100));
-        ws2.prewarm(50, 0);
-        assert_eq!(ws2.take_f64().capacity(), 100);
-        assert_eq!(ws2.take_f64().capacity(), 0, "no second buffer pooled");
     }
 
     #[test]

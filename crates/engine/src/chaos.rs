@@ -12,9 +12,8 @@
 //!
 //! Injection points (all no-ops at the default zero probabilities):
 //!
-//! * **pool exhaustion** — a workspace checkout finds the pool forcibly
-//!   drained and its prewarm marks reset, so the execution pays the cold
-//!   allocation path;
+//! * **pool exhaustion** — a flushed SpMV/SpMM group finds its shard's
+//!   workspace dropped, so the execution pays the cold allocation path;
 //! * **cache eviction storm** — a plan lookup finds the whole LRU cleared
 //!   and must rebuild, as if capacity pressure evicted everything;
 //! * **deadline expiry** — a deadline-carrying request is treated as
@@ -35,7 +34,8 @@
 pub struct ChaosConfig {
     /// Seed of the fault-decision stream.
     pub seed: u64,
-    /// Probability a workspace checkout hits a forcibly exhausted pool.
+    /// Probability a flushed SpMV/SpMM group finds its shard's workspace
+    /// dropped (one draw per group, after its plan lookup).
     pub pool_exhaust_p: f64,
     /// Probability a plan-cache lookup is preceded by a full eviction
     /// storm (every cached plan dropped).
@@ -86,7 +86,7 @@ impl ChaosConfig {
 /// [`crate::EngineStats`] so tests can assert the schedule fired.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaosCounters {
-    /// Workspace checkouts that hit a forced pool exhaustion.
+    /// Flushed groups whose shard workspace was dropped first.
     pub pool_exhaustions: u64,
     /// Plan lookups that hit a forced full-cache eviction storm.
     pub cache_storms: u64,

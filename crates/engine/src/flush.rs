@@ -40,10 +40,11 @@ impl Engine {
     ///
     /// Every group is *prepared* in queue order: forced expiries
     /// ([`crate::ChaosConfig::deadline_expiry_p`]), plan-cache lookup and
-    /// workspace checkout all happen there, so the seeded fault stream is
-    /// consumed in one deterministic order. The prepared groups then
-    /// execute through a one-stage software pipeline: while group *i*'s
-    /// (draw-free) numeric replay runs, group *i+1*'s operand columns are
+    /// the pool-exhaustion draw all happen there, so the seeded fault
+    /// stream is consumed in one deterministic order. The prepared groups
+    /// then execute one at a time on the shard's one workspace, through
+    /// a one-stage software pipeline: while group *i*'s (draw-free)
+    /// numeric replay runs, group *i+1*'s operand columns are
     /// interleaved into the spare scratch block, hiding assembly cost
     /// behind execution.
     pub(crate) fn flush(
@@ -146,10 +147,10 @@ fn expire(st: &mut ShardState, r: Request) {
 }
 
 /// A flushed group with every admission decision already made: chaos
-/// draws consumed, plan resolved from the cache, workspace checked out.
-/// What remains — operand assembly and the numeric replay — is draw-free,
-/// which is what lets [`execute_pipelined`] overlap groups without
-/// perturbing the seeded fault stream.
+/// draws consumed and plan resolved from the cache. What remains —
+/// operand assembly and the numeric replay — is draw-free, which is what
+/// lets [`execute_pipelined`] overlap groups without perturbing the
+/// seeded fault stream.
 enum PreparedExec {
     /// A single one-column request (lone vector, or a degenerate
     /// one-column block) dispatched straight through the cached
@@ -172,13 +173,14 @@ enum PreparedExec {
 
 struct PreparedGroup {
     matrix: Arc<CsrMatrix>,
-    ws: Workspace,
+    /// The chaos schedule drops the shard's workspace before this group
+    /// executes.
+    drop_ws: bool,
     exec: PreparedExec,
 }
 
 /// Admit one flushed group: consume its chaos draws (cache storm at plan
-/// lookup, pool exhaustion at checkout), resolve the plan, and check out
-/// a workspace.
+/// lookup, then pool exhaustion) and resolve the plan.
 fn prepare_group(
     device: &Device,
     cfg: &EngineConfig,
@@ -216,10 +218,9 @@ fn prepare_group(
     for t in tenants {
         inner.stats.tenants.record_request(t, hit);
     }
-    let ws = inner.checkout_ws(&cfg.chaos);
     PreparedGroup {
         matrix: Arc::clone(matrix),
-        ws,
+        drop_ws: inner.forced_pool_exhaustion(&cfg.chaos),
         exec,
     }
 }
@@ -257,9 +258,11 @@ fn assemble_operand(g: &PreparedGroup, buf: &mut DenseBlock) {
 /// assembled into the spare scratch block on the worker pool
 /// ([`rayon::join`]), then the buffers swap roles. Execution order — and
 /// therefore every output bit — matches a sequential flush exactly; only
-/// the assembly cost moves off the critical path. The scratch blocks
-/// double-buffer through [`Inner`] so steady-state flushes stay
-/// zero-alloc.
+/// the assembly cost moves off the critical path. Every group executes
+/// on the shard's one workspace, and the scratch blocks double-buffer
+/// through [`Inner`], so steady-state flushes stay zero-alloc. Each group
+/// counts one workspace checkout, and a reuse when it finds the
+/// workspace already warm.
 fn execute_pipelined(inner: &mut Inner, prepared: Vec<PreparedGroup>, st: &mut ShardState) {
     if prepared.is_empty() {
         return;
@@ -271,10 +274,17 @@ fn execute_pipelined(inner: &mut Inner, prepared: Vec<PreparedGroup>, st: &mut S
     if let Some(front) = queue.front() {
         assemble_operand(front, &mut cur_x);
     }
-    while let Some(mut g) = queue.pop_front() {
+    while let Some(g) = queue.pop_front() {
+        if g.drop_ws {
+            inner.ws = None;
+        }
+        inner.stats.pool_checkouts += 1;
+        if inner.ws.is_some() {
+            inner.stats.pool_reuses += 1;
+        }
+        let ws = inner.ws.get_or_insert_with(Workspace::new);
         let next = queue.front();
         let matrix = &g.matrix;
-        let ws = &mut g.ws;
         let exec = &g.exec;
         let ((ms, spmv_y), ()) = rayon::join(
             || match exec {
@@ -294,7 +304,6 @@ fn execute_pipelined(inner: &mut Inner, prepared: Vec<PreparedGroup>, st: &mut S
                 }
             },
         );
-        inner.pool.give_back(g.ws);
         inner.stats.exec_sim_ms += ms;
         match g.exec {
             PreparedExec::Spmv {

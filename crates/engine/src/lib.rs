@@ -15,8 +15,9 @@
 //!   fingerprint (plus operand width for SpMM, and the right operand's
 //!   fingerprint for SpGEMM), so repeated requests on one sparsity
 //!   pattern never re-partition.
-//! * **Workspace pool** — checked-out [`Workspace`] arenas, prewarmed to
-//!   the pool's recorded high-water marks, keeping steady-state serving
+//! * **Workspace** — each shard keeps one [`Workspace`] arena. Its flush
+//!   executes one group at a time under the shard's lock, so every group
+//!   reuses the same warm buffers and steady-state serving stays
 //!   zero-alloc.
 //! * **Batching** — a flush coalesces the SpMV *and* SpMM requests on one
 //!   matrix (one `Arc` allocation, so same-pattern matrices with
@@ -29,7 +30,7 @@
 //!   batched results are **bitwise identical** to running every request
 //!   alone through a freshly built [`SpmvPlan`].
 //! * **Stats** — an [`EngineStats`] snapshot per shard covering cache hit
-//!   rate, batch-size histogram, pool reuse, admission refusals and
+//!   rate, batch-size histogram, workspace reuse, admission refusals and
 //!   expiries, simt counters, and a per-phase ledger of everything the
 //!   shard simulated.
 //!
@@ -83,7 +84,6 @@ mod config;
 mod error;
 mod fingerprint;
 mod flush;
-mod pool;
 mod service;
 mod stats;
 
@@ -111,7 +111,6 @@ use mps_sparse::{CsrMatrix, DenseBlock};
 use batch::Request;
 use cache::{CachedPlan, PlanCache, PlanKey};
 use chaos::ChaosState;
-use pool::WorkspacePool;
 
 /// Typed result redeemed from a ticket: vector submissions
 /// ([`Service::submit_spmv`]) resolve to `Vector`, block submissions
@@ -212,7 +211,10 @@ pub struct DeltaOutcome {
 
 struct Inner {
     cache: PlanCache,
-    pool: WorkspacePool,
+    /// The shard's scratch arena, `None` until a group first executes
+    /// (or after the chaos schedule drops it). A flush runs one group at
+    /// a time, so one arena serves them all.
+    ws: Option<Workspace>,
     stats: EngineStats,
     /// Reusable operand/result blocks for batched flushes (capacity
     /// survives between batches). `scratch_x`/`scratch_x2` double-buffer
@@ -226,18 +228,16 @@ struct Inner {
 }
 
 impl Inner {
-    fn checkout_ws(&mut self, chaos_cfg: &ChaosConfig) -> Workspace {
-        if self.chaos.roll(chaos_cfg.pool_exhaust_p) {
-            self.pool.exhaust();
+    /// Chaos hook run once per flushed SpMV/SpMM group as it is
+    /// prepared: with probability [`ChaosConfig::pool_exhaust_p`] the
+    /// shard's workspace is dropped before the group executes, so the
+    /// group pays the cold allocation path. Counted here.
+    fn forced_pool_exhaustion(&mut self, chaos_cfg: &ChaosConfig) -> bool {
+        let forced = self.chaos.roll(chaos_cfg.pool_exhaust_p);
+        if forced {
             self.stats.chaos.pool_exhaustions += 1;
         }
-        let before = self.pool.reuses;
-        let ws = self.pool.checkout();
-        self.stats.pool_checkouts += 1;
-        if self.pool.reuses > before {
-            self.stats.pool_reuses += 1;
-        }
-        ws
+        forced
     }
 
     /// Chaos hook run before every plan-cache lookup: with probability
@@ -266,11 +266,11 @@ impl Inner {
     }
 }
 
-/// One [`Service`] shard's executor: its plan cache, workspace pool and
-/// stats ledger. Shareable across threads (`&Engine` is `Sync`); all
-/// mutable state sits behind one mutex, while kernel executions
-/// themselves run outside it on `Arc`-shared plans. Every plan it builds
-/// uses its kernel's default config.
+/// One [`Service`] shard's executor: its plan cache, workspace and stats
+/// ledger. Shareable across threads (`&Engine` is `Sync`); all mutable
+/// state sits behind one mutex, and a flush holds it for its whole run,
+/// kernel executions included. Every plan it builds uses its kernel's
+/// default config.
 pub(crate) struct Engine {
     device: Device,
     cfg: EngineConfig,
@@ -295,7 +295,7 @@ impl Engine {
             fp,
             inner: Mutex::new(Inner {
                 cache: PlanCache::new(cfg.plan_capacity),
-                pool: WorkspacePool::new(),
+                ws: None,
                 stats: EngineStats::default(),
                 scratch_x: DenseBlock::zeros(0, 0),
                 scratch_x2: DenseBlock::zeros(0, 0),
@@ -585,6 +585,31 @@ mod tests {
         assert_eq!(s.requests, 2);
         assert!(s.exec_sim_ms > 0.0);
         assert!(s.plan_build_sim_ms > 0.0);
+    }
+
+    #[test]
+    fn one_flush_runs_every_group_on_the_shard_workspace() {
+        // Three distinct matrices flush as three groups. The first group
+        // mints the shard's workspace and the other two find it warm.
+        let svc = service(EngineConfig::default());
+        let cases: Vec<(Arc<CsrMatrix>, Vec<f64>)> = (0..3u64)
+            .map(|s| {
+                let a = Arc::new(gen::random_uniform(120 + 40 * s as usize, 160, 6.0, 3.0, s));
+                let x = operand(a.num_cols, s + 2);
+                (a, x)
+            })
+            .collect();
+        let tickets: Vec<ServiceTicket> = cases
+            .iter()
+            .map(|(a, x)| svc.submit_spmv(T, a, x.clone(), None).expect("admitted"))
+            .collect();
+        svc.flush();
+        for ((a, x), t) in cases.iter().zip(tickets) {
+            let y = svc.take_result(t).expect("completed").into_vector();
+            assert_eq!(bits(&y), bits(&fresh_spmv(a, x)));
+        }
+        let s = stats(&svc);
+        assert_eq!((s.pool_checkouts, s.pool_reuses), (3, 2));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! to run work on an engine:
 //!
 //! * **Shards** — N independent engines, each with its own plan cache,
-//!   workspace pool, stats ledger and chaos stream (seeds derived per
+//!   workspace, stats ledger and chaos stream (seeds derived per
 //!   shard, so fault schedules stay replayable), all sharing the
 //!   service's one fingerprint memo. A submission routes to the shard
 //!   owning its matrix's pattern fingerprint, so one pattern's plans are

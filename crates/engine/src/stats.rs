@@ -130,9 +130,11 @@ pub struct EngineStats {
     pub cache_misses: u64,
     /// Plans dropped by the LRU policy to stay within capacity.
     pub cache_evictions: u64,
-    /// Workspace checkouts served from the pool or fresh.
+    /// Flushed SpMV/SpMM groups executed on the shard's workspace (one
+    /// checkout each).
     pub pool_checkouts: u64,
-    /// Checkouts satisfied by a previously returned arena (no new arena).
+    /// Checkouts that found the workspace already warm from an earlier
+    /// group (not minted fresh, nor dropped by the chaos schedule).
     pub pool_reuses: u64,
     /// Requests completed by flushes.
     pub requests: u64,
@@ -212,7 +214,7 @@ impl EngineStats {
         }
     }
 
-    /// Fraction of workspace checkouts that reused a pooled arena.
+    /// Fraction of workspace checkouts that found the workspace warm.
     pub fn pool_reuse_rate(&self) -> f64 {
         if self.pool_checkouts == 0 {
             0.0

@@ -1,4 +1,4 @@
-//! Tile exchange: striped ↔ blocked rearrangement through shared memory.
+//! Tile exchange: striped → blocked rearrangement through shared memory.
 //!
 //! Kernels load global data in *striped* order (thread `t` holds items
 //! `t, t+T, t+2T, …` — coalesced) but operate on *blocked* order (thread
@@ -9,111 +9,25 @@
 
 use crate::cta::Cta;
 
-fn charge_exchange(cta: &mut Cta, n: usize) {
-    cta.shmem(2 * n as u64);
+/// Charge the cost of a striped→blocked exchange of `items`
+/// register-tile entries: one shared-memory store and load per item and
+/// two barriers. The kernels keep their data in natural order on the
+/// host, so only the price is modelled.
+pub fn charge_exchange(cta: &mut Cta, items: usize) {
+    cta.shmem(2 * items as u64);
     cta.sync();
     cta.sync();
-}
-
-/// Reorder a tile from striped to blocked arrangement for `threads` threads.
-///
-/// Striped item `(t, i)` lives at index `i*threads + t`; blocked at
-/// `t*items + i`. Lengths that are not a multiple of `threads` keep the
-/// trailing partial stripe in order.
-pub fn striped_to_blocked<T: Copy>(cta: &mut Cta, tile: &mut [T], threads: usize) {
-    charge_exchange(cta, tile.len());
-    let n = tile.len();
-    if threads <= 1 || n <= 1 {
-        return;
-    }
-    let items = n.div_ceil(threads);
-    let src: Vec<T> = tile.to_vec();
-    let mut dst_idx = 0;
-    for t in 0..threads {
-        for i in 0..items {
-            let striped = i * threads + t;
-            if striped < n {
-                tile[dst_idx] = src[striped];
-                dst_idx += 1;
-            }
-        }
-    }
-    debug_assert_eq!(dst_idx, n);
-}
-
-/// Inverse of [`striped_to_blocked`].
-pub fn blocked_to_striped<T: Copy>(cta: &mut Cta, tile: &mut [T], threads: usize) {
-    charge_exchange(cta, tile.len());
-    let n = tile.len();
-    if threads <= 1 || n <= 1 {
-        return;
-    }
-    let items = n.div_ceil(threads);
-    let src: Vec<T> = tile.to_vec();
-    let mut src_idx = 0;
-    for t in 0..threads {
-        for i in 0..items {
-            let striped = i * threads + t;
-            if striped < n {
-                tile[striped] = src[src_idx];
-                src_idx += 1;
-            }
-        }
-    }
-    debug_assert_eq!(src_idx, n);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn cta() -> Cta {
-        Cta::new(0, 1, 4, 32)
-    }
-
-    #[test]
-    fn striped_to_blocked_four_threads() {
-        let mut c = cta();
-        // striped for 4 threads, 2 items each: t0 holds 0,4; t1 holds 1,5 …
-        let mut tile = vec![0, 1, 2, 3, 4, 5, 6, 7];
-        striped_to_blocked(&mut c, &mut tile, 4);
-        assert_eq!(tile, vec![0, 4, 1, 5, 2, 6, 3, 7]);
-    }
-
-    #[test]
-    fn round_trip_is_identity() {
-        let mut c = cta();
-        let orig: Vec<u32> = (0..24).collect();
-        let mut tile = orig.clone();
-        striped_to_blocked(&mut c, &mut tile, 4);
-        blocked_to_striped(&mut c, &mut tile, 4);
-        assert_eq!(tile, orig);
-    }
-
-    #[test]
-    fn ragged_tile_round_trip() {
-        let mut c = cta();
-        let orig: Vec<u32> = (0..10).collect(); // not a multiple of 4
-        let mut tile = orig.clone();
-        striped_to_blocked(&mut c, &mut tile, 4);
-        blocked_to_striped(&mut c, &mut tile, 4);
-        assert_eq!(tile, orig);
-    }
-
     #[test]
     fn exchange_charges_shared_memory_and_syncs() {
-        let mut c = cta();
-        let mut tile = vec![0u32; 128];
-        striped_to_blocked(&mut c, &mut tile, 4);
+        let mut c = Cta::new(0, 1, 4, 32);
+        charge_exchange(&mut c, 128);
         assert_eq!(c.counters().shmem_ops, 256);
         assert_eq!(c.counters().syncs, 2);
-    }
-
-    #[test]
-    fn single_thread_exchange_is_noop() {
-        let mut c = cta();
-        let mut tile = vec![3, 1, 2];
-        striped_to_blocked(&mut c, &mut tile, 1);
-        assert_eq!(tile, vec![3, 1, 2]);
     }
 }

@@ -9,9 +9,11 @@
 //!   written as per-CTA routines over "register tiles" (arrays indexed by
 //!   thread id × items-per-thread), exactly the way CUB/ModernGPU kernels
 //!   are structured;
-//! * **block-wide primitives** (scan, segmented scan, reduction, radix sort,
-//!   merge, strided↔blocked exchange) whose semantics are implemented in
-//!   plain safe Rust and whose *costs* are charged to a per-CTA counter set;
+//! * **block-wide primitives** the kernels call (segmented reduction, radix
+//!   sort, merge-path and load-balance search) whose semantics are
+//!   implemented in plain safe Rust and whose *costs* are charged to a
+//!   per-CTA counter set, plus the striped→blocked exchange and warp
+//!   divergence, which are priced only;
 //! * a **cost model** translating counters (DRAM transactions under a
 //!   coalescing model, shared-memory ops, ALU ops, barriers) into per-CTA
 //!   cycle estimates;
@@ -45,4 +47,4 @@ pub use grid::{
     launch_map, launch_map_into, launch_map_into_phased, launch_map_named, launch_map_phased,
     price_ctas, LaunchBuffers, LaunchConfig, LaunchStats,
 };
-pub use trace::{with_phase, KernelRecord, Phase, PhaseEntry, PhaseLedger, PhaseReport, Tracer};
+pub use trace::{with_phase, KernelRecord, Phase, PhaseEntry, PhaseLedger, Tracer};

@@ -4,9 +4,9 @@
 //! a [`KernelRecord`]. Each record carries a [`Phase`] label so composite
 //! operations can be broken down the way the paper's figures are: SpMV's
 //! partition/reduction/update, SpGEMM's symbolic/numeric phases, and so
-//! on. The
-//! per-kernel report is the `nvprof`-style breakdown used by `mps trace`;
-//! [`Tracer::phase_report`] is the phase-attributed view.
+//! on. The per-kernel report is the `nvprof`-style breakdown used by
+//! `mps trace`; [`Tracer::phase_report`] folds the log into a
+//! [`PhaseLedger`], the phase-attributed view.
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -18,7 +18,7 @@ use parking_lot::Mutex;
 /// The variants cover the phase taxonomy of all four core kernels plus the
 /// solvers' BLAS-1 traffic; launches outside any span are
 /// [`Phase::Unattributed`]. The SpGEMM variants cover the paper's six
-/// Fig. 9 legend entries (Setup, Block Sort, Global Sort, Product
+/// Fig. 11 legend entries (Setup, Block Sort, Global Sort, Product
 /// Compute, Product Reduce, Other) plus the two bin-adaptive numeric
 /// passes of the symbolic/numeric split (Tiny Scatter, Mid Hash).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -107,7 +107,7 @@ impl Phase {
         Phase::ALL.iter().position(|p| *p == self).expect("in ALL")
     }
 
-    /// Human-readable label. The SpGEMM variants match the paper's Fig. 9
+    /// Human-readable label. The SpGEMM variants match the paper's Fig. 11
     /// legend verbatim.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -182,8 +182,9 @@ pub struct KernelRecord {
 }
 
 /// Per-phase accumulator: launches, simulated ms, and DRAM bytes for each
-/// [`Phase`]. Used both by [`Tracer::phase_report`] and as the engine's
-/// per-phase ledger.
+/// [`Phase`]. The one per-phase breakdown: [`Tracer::phase_report`]
+/// folds a trace into one, the engine keeps one per shard, and SpGEMM
+/// plans and results report their Fig. 11 phases in one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseLedger {
     launches: [u64; Phase::COUNT],
@@ -257,6 +258,15 @@ impl PhaseLedger {
             .collect()
     }
 
+    /// `(label, fraction)` per non-empty phase in [`Phase::ALL`] order;
+    /// fractions sum to 1 for a non-empty ledger.
+    pub fn fractions(&self) -> Vec<(&'static str, f64)> {
+        self.entries()
+            .iter()
+            .map(|e| (e.phase.as_str(), e.fraction))
+            .collect()
+    }
+
     /// Render the phase table (header + one row per non-empty phase).
     pub fn render(&self) -> String {
         let mut out = String::from(
@@ -277,50 +287,15 @@ impl PhaseLedger {
     }
 }
 
-/// One row of a [`PhaseReport`].
+/// One row of [`PhaseLedger::entries`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseEntry {
     pub phase: Phase,
     pub launches: u64,
     pub sim_ms: f64,
-    /// Share of the report's total simulated time in `[0, 1]`.
+    /// Share of the ledger's total simulated time in `[0, 1]`.
     pub fraction: f64,
     pub dram_gb: f64,
-}
-
-/// Phase-attributed aggregate of a tracer's records: per-phase totals,
-/// fraction of total time, and DRAM GB. Invariant: the per-phase sim-time
-/// entries sum to the tracer's [`Tracer::total_ms`] within 1e-9 (every
-/// record carries exactly one phase).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PhaseReport {
-    pub ledger: PhaseLedger,
-}
-
-impl PhaseReport {
-    /// Total simulated milliseconds across all phases.
-    pub fn total_ms(&self) -> f64 {
-        self.ledger.total_ms()
-    }
-
-    /// Non-empty phase rows in stable [`Phase::ALL`] order.
-    pub fn entries(&self) -> Vec<PhaseEntry> {
-        self.ledger.entries()
-    }
-
-    /// `(label, fraction)` per non-empty phase; fractions sum to 1 for a
-    /// non-empty report.
-    pub fn fractions(&self) -> Vec<(&'static str, f64)> {
-        self.entries()
-            .iter()
-            .map(|e| (e.phase.as_str(), e.fraction))
-            .collect()
-    }
-
-    /// Render the phase table.
-    pub fn render(&self) -> String {
-        self.ledger.render()
-    }
 }
 
 /// Thread-safe launch log attached to a device.
@@ -372,24 +347,16 @@ impl Tracer {
         agg
     }
 
-    /// Aggregate by phase: (phase, launches, total ms, total DRAM GB), in
-    /// [`Phase::ALL`] order, empty phases skipped.
-    pub fn by_phase(&self) -> Vec<(Phase, usize, f64, f64)> {
-        self.phase_report()
-            .entries()
-            .iter()
-            .map(|e| (e.phase, e.launches as usize, e.sim_ms, e.dram_gb))
-            .collect()
-    }
-
-    /// Phase-attributed aggregate of every record.
-    pub fn phase_report(&self) -> PhaseReport {
+    /// Phase-attributed aggregate of every record. Every record carries
+    /// exactly one phase, so the ledger's total equals
+    /// [`Tracer::total_ms`] within 1e-9.
+    pub fn phase_report(&self) -> PhaseLedger {
         let records = self.records.lock();
         let mut ledger = PhaseLedger::new();
         for r in records.iter() {
             ledger.charge(r.phase, r.sim_ms, r.dram_bytes);
         }
-        PhaseReport { ledger }
+        ledger
     }
 
     /// Render the aggregate table.

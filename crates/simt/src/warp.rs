@@ -1,36 +1,9 @@
-//! Warp-level cooperative primitives.
+//! Warp-level cost primitives.
 //!
-//! Semantics operate on a `warp_size`-long slice of lane values; costs are
-//! charged on the [`Cta`]. Shuffle-based scans/reductions take `log2(warp)`
-//! steps, each one ALU op per lane — the standard Kepler-era cost.
+//! Costs are charged on the [`Cta`]: a warp executes its lanes in
+//! lockstep, so divergent lane work serializes to the slowest lane.
 
 use crate::cta::Cta;
-
-/// Inclusive prefix sum across one warp's lanes (in place).
-pub fn warp_inclusive_scan(cta: &mut Cta, lanes: &mut [f64]) {
-    let w = lanes.len();
-    let steps = (w.max(1) as f64).log2().ceil() as u64;
-    cta.alu(steps * w as u64);
-    let mut acc = 0.0;
-    for v in lanes.iter_mut() {
-        acc += *v;
-        *v = acc;
-    }
-}
-
-/// Sum-reduction across one warp's lanes.
-pub fn warp_reduce(cta: &mut Cta, lanes: &[f64]) -> f64 {
-    let w = lanes.len();
-    let steps = (w.max(1) as f64).log2().ceil() as u64;
-    cta.alu(steps * w as u64);
-    lanes.iter().sum()
-}
-
-/// Ballot: count of lanes with a set predicate (one ALU op per lane).
-pub fn warp_ballot_count(cta: &mut Cta, predicates: &[bool]) -> usize {
-    cta.alu(predicates.len() as u64);
-    predicates.iter().filter(|&&p| p).count()
-}
 
 /// Serialized execution cost of a divergent warp: the warp pays for its
 /// slowest lane on every step, so `warp_size * max(lane_work)` thread-ops.
@@ -49,30 +22,6 @@ mod tests {
 
     fn cta() -> Cta {
         Cta::new(0, 1, 128, 32)
-    }
-
-    #[test]
-    fn inclusive_scan_semantics() {
-        let mut c = cta();
-        let mut lanes = vec![1.0; 8];
-        warp_inclusive_scan(&mut c, &mut lanes);
-        assert_eq!(lanes, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
-        assert_eq!(c.counters().alu_ops, 3 * 8); // log2(8) steps × 8 lanes
-    }
-
-    #[test]
-    fn reduce_sums_lanes() {
-        let mut c = cta();
-        let lanes: Vec<f64> = (1..=32).map(f64::from).collect();
-        assert_eq!(warp_reduce(&mut c, &lanes), 528.0);
-        assert_eq!(c.counters().alu_ops, 5 * 32);
-    }
-
-    #[test]
-    fn ballot_counts_true_lanes() {
-        let mut c = cta();
-        let preds = [true, false, true, true];
-        assert_eq!(warp_ballot_count(&mut c, &preds), 3);
     }
 
     #[test]

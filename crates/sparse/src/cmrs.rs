@@ -98,11 +98,6 @@ impl CmrsMatrix {
         self.num_rows.div_ceil(self.strip_height)
     }
 
-    /// Entries stored in strip `s`.
-    pub fn strip_len(&self, s: usize) -> usize {
-        self.strip_ptr[s + 1] - self.strip_ptr[s]
-    }
-
     /// Check structural invariants: consistent array lengths, monotone
     /// strip pointers covering all entries, in-bounds row tags and column
     /// indices, and — per row — strictly increasing columns in interleave

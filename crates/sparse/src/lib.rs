@@ -1,6 +1,6 @@
 //! # mps-sparse — sparse matrix formats and reference kernels
 //!
-//! Storage formats (COO, CSR, CSC) with conversions, sequential reference
+//! Storage formats (COO, CSR) with conversions, sequential reference
 //! implementations of SpMV / SpAdd / SpGEMM (the correctness oracle and the
 //! CPU comparator of the paper's Figures 7 and 9), deterministic matrix
 //! generators, Matrix Market I/O, and the synthetic stand-in for the
@@ -15,7 +15,6 @@
 
 pub mod cmrs;
 pub mod coo;
-pub mod csc;
 pub mod csr;
 pub mod dense;
 pub mod formats;
@@ -28,7 +27,6 @@ pub mod suite;
 
 pub use cmrs::CmrsMatrix;
 pub use coo::{CooError, CooMatrix};
-pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use dense::DenseBlock;
 pub use stats::MatrixStats;

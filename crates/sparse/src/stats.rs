@@ -62,15 +62,6 @@ impl MatrixStats {
             0.0
         }
     }
-
-    /// Fraction of rows with no entries.
-    pub fn empty_fraction(&self) -> f64 {
-        if self.rows == 0 {
-            0.0
-        } else {
-            self.empty_rows as f64 / self.rows as f64
-        }
-    }
 }
 
 impl std::fmt::Display for MatrixStats {

@@ -147,7 +147,7 @@ pub mod prelude {
         EngineConfig, EngineConfigBuilder, EngineError, EngineOutput, EngineStats, Service,
         ServiceConfig, ServiceConfigBuilder, ServiceStats, ServiceTicket, TenantId, TenantSpec,
     };
-    pub use mps_simt::{Device, Phase, PhaseLedger, PhaseReport};
+    pub use mps_simt::{Device, Phase, PhaseLedger};
     pub use mps_solvers::{block_cg, cg, AmgHierarchy, AmgOptions, SolverOptions};
     pub use mps_sparse::{
         gen, suite::SuiteMatrix, CmrsMatrix, CooError, CooMatrix, CsrMatrix, DenseBlock,

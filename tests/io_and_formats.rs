@@ -5,7 +5,6 @@ use merge_path_sparse::prelude::*;
 use merge_path_sparse::sparse::formats::{DiaMatrix, EllMatrix, HybMatrix};
 use merge_path_sparse::sparse::io::{read_matrix_market, write_matrix_market};
 use merge_path_sparse::sparse::reorder::{permute_symmetric, reverse_cuthill_mckee};
-use merge_path_sparse::sparse::CscMatrix;
 use proptest::prelude::*;
 
 fn arb_matrix() -> impl Strategy<Value = CsrMatrix> {
@@ -28,7 +27,6 @@ proptest! {
     fn every_format_round_trips(m in arb_matrix()) {
         prop_assert_eq!(EllMatrix::from_csr(&m).to_csr(), m.clone());
         prop_assert_eq!(HybMatrix::from_csr(&m, 3).to_csr(), m.clone());
-        prop_assert_eq!(CscMatrix::from_csr(&m).to_csr(), m.clone());
         prop_assert_eq!(m.to_coo().to_csr(), m.clone());
         // DIA only when the diagonal count stays sane.
         if let Some(dia) = DiaMatrix::from_csr(&m, 4096) {
