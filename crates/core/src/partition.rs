@@ -19,6 +19,8 @@
 //! order; an operator below the threshold sums in a different order, and
 //! so may round differently, on a device with a different SM count.
 
+use std::ops::Range;
+
 use mps_simt::block::binary_search_partition;
 use mps_simt::grid::{launch_map_phased, LaunchConfig, LaunchStats};
 use mps_simt::{Device, Phase};
@@ -195,13 +197,15 @@ impl MergePartition {
 
     /// One walk over the rows, yielding what a plan keeps of them:
     ///
-    /// - the physical rows the segment walk never *assigns*: empty rows,
+    /// - the physical rows the row-run walk ([`Self::walk_row_runs`]) may
+    ///   leave unassigned: empty rows (on the raw path it stores the +0
+    ///   of an empty run into those inside a tile, as pre-zeroing does),
     ///   plus rows whose nonzeros end exactly on a CTA-tile boundary
     ///   (every segment of such a row is a trailing carry, folded into `y`
     ///   with `+=`). Executors pre-zero exactly these rows instead of
     ///   zero-filling the whole output — every other row is overwritten by
-    ///   a complete-segment assignment, so the result is identical for any
-    ///   prior buffer contents;
+    ///   a finished run, so the result is identical for any prior buffer
+    ///   contents;
     /// - how each CTA of a single-pass launch over this partition meets
     ///   its neighbours (see [`TileLink`]), in CTA order. A row is
     ///   finished by the CTA holding its last nonzero; a row with none (an
@@ -301,6 +305,48 @@ impl MergePartition {
         (row_lo, row_hi)
     }
 
+    /// Every tile's row runs, tile by tile: the segments
+    /// [`Self::tile_segments`] yields, walked with one offset load and one
+    /// compare per row. `runs` finishes each row that ends inside its
+    /// tile (the tile's first row from the tile's start, since it may
+    /// begin in an earlier tile, then whole rows) and carries each tile's
+    /// trailing segment, which becomes the CTA's carry even when its row
+    /// ends exactly on the tile's end. On the raw path an empty row inside
+    /// a tile is finished with no items. Rows reach `runs` as physical
+    /// rows: the raw and the compacted row map each get their own loop.
+    ///
+    /// `#[inline(always)]`: the numeric executes run it inside walks
+    /// compiled once per SIMD tier, so the loop and the gathered dots
+    /// `runs` computes compile into one function under that tier's
+    /// target features.
+    #[inline(always)]
+    pub(crate) fn walk_row_runs(&self, runs: &mut impl RowRuns) {
+        match &self.row_ids {
+            None => self.walk_mapped::<false>(&[], runs),
+            Some(ids) => self.walk_mapped::<true>(ids, runs),
+        }
+    }
+
+    /// [`Self::walk_row_runs`] with the row map fixed at compile time.
+    #[inline(always)]
+    fn walk_mapped<const COMPACTED: bool>(&self, ids: &[u32], runs: &mut impl RowRuns) {
+        let (nnz, nv, offsets) = (self.nnz, self.nv, &self.offsets[..]);
+        for (cta_id, &first) in self.s.iter().take(self.num_ctas()).enumerate() {
+            let lo = cta_id * nv;
+            let hi = (lo + nv).min(nnz);
+            // `first` holds item `lo`: S is searched for the last row
+            // starting at or before it.
+            let (mut row, mut start) = (first, lo);
+            let mut end = offsets[row + 1];
+            while end < hi {
+                runs.finish(physical::<COMPACTED>(ids, row), start..end);
+                (row, start) = (row + 1, end);
+                end = offsets[row + 1];
+            }
+            runs.carry(physical::<COMPACTED>(ids, row), start..hi);
+        }
+    }
+
     /// The row segments of CTA `cta_id`'s tile, in order, walked from the
     /// offsets: one step per row the tile touches, never one per nonzero.
     /// Every segment but the last ends inside the tile (a complete row);
@@ -318,6 +364,26 @@ impl MergePartition {
             item: lo,
             hi: (lo + self.nv).min(self.nnz),
         }
+    }
+}
+
+/// What a row-run walk ([`MergePartition::walk_row_runs`]) does with each
+/// run of a tile's items in one physical row. Implementations mark both
+/// methods `#[inline(always)]`, so they compile into the walk.
+pub(crate) trait RowRuns {
+    /// Row `row` ends inside the tile: `items` are its items there.
+    fn finish(&mut self, row: usize, items: Range<usize>);
+    /// The tile's trailing segment, in row `row`: the CTA's carry.
+    fn carry(&mut self, row: usize, items: Range<usize>);
+}
+
+/// Physical row of logical `row` under a row map fixed at compile time.
+#[inline(always)]
+fn physical<const COMPACTED: bool>(ids: &[u32], row: usize) -> usize {
+    if COMPACTED {
+        ids[row] as usize
+    } else {
+        row
     }
 }
 
