@@ -1,7 +1,9 @@
 //! Reference plan builds: the bodies the lean builds replaced, which
 //! materialize per-item data (row ids per nonzero, per-product tuples,
 //! per-bin copies of the product maps, provenance pairs) only to learn
-//! what a launch costs or to re-pack what the union already ordered.
+//! what a launch costs or to re-pack what the union already ordered. Beside
+//! them sits [`merge_family`], the merge SpMV/SpMM summation order written
+//! per nonzero: the anchor every merge product is checked against.
 //!
 //! They are kept as references only. The conformance oracle and the
 //! tests build every plan both ways and require the results to be equal
@@ -54,6 +56,41 @@ pub fn spmv_plan(device: &Device, a: &CsrMatrix, cfg: &SpmvConfig) -> SpmvPlan {
 /// [`SpmvPlan::simulate_fused`] through the reference charge.
 pub fn spmv_simulate_fused(plan: &SpmvPlan, a: &CsrMatrix, epilogue: &Epilogue) -> LaunchStats {
     spmv_numeric_charge(plan, &plan.device, a, Some(epilogue)).reduction
+}
+
+/// `A·x` in the merge family's summation order at tiles of `nv` nonzeros,
+/// per nonzero from the raw row offsets: each tile's row segments fold
+/// their products in item order from 0.0; a segment that ends its row
+/// inside the tile is stored; every tile's trailing segment is added onto
+/// its row after all tiles, in tile order (onto 0.0 for a row that only
+/// carries). Every merge SpMV and SpMM path, one-shots included, must
+/// equal it bit for bit at its partition's tile
+/// (`partition_structure().nv`), and it shares no walk with any of them.
+pub fn merge_family(a: &CsrMatrix, nv: usize, x: &[f64]) -> Vec<f64> {
+    let nnz = a.nnz();
+    let mut row_of = Vec::with_capacity(nnz);
+    for r in 0..a.num_rows {
+        row_of.extend(std::iter::repeat_n(r, a.row_len(r)));
+    }
+    let mut y = vec![0.0; a.num_rows];
+    let mut carries = Vec::new();
+    for lo in (0..nnz).step_by(nv) {
+        let hi = (lo + nv).min(nnz);
+        let mut acc = 0.0;
+        for item in lo..hi {
+            acc += a.values[item] * x[a.col_idx[item] as usize];
+            if item + 1 == hi {
+                carries.push((row_of[item], acc));
+            } else if row_of[item + 1] != row_of[item] {
+                y[row_of[item]] = acc;
+                acc = 0.0;
+            }
+        }
+    }
+    for (row, sum) in carries {
+        y[row] += sum;
+    }
+    y
 }
 
 /// [`SpmmPlan::new`] charging each column tile through a per-CTA row-id

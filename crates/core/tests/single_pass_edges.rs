@@ -15,11 +15,12 @@
 //! * the price of a fused execute, from counters kept at build, equals a
 //!   full simulation of the fused launch and its reference simulation
 //!   for all eight epilogue shapes;
-//! * every result equals, bit for bit, the merge family's host formula
-//!   written out below (per-tile row segments summed in item order from
-//!   0.0, the segment that ends a row inside its tile stored, trailing
-//!   segments added onto their rows in CTA order), and a zero-guess
-//!   Jacobi epilogue's sweep equals `0 + (ω·dᵢ)·yᵢ` on those bits.
+//! * every result equals, bit for bit, the merge family's order written
+//!   per nonzero ([`reference::merge_family`]: per-tile row segments
+//!   summed in item order from 0.0, the segment that ends a row inside
+//!   its tile stored, trailing segments added onto their rows in CTA
+//!   order), and a zero-guess Jacobi epilogue's sweep equals
+//!   `0 + (ω·dᵢ)·yᵢ` on those bits.
 
 use mps_core::{
     reference, sequential_dot, Epilogue, EpilogueForm, SpmmConfig, SpmmPlan, SpmvConfig, SpmvPlan,
@@ -103,38 +104,6 @@ fn square(lens: &[usize]) -> CsrMatrix {
     }
 }
 
-/// `A·x` in the merge family's summation order, per nonzero from the raw
-/// row offsets: each tile's row segments fold their products in item
-/// order from 0.0; a segment that ends its row inside the tile is stored;
-/// every tile's trailing segment is added onto its row after all tiles, in
-/// tile order (onto 0.0 for a row that only carries).
-fn merge_family(a: &CsrMatrix, nv: usize, x: &[f64]) -> Vec<f64> {
-    let nnz = a.nnz();
-    let mut row_of = Vec::with_capacity(nnz);
-    for r in 0..a.num_rows {
-        row_of.extend(std::iter::repeat_n(r, a.row_len(r)));
-    }
-    let mut y = vec![0.0; a.num_rows];
-    let mut carries = Vec::new();
-    for lo in (0..nnz).step_by(nv) {
-        let hi = (lo + nv).min(nnz);
-        let mut acc = 0.0;
-        for item in lo..hi {
-            acc += a.values[item] * x[a.col_idx[item] as usize];
-            if item + 1 == hi {
-                carries.push((row_of[item], acc));
-            } else if row_of[item + 1] != row_of[item] {
-                y[row_of[item]] = acc;
-                acc = 0.0;
-            }
-        }
-    }
-    for (row, sum) in carries {
-        y[row] += sum;
-    }
-    y
-}
-
 fn same_stats(priced: &LaunchStats, simulated: &LaunchStats) -> bool {
     priced.per_cta_cycles == simulated.per_cta_cycles
         && priced.totals == simulated.totals
@@ -183,7 +152,7 @@ proptest! {
             Epilogue::zero_guess_jacobi(0.7, &signed),
             Epilogue::zero_guess_jacobi(0.7, &signed).with_dot(&z),
         ];
-        let want = merge_family(&a, nv, &x);
+        let want = reference::merge_family(&a, nv, &x);
         for force_no_compaction in [false, true] {
             let cfg = SpmvConfig { block_threads: nv, items_per_thread: 1, force_no_compaction };
             let plan = SpmvPlan::new(&dev, &a, &cfg);
@@ -226,7 +195,7 @@ proptest! {
                 let mut y = DenseBlock::zeros(0, 0);
                 plan.execute_into(&a, &xs, &mut y, &mut ws);
                 for c in 0..k {
-                    prop_assert_eq!(bits(&y.column(c)), bits(&merge_family(&a, nv, &xs.column(c))), "k={} column {}", k, c);
+                    prop_assert_eq!(bits(&y.column(c)), bits(&reference::merge_family(&a, nv, &xs.column(c))), "k={} column {}", k, c);
                 }
             }
         }
